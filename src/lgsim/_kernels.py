@@ -1,227 +1,51 @@
-"""Hot numeric paths: jitted loops with pure-numpy fallbacks.
-
-Set the environment variable ``LGSIM_DISABLE_NUMBA=1`` (or true/yes/on)
-before import to skip numba entirely; ``using_numba`` records which path the
-dispatchers take.  The fallback implementations are kept in sync with the
-loops: the exact-value kernels agree to float noise, and the sampler is
-written so both paths produce bit-identical outcome records from the same
-uniforms (same arithmetic, same order, elementwise).
+"""Hot numeric paths, vectorized with numpy over the theta grid or shot axis.
 
 These functions trust their callers: inputs are validated by the public
-wrappers in ``sampling`` and ``sweeps``, not here.  The protocol kernels
-hard-code the measurement family (sz and the tilted axis in the x-z plane)
-because that is what makes them worth jitting; anything more general goes
-through the exact engine in ``protocol``.  Dephasing along an x-z axis
-leaves the y component of a branch vector exactly zero, so the one-shot
-matvecs below skip the terms that are structurally zero; the in-loop
-matvecs stay dense because the zero pattern alternates with the event kind.
+wrappers in ``sampling`` and ``sweeps``, not here (apart from the shape and
+``n`` checks below).  The protocol kernels hard-code the measurement family
+(sz and the tilted axis in the x-z plane) because that is what makes them
+cheap; anything more general goes through the exact engine in ``protocol``.
+Dephasing along an x-z axis leaves the y component of a branch vector exactly
+zero, so the one-shot matvecs below skip the terms that are structurally
+zero; the in-loop matvecs stay dense because the zero pattern alternates with
+the event kind.
+
+The sampler relies on the collapse: after event ``j`` the conditional Bloch
+vector is exactly ``+/- axes[j]``, so ``p(+1)`` at event ``j + 1`` takes one
+of two values.  Both are computed once per schedule, term by term in the
+order of the per-shot recurrence ``p = (1 + q.(aff + lin r))/2``, and each
+shot then walks a two-value lookup.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-DISABLE_ENV = "LGSIM_DISABLE_NUMBA"
+__all__ = ["protocol_lg", "battery_eps", "sample_paths"]
 
 
-def _disabled_by_env() -> bool:
-    return os.environ.get(DISABLE_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
+def _grid(thetas):
+    arr = np.ascontiguousarray(thetas, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"theta grid must be one dimensional, got shape {arr.shape}")
+    return arr
 
 
-try:
-    if _disabled_by_env():
-        raise ImportError(f"{DISABLE_ENV} is set")
-    from numba import njit as _njit
-
-    using_numba = True
-except ImportError:
-    using_numba = False
-
-__all__ = [
-    "DISABLE_ENV",
-    "using_numba",
-    "protocol_lg",
-    "protocol_lg_numpy",
-    "battery_eps",
-    "battery_eps_numpy",
-    "sample_paths",
-    "sample_paths_numpy",
-]
+def _ptm_arg(m, name):
+    arr = np.ascontiguousarray(m, dtype=np.float64)
+    if arr.shape != (4, 4):
+        raise ValueError(f"{name} must be a 4x4 transfer matrix, got shape {arr.shape}")
+    return arr
 
 
-# ---------------------------------------------------------------------------
-# loop implementations (jitted when numba is active)
-
-
-def _protocol_lg_loop(thetas, n, gap, gap13, c12, c23, c13p):
-    for b in range(thetas.shape[0]):
-        st = np.sin(thetas[b])
-        ct = np.cos(thetas[b])
-        # state after the first gap, from rho = I/2 = (1/2, 0, 0, 0)
-        x0 = 0.5 * gap[0, 0]
-        x1 = 0.5 * gap[1, 0]
-        x2 = 0.5 * gap[2, 0]
-        x3 = 0.5 * gap[3, 0]
-        # {Q1, x}/2 branch, then Q1's channel on the state
-        pr = st * x1 + ct * x3
-        y0 = pr
-        y1 = x0 * st
-        y2 = 0.0
-        y3 = x0 * ct
-        x1 = pr * st
-        x2 = 0.0
-        x3 = pr * ct
-        for k in range(2 * n + 1):
-            t0 = gap[0, 0] * x0 + gap[0, 1] * x1 + gap[0, 2] * x2 + gap[0, 3] * x3
-            t1 = gap[1, 0] * x0 + gap[1, 1] * x1 + gap[1, 2] * x2 + gap[1, 3] * x3
-            t2 = gap[2, 0] * x0 + gap[2, 1] * x1 + gap[2, 2] * x2 + gap[2, 3] * x3
-            t3 = gap[3, 0] * x0 + gap[3, 1] * x1 + gap[3, 2] * x2 + gap[3, 3] * x3
-            x0, x1, x2, x3 = t0, t1, t2, t3
-            t0 = gap[0, 0] * y0 + gap[0, 1] * y1 + gap[0, 2] * y2 + gap[0, 3] * y3
-            t1 = gap[1, 0] * y0 + gap[1, 1] * y1 + gap[1, 2] * y2 + gap[1, 3] * y3
-            t2 = gap[2, 0] * y0 + gap[2, 1] * y1 + gap[2, 2] * y2 + gap[2, 3] * y3
-            t3 = gap[3, 0] * y0 + gap[3, 1] * y1 + gap[3, 2] * y2 + gap[3, 3] * y3
-            y0, y1, y2, y3 = t0, t1, t2, t3
-            if k % 2 == 0:  # sz in the box
-                x1 = 0.0
-                x2 = 0.0
-                y1 = 0.0
-                y2 = 0.0
-            else:  # tilted axis in the box
-                pr = st * x1 + ct * x3
-                x1 = pr * st
-                x2 = 0.0
-                x3 = pr * ct
-                pr = st * y1 + ct * y3
-                y1 = pr * st
-                y2 = 0.0
-                y3 = pr * ct
-        # final gap; the box closed with sz, so components 1 and 2 are zero
-        t0 = gap[0, 0] * x0 + gap[0, 3] * x3
-        t1 = gap[1, 0] * x0 + gap[1, 3] * x3
-        t3 = gap[3, 0] * x0 + gap[3, 3] * x3
-        x0, x1, x3 = t0, t1, t3
-        t1 = gap[1, 0] * y0 + gap[1, 3] * y3
-        t3 = gap[3, 0] * y0 + gap[3, 3] * y3
-        c12[b] = 2.0 * (st * t1 + ct * t3)
-        # branch at Q2 from the state, one more gap, then the sz read
-        pr = st * x1 + ct * x3
-        z0 = pr
-        z1 = x0 * st
-        z3 = x0 * ct
-        c23[b] = 2.0 * (gap[3, 0] * z0 + gap[3, 1] * z1 + gap[3, 3] * z3)
-        # primed correlator: branch at Q1, one jump across the whole box
-        w0 = 0.5 * gap[0, 0]
-        w1 = 0.5 * gap[1, 0]
-        w3 = 0.5 * gap[3, 0]
-        pr = st * w1 + ct * w3
-        b0 = pr
-        b1 = w0 * st
-        b3 = w0 * ct
-        c13p[b] = 2.0 * (gap13[3, 0] * b0 + gap13[3, 1] * b1 + gap13[3, 3] * b3)
-
-
-def _battery_eps_loop(thetas, gap, gap2, out):
-    for b in range(thetas.shape[0]):
-        st = np.sin(thetas[b])
-        ct = np.cos(thetas[b])
-        x0 = 0.5 * gap[0, 0]
-        x1 = 0.5 * gap[1, 0]
-        x3 = 0.5 * gap[3, 0]
-        for e in range(4):
-            if e == 0:
-                q1x = st
-                q1z = ct
-                qpx = st
-                qpz = ct
-                q3x = 0.0
-                q3z = 1.0
-            elif e == 1:
-                q1x = st
-                q1z = ct
-                qpx = 0.0
-                qpz = 1.0
-                q3x = 0.0
-                q3z = 1.0
-            elif e == 2:
-                q1x = 0.0
-                q1z = 1.0
-                qpx = 0.0
-                qpz = 1.0
-                q3x = st
-                q3z = ct
-            else:
-                q1x = 0.0
-                q1z = 1.0
-                qpx = st
-                qpz = ct
-                q3x = st
-                q3z = ct
-            eps = 0.0
-            for s1i in range(2):
-                s1 = 1.0 - 2.0 * s1i
-                amp = x0 + s1 * (q1x * x1 + q1z * x3)
-                w0 = 0.5 * amp
-                w1 = 0.5 * s1 * amp * q1x
-                w3 = 0.5 * s1 * amp * q1z
-                # probe kept: gap, dephase along the probe axis, gap
-                a0 = gap[0, 0] * w0 + gap[0, 1] * w1 + gap[0, 3] * w3
-                a1 = gap[1, 0] * w0 + gap[1, 1] * w1 + gap[1, 3] * w3
-                a3 = gap[3, 0] * w0 + gap[3, 1] * w1 + gap[3, 3] * w3
-                pr = qpx * a1 + qpz * a3
-                a1 = pr * qpx
-                a3 = pr * qpz
-                f0 = gap[0, 0] * a0 + gap[0, 1] * a1 + gap[0, 3] * a3
-                f1 = gap[1, 0] * a0 + gap[1, 1] * a1 + gap[1, 3] * a3
-                f3 = gap[3, 0] * a0 + gap[3, 1] * a1 + gap[3, 3] * a3
-                # probe removed: one jump across both gaps
-                g0 = gap2[0, 0] * w0 + gap2[0, 1] * w1 + gap2[0, 3] * w3
-                g1 = gap2[1, 0] * w0 + gap2[1, 1] * w1 + gap2[1, 3] * w3
-                g3 = gap2[3, 0] * w0 + gap2[3, 1] * w1 + gap2[3, 3] * w3
-                for s3i in range(2):
-                    s3 = 1.0 - 2.0 * s3i
-                    pw = f0 + s3 * (q3x * f1 + q3z * f3)
-                    pn = g0 + s3 * (q3x * g1 + q3z * g3)
-                    eps += abs(pw - pn)
-            out[b, e] = eps
-
-
-def _sample_paths_loop(u, lin, aff, axes, r0, out):
-    shots = u.shape[0]
-    k = u.shape[1]
-    for s in range(shots):
-        rx = r0[0]
-        ry = r0[1]
-        rz = r0[2]
-        for j in range(k):
-            nx = aff[j, 0] + (lin[j, 0, 0] * rx + lin[j, 0, 1] * ry + lin[j, 0, 2] * rz)
-            ny = aff[j, 1] + (lin[j, 1, 0] * rx + lin[j, 1, 1] * ry + lin[j, 1, 2] * rz)
-            nz = aff[j, 2] + (lin[j, 2, 0] * rx + lin[j, 2, 1] * ry + lin[j, 2, 2] * rz)
-            p = 0.5 * (1.0 + (axes[j, 0] * nx + axes[j, 1] * ny + axes[j, 2] * nz))
-            if u[s, j] < p:
-                out[s, j] = 1
-                sg = 1.0
-            else:
-                out[s, j] = -1
-                sg = -1.0
-            rx = sg * axes[j, 0]
-            ry = sg * axes[j, 1]
-            rz = sg * axes[j, 2]
-
-
-if using_numba:
-    _protocol_lg_jit = _njit(cache=True, nogil=True)(_protocol_lg_loop)
-    _battery_eps_jit = _njit(cache=True, nogil=True)(_battery_eps_loop)
-    _sample_paths_jit = _njit(cache=True, nogil=True)(_sample_paths_loop)
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks (vectorized over the grid / shot axis)
-
-
-def protocol_lg_numpy(thetas, n, gap, gap13):
+def protocol_lg(thetas, n, gap, gap13):
+    """Boxed-protocol correlators over a theta grid: (c12, c23, c13_prime)."""
+    thetas = _grid(thetas)
+    if n != int(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    n = int(n)
+    gap = _ptm_arg(gap, "gap")
+    gap13 = _ptm_arg(gap13, "gap13")
     st = np.sin(thetas)
     ct = np.cos(thetas)
     x = 0.5 * np.repeat(gap[:, :1], thetas.shape[0], axis=1)  # (4, B)
@@ -268,7 +92,11 @@ def protocol_lg_numpy(thetas, n, gap, gap13):
     return c12, c23, c13p
 
 
-def battery_eps_numpy(thetas, gap, gap2):
+def battery_eps(thetas, gap, gap2):
+    """Per-experiment adroitness of the four-member battery, shape (B, 4)."""
+    thetas = _grid(thetas)
+    gap = _ptm_arg(gap, "gap")
+    gap2 = _ptm_arg(gap2, "gap2")
     st = np.sin(thetas)
     ct = np.cos(thetas)
     zero = np.zeros_like(st)
@@ -310,73 +138,31 @@ def battery_eps_numpy(thetas, gap, gap2):
     return out
 
 
-def sample_paths_numpy(u, lin, aff, axes, r0, out):
-    shots = u.shape[0]
-    rx = np.full(shots, r0[0])
-    ry = np.full(shots, r0[1])
-    rz = np.full(shots, r0[2])
-    for j in range(u.shape[1]):
-        nx = aff[j, 0] + (lin[j, 0, 0] * rx + lin[j, 0, 1] * ry + lin[j, 0, 2] * rz)
-        ny = aff[j, 1] + (lin[j, 1, 0] * rx + lin[j, 1, 1] * ry + lin[j, 1, 2] * rz)
-        nz = aff[j, 2] + (lin[j, 2, 0] * rx + lin[j, 2, 1] * ry + lin[j, 2, 2] * rz)
-        p = 0.5 * (1.0 + (axes[j, 0] * nx + axes[j, 1] * ny + axes[j, 2] * nz))
-        pos = u[:, j] < p
-        out[:, j] = np.where(pos, 1, -1)
-        sg = np.where(pos, 1.0, -1.0)
-        rx = sg * axes[j, 0]
-        ry = sg * axes[j, 1]
-        rz = sg * axes[j, 2]
+def _p_plus(lin, aff, axes, r):
+    """``p(+1) = (1 + q.(aff + lin r))/2`` written out term by term.
 
-
-# ---------------------------------------------------------------------------
-# dispatchers
-
-
-def _grid(thetas):
-    arr = np.ascontiguousarray(thetas, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"theta grid must be one dimensional, got shape {arr.shape}")
-    return arr
-
-
-def _ptm_arg(m, name):
-    arr = np.ascontiguousarray(m, dtype=np.float64)
-    if arr.shape != (4, 4):
-        raise ValueError(f"{name} must be a 4x4 transfer matrix, got shape {arr.shape}")
-    return arr
-
-
-def protocol_lg(thetas, n, gap, gap13):
-    """Boxed-protocol correlators over a theta grid: (c12, c23, c13_prime)."""
-    thetas = _grid(thetas)
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
-    gap = _ptm_arg(gap, "gap")
-    gap13 = _ptm_arg(gap13, "gap13")
-    if using_numba:
-        c12 = np.empty_like(thetas)
-        c23 = np.empty_like(thetas)
-        c13p = np.empty_like(thetas)
-        _protocol_lg_jit(thetas, int(n), gap, gap13, c12, c23, c13p)
-        return c12, c23, c13p
-    return protocol_lg_numpy(thetas, int(n), gap, gap13)
-
-
-def battery_eps(thetas, gap, gap2):
-    """Per-experiment adroitness of the four-member battery, shape (B, 4)."""
-    thetas = _grid(thetas)
-    gap = _ptm_arg(gap, "gap")
-    gap2 = _ptm_arg(gap2, "gap2")
-    if using_numba:
-        out = np.empty((thetas.shape[0], 4))
-        _battery_eps_jit(thetas, gap, gap2, out)
-        return out
-    return battery_eps_numpy(thetas, gap, gap2)
+    The explicit sums fix the evaluation order (``@``/``einsum`` may reorder
+    them or fuse multiply-adds), so these values match a per-shot recurrence
+    bit for bit.  Arguments broadcast elementwise over leading axes.
+    """
+    rx, ry, rz = r[..., 0], r[..., 1], r[..., 2]
+    nx = aff[..., 0] + (lin[..., 0, 0] * rx + lin[..., 0, 1] * ry + lin[..., 0, 2] * rz)
+    ny = aff[..., 1] + (lin[..., 1, 0] * rx + lin[..., 1, 1] * ry + lin[..., 1, 2] * rz)
+    nz = aff[..., 2] + (lin[..., 2, 0] * rx + lin[..., 2, 1] * ry + lin[..., 2, 2] * rz)
+    return 0.5 * (1.0 + (axes[..., 0] * nx + axes[..., 1] * ny + axes[..., 2] * nz))
 
 
 def sample_paths(u, lin, aff, axes, r0, out):
     """Fill ``out`` with +1/-1 outcomes for pre-drawn uniforms ``u``."""
-    if using_numba:
-        _sample_paths_jit(u, lin, aff, axes, r0, out)
-    else:
-        sample_paths_numpy(u, lin, aff, axes, r0, out)
+    k = u.shape[1]
+    # prev[j, 0] / prev[j, 1]: Bloch vector entering event j's gap after a
+    # +1 / -1 at event j - 1; event 0 starts from r0 on both sides
+    prev = np.empty((k, 2, 3))
+    prev[0] = r0
+    prev[1:, 0] = axes[:-1]
+    prev[1:, 1] = -axes[:-1]
+    p = _p_plus(lin[:, None], aff[:, None], axes[:, None], prev)  # (k, 2)
+    pos = np.ones(u.shape[0], dtype=bool)
+    for j in range(k):
+        pos = u[:, j] < np.where(pos, p[j, 0], p[j, 1])
+        out[:, j] = np.where(pos, 1, -1)

@@ -344,59 +344,21 @@ def correlator_exact(
 
 
 def lg_quantity(schedule: ExperimentSchedule) -> CorrelatorSet:
-    """All three protocol correlators of a Q1/Q2/Q3 schedule in one pass.
+    """All three protocol correlators of a Q1/Q2/Q3 schedule.
 
     ``c12`` and ``c23`` keep every event in place; ``c13_prime`` keeps only
-    Q1 and Q3, bridging the gap with a single propagator.  Equal to three
-    ``correlator_exact`` calls, just cheaper on long boxes.
+    Q1 and Q3, bridging the gap with a single propagator.
     """
     i1 = schedule.index_of("Q1")
     i2 = schedule.index_of("Q2")
     i3 = schedule.index_of("Q3")
     if not (i1 < i2 < i3):
         raise ValueError("schedule must order Q1 before Q2 before Q3")
-    spec = schedule.dynamics
-    events = schedule.events
-
-    x = schedule.initial_state.coefficients.copy()
-    t = 0.0
-    y = z = None
-    c12 = c23 = None
-    for k, ev in enumerate(events[: i3 + 1]):
-        g = _ptm(spec, ev.time - t)
-        t = ev.time
-        if g is not None:
-            x = g @ x
-            if y is not None:
-                y = g @ y
-            if z is not None:
-                z = g @ z
-        q = ev.observable.coefficients
-        if k == i1:
-            y = _half_anticommutator(q, x)
-            x = _measured(q, x)
-        elif k == i2:
-            c12 = float(2.0 * (q @ y))
-            y = None
-            z = _half_anticommutator(q, x)
-            x = _measured(q, x)
-        elif k == i3:
-            c23 = float(2.0 * (q @ z))
-        else:
-            x = _measured(q, x)
-            if y is not None:
-                y = _measured(q, y)
-            if z is not None:
-                z = _measured(q, z)
-
-    w = schedule.initial_state.coefficients.copy()
-    g = _ptm(spec, events[i1].time)
-    if g is not None:
-        w = g @ w
-    w = _half_anticommutator(events[i1].observable.coefficients, w)
-    w = _ptm(spec, events[i3].time - events[i1].time) @ w
-    c13 = float(2.0 * (events[i3].observable.coefficients @ w))
-    return CorrelatorSet(c12=c12, c23=c23, c13_prime=c13)
+    return CorrelatorSet(
+        c12=correlator_exact(schedule, "Q1", "Q2"),
+        c23=correlator_exact(schedule, "Q2", "Q3"),
+        c13_prime=correlator_exact(schedule, "Q1", "Q3", include_intermediate=False),
+    )
 
 
 def joint_distribution(

@@ -11,15 +11,16 @@ states of this protocol are always fully determined by their Bloch vector,
 and a projective two-outcome measurement collapses onto ``+/- q``, so a shot
 is a short recurrence: evolve the Bloch vector through the gap (affine map
 taken from the propagator's transfer matrix), compute ``p(+1) = (1+q.r)/2``,
-compare against a uniform draw, collapse.  Shots are embarrassingly
-parallel.
+compare against a uniform draw, collapse.  Because the collapse leaves only
+``+/- q`` behind, ``p(+1)`` at each event takes one of two values fixed by
+the previous outcome; the kernel computes both once per schedule and each
+shot walks that lookup.
 
 Randomness is counter based: shot block ``j`` of a run with seed ``s`` draws
 its uniforms from a Philox generator keyed ``(s, j)``, with a fixed block
 size of 2**16 shots.  The stream for any shot therefore depends only on
 ``(seed, shot index)``, never on how the work is executed, and identical
-``(schedule, mask, shots, seed)`` inputs give bit-identical records on both
-the accelerated and fallback kernel paths.
+``(schedule, mask, shots, seed)`` inputs give bit-identical records.
 """
 
 from __future__ import annotations
@@ -84,13 +85,15 @@ class TrajectoryRecords:
     seed: int
 
     def __post_init__(self):
-        arr = np.asarray(self.outcomes, dtype=np.int8)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise ValueError(f"outcomes must be a (shots, events) array, got {arr.shape}")
-        if arr.shape[1] != len(self.tags) or len(self.tags) != len(self.times):
+        raw = np.asarray(self.outcomes)
+        if raw.ndim != 2 or raw.shape[0] < 1:
+            raise ValueError(f"outcomes must be a (shots, events) array, got {raw.shape}")
+        if raw.shape[1] != len(self.tags) or len(self.tags) != len(self.times):
             raise ValueError("tags/times must match the outcome columns")
-        if not np.all(np.abs(arr) == 1):
+        # check before the int8 cast, which would wrap 257 to 1 and truncate 1.7
+        if not np.all((raw == 1) | (raw == -1)):
             raise ValueError("outcomes must be +1/-1")
+        arr = np.asarray(raw, dtype=np.int8)
         arr.setflags(write=False)
         object.__setattr__(self, "outcomes", arr)
         object.__setattr__(self, "tags", tuple(self.tags))

@@ -185,6 +185,13 @@ def sweep_records(
     return records
 
 
+def _check_positive(value: float, name: str) -> float:
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def _margin_curve(thetas, n, gamma, tau, omega, criterion) -> np.ndarray:
     cur = lg_curve(thetas, n, gamma, tau, omega)
     if criterion == "strict":
@@ -210,9 +217,11 @@ def violation_window(
     A coarse grid finds the sign structure, then each edge is bisected until
     its bracket is narrower than ``refine``.  Returns None when no grid point
     violates.  The lenient criterion tests ``lg < 0``, the strict one
-    ``lg < -eps_total``.
+    ``lg < -eps_total``.  A bracket one float wide ends the bisection even
+    when ``refine`` asks for less.
     """
     criterion = _check_criterion(criterion)
+    refine = _check_positive(refine, "refine")
     if coarse_points < 3:
         raise ValueError(f"coarse_points must be at least 3, got {coarse_points}")
     grid = np.linspace(0.0, math.pi, int(coarse_points))
@@ -229,6 +238,8 @@ def violation_window(
         # invariant: margin(lo) >= 0 > margin(hi)
         while hi - lo > refine:
             mid = lo + 0.5 * (hi - lo)
+            if not lo < mid < hi:
+                break
             if _margin_scalar(mid, n, gamma, tau, omega, criterion) < 0.0:
                 hi = mid
             else:
@@ -243,6 +254,8 @@ def violation_window(
         lo, hi = float(grid[last]), float(grid[last + 1])
         while hi - lo > refine:
             mid = lo + 0.5 * (hi - lo)
+            if not lo < mid < hi:
+                break
             if _margin_scalar(mid, n, gamma, tau, omega, criterion) < 0.0:
                 lo = mid
             else:
@@ -266,9 +279,12 @@ def gamma_cutoff(
 
     Bisects on the worst-case (minimum over theta) criterion margin.  Raises
     ``ValueError`` if there is no violation at gamma=0 (nothing to close) or
-    if the window survives past gamma=1.
+    if the window survives past gamma=1.  A bracket one float wide ends the
+    bisection even when ``tol`` asks for less.
     """
     criterion = _check_criterion(criterion)
+    gamma_hi = _check_positive(gamma_hi, "gamma_hi")
+    tol = _check_positive(tol, "tol")
     grid = np.linspace(0.0, math.pi, int(theta_points))
 
     def worst(gamma: float) -> float:
@@ -277,13 +293,15 @@ def gamma_cutoff(
     if worst(0.0) >= 0.0:
         raise ValueError(f"no violation at gamma=0 for n={n}; cutoff undefined")
     lo = 0.0
-    hi = float(gamma_hi)
+    hi = gamma_hi
     while worst(hi) < 0.0:
         hi *= 2.0
         if hi > 1.0:
             raise ValueError("violation window persists past gamma=1; no cutoff found")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if worst(mid) < 0.0:
             lo = mid
         else:

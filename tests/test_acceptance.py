@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 complete.  Every criterion prints its verdict before asserting, so a failure
 still leaves the full scoreboard on screen.  Runtime budgets are part of the
-assertions; the jit warmup below keeps compilation out of the timed regions.
+assertions; the warmup below keeps one-off first-call costs out of the timed
+regions.
 """
 
 import math
@@ -41,7 +42,7 @@ IDEAL = LindbladSpec(HamiltonianSpec(1.0))
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernels():
-    # first-call jit compilation must not count against the runtime budgets
+    # one-off first-call costs must not count against the runtime budgets
     lg_curve(np.array([0.5]), 1, 0.001, math.pi)
     sample_trajectories(build_protocol_schedule(0.5, 0, math.pi, IDEAL), 2, seed=0)
 

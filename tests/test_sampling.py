@@ -6,6 +6,7 @@ branching on 2x2 matrices versus transfer-matrix algebra on Pauli
 coefficients) and must agree to near machine precision.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -155,6 +156,27 @@ def test_sampled_frequencies_track_enumeration():
     assert est.samples == 40000
 
 
+def test_seeded_records_are_pinned():
+    # digests recorded with the per-shot recurrence sampler: a kernel change
+    # that moves a single outcome, in either block, fails here
+    spec = LindbladSpec(HamiltonianSpec(1.0), 0.003)
+    rho0 = DensityOperator.from_bloch((0.3, -0.2, 0.5))
+    sch = build_protocol_schedule(0.7 * math.pi, 2, math.pi, spec, initial_state=rho0)
+    primed = [ev.tag in ("Q1", "Q3") for ev in sch.events]
+    full = sample_trajectories(sch, BLOCK_SHOTS + 7, seed=17)
+    masked = sample_trajectories(sch, BLOCK_SHOTS + 7, seed=17, mask=primed)
+    assert full.outcomes.shape == (BLOCK_SHOTS + 7, 8)
+    assert masked.outcomes.shape == (BLOCK_SHOTS + 7, 2)
+    assert (
+        hashlib.sha256(full.outcomes.tobytes()).hexdigest()
+        == "a0094b9590180bf7dfb6ea4c511878161273656882a8b83ca623e940eaafa71a"
+    )
+    assert (
+        hashlib.sha256(masked.outcomes.tobytes()).hexdigest()
+        == "4c2a2b051b1bc04973ece019756b7c069ab2c770b10b5f465d5363328f424c59"
+    )
+
+
 def test_masked_sampling_drops_events():
     sch = adroitness_experiments(0.6, math.pi, NOISY)[0]
     records = sample_trajectories(sch, 64, seed=1, mask=(True, False, True))
@@ -188,6 +210,10 @@ def test_records_validation():
     bad[0, 0] = 3
     with pytest.raises(ValueError, match=r"\+1/-1"):
         TrajectoryRecords(bad, ("Q1", "Q3"), (1.0, 2.0), (True, True), 0)
+    # values that an int8 cast would wrap or truncate onto +1/-1
+    for corrupt in ([[257, -1], [1, 255]], [[1.7, -1.2]]):
+        with pytest.raises(ValueError, match=r"\+1/-1"):
+            TrajectoryRecords(np.array(corrupt), ("Q1", "Q3"), (1.0, 2.0), (True, True), 0)
 
 
 def test_tag_lookup_requires_exactly_one_column():

@@ -150,6 +150,20 @@ def test_window_validation():
         violation_window(1, 0.0, math.pi, 1.0, criterion="both")
     with pytest.raises(ValueError, match="coarse_points"):
         violation_window(1, 0.0, math.pi, 1.0, coarse_points=2)
+    for refine in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="refine must be positive and finite"):
+            violation_window(1, 0.0, math.pi, 1.0, refine=refine)
+
+
+def test_window_bisection_stops_at_one_float():
+    # a refine below the float spacing cannot be met; the bisection must stop
+    # once the bracket holds two adjacent floats
+    w = violation_window(1, 0.0, math.pi, 1.0, coarse_points=101, refine=1e-300)
+    for lo, hi in (w.lo_bracket, w.hi_bracket):
+        assert np.nextafter(lo, math.inf) == hi
+    ref = violation_window(1, 0.0, math.pi, 1.0, coarse_points=101)
+    assert w.lo == pytest.approx(ref.lo, abs=1e-5)
+    assert w.hi == pytest.approx(ref.hi, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +182,19 @@ def test_gamma_cutoff_brackets_the_window_collapse():
     cut = gamma_cutoff(n=1, tau=math.pi, omega=1.0, criterion="lenient")
     assert violation_window(1, cut * 0.98, math.pi, 1.0) is not None
     assert violation_window(1, cut * 1.02, math.pi, 1.0) is None
+
+
+def test_gamma_cutoff_validation():
+    for name in ("tol", "gamma_hi"):
+        for bad in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                gamma_cutoff(n=1, tau=math.pi, **{name: bad})
+
+
+def test_gamma_cutoff_bisection_stops_at_one_float():
+    cut = gamma_cutoff(n=1, tau=math.pi, tol=1e-300, theta_points=201)
+    ref = gamma_cutoff(n=1, tau=math.pi, theta_points=201)
+    assert cut == pytest.approx(ref, abs=1e-8)
 
 
 def test_gamma_cutoff_undefined_for_the_control():
