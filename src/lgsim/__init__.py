@@ -75,6 +75,7 @@ from .sampling import (
 )
 from .sweeps import (
     SweepRecord,
+    SweepTable,
     ViolationWindow,
     gamma_cutoff,
     lg_curve,
@@ -104,6 +105,7 @@ __all__ = [
     "Observable",
     "OutcomeTrajectory",
     "SweepRecord",
+    "SweepTable",
     "TrajectoryRecords",
     "Verdict",
     "ViolationWindow",

@@ -25,7 +25,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +35,8 @@ from . import __version__
 from .dynamics import HamiltonianSpec, LindbladSpec
 from .protocol import adroitness_experiments, adroitness_report, classic_lg
 from .sampling import estimate_adroitness, sample_trajectories
-from .sweeps import SWEEP_COLUMNS, SweepRecord, gamma_cutoff, sweep_records, violation_window
+from .sweeps import SWEEP_COLUMNS, SweepRecord, SweepTable, gamma_cutoff, sweep_records
+from .sweeps import violation_window
 
 __all__ = [
     "ConfigError",
@@ -156,10 +159,6 @@ class SweepConfig:
         """Measurement spacing: half a drive period times m."""
         return math.pi * self.m / self.omega
 
-    @property
-    def dynamics(self) -> LindbladSpec:
-        return LindbladSpec(HamiltonianSpec(self.omega), 0.0)
-
 
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     try:
@@ -246,27 +245,18 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
 
 
 # ---------------------------------------------------------------------------
-# command bodies: each returns (columns, rows, summary_lines)
+# command bodies: each returns (columns, rows, summary_lines); rows is a list
+# of dicts or, for the sweep commands, a SweepTable
 
 
-def _sweep_row(r: SweepRecord) -> dict[str, object]:
-    return {
-        "theta": r.theta,
-        "gamma": r.gamma,
-        "n": r.n,
-        "c12": r.c12,
-        "c23": r.c23,
-        "c13_prime": r.c13_prime,
-        "lg_quantity": r.lg_quantity,
-        "eps_total": r.eps_total,
-        "verdict": r.verdict.value,
-    }
+def _sweep_table(cfg: SweepConfig):
+    return sweep_records(
+        cfg.thetas, cfg.gammas, cfg.ns, tau=cfg.tau, omega=cfg.omega, workers=cfg.workers
+    )
 
 
 def _cmd_fig2(cfg: SweepConfig):
-    recs = sweep_records(
-        cfg.thetas, [0.0], cfg.ns, tau=cfg.tau, omega=cfg.omega, workers=cfg.workers
-    )
+    table = _sweep_table(cfg)
     summary = []
     for n in cfg.ns:
         w = violation_window(n, 0.0, cfg.tau, cfg.omega, criterion=cfg.criterion)
@@ -277,13 +267,11 @@ def _cmd_fig2(cfg: SweepConfig):
                 f"onset[n={n}] theta/pi={w.lo / math.pi:.9f} "
                 f"width/pi={w.width / math.pi:.9f} (criterion={cfg.criterion})"
             )
-    return SWEEP_COLUMNS, [_sweep_row(r) for r in recs], summary
+    return SWEEP_COLUMNS, table, summary
 
 
 def _cmd_fig3(cfg: SweepConfig):
-    recs = sweep_records(
-        cfg.thetas, cfg.gammas, cfg.ns, tau=cfg.tau, omega=cfg.omega, workers=cfg.workers
-    )
+    table = _sweep_table(cfg)
     summary = []
     for crit in ("lenient", "strict"):
         try:
@@ -291,7 +279,7 @@ def _cmd_fig3(cfg: SweepConfig):
             summary.append(f"gamma_cutoff[{crit}]={cut:.9g}")
         except ValueError as exc:
             summary.append(f"gamma_cutoff[{crit}] undefined: {exc}")
-    return SWEEP_COLUMNS, [_sweep_row(r) for r in recs], summary
+    return SWEEP_COLUMNS, table, summary
 
 
 _ADROIT_COLUMNS = (
@@ -319,19 +307,10 @@ def _cmd_adroitness(cfg: SweepConfig):
         for theta in cfg.thetas:
             report = adroitness_report(theta, cfg.tau, spec)
             schedules = adroitness_experiments(theta, cfg.tau, spec) if cfg.shots else None
-            mc_eps = []
-            mc_se = []
+            head = (theta, gamma, cfg.tau, cfg.omega)
+            mc_eps, mc_se = [], []
             for k, (eid, eps) in enumerate(report.entries):
-                row = {
-                    "experiment": eid,
-                    "theta": theta,
-                    "gamma": gamma,
-                    "tau": cfg.tau,
-                    "omega": cfg.omega,
-                    "epsilon": eps,
-                    "epsilon_mc": None,
-                    "epsilon_mc_se": None,
-                }
+                mc = (None, None)
                 if cfg.shots:
                     sched = schedules[k]
                     keep = sample_trajectories(
@@ -344,23 +323,14 @@ def _cmd_adroitness(cfg: SweepConfig):
                         mask=(True, False, True),
                     )
                     est = estimate_adroitness(keep, drop)
-                    se = float(np.sqrt((est.cell_standard_errors**2).sum()))
-                    row["epsilon_mc"] = est.epsilon
-                    row["epsilon_mc_se"] = se
-                    mc_eps.append(est.epsilon)
-                    mc_se.append(se)
-                rows.append(row)
-            total_row = {
-                "experiment": "total",
-                "theta": theta,
-                "gamma": gamma,
-                "tau": cfg.tau,
-                "omega": cfg.omega,
-                "epsilon": report.epsilon_total,
-                "epsilon_mc": sum(mc_eps) if mc_eps else None,
-                "epsilon_mc_se": float(np.sqrt(np.sum(np.square(mc_se)))) if mc_se else None,
-            }
-            rows.append(total_row)
+                    mc = (est.epsilon, float(np.sqrt((est.cell_standard_errors**2).sum())))
+                    mc_eps.append(mc[0])
+                    mc_se.append(mc[1])
+                rows.append(dict(zip(_ADROIT_COLUMNS, (eid, *head, eps, *mc))))
+            mc = (None, None)
+            if mc_eps:
+                mc = (sum(mc_eps), float(np.sqrt(np.sum(np.square(mc_se)))))
+            rows.append(dict(zip(_ADROIT_COLUMNS, ("total", *head, report.epsilon_total, *mc))))
             cell += 4
     summary = []
     if cfg.shots:
@@ -391,10 +361,7 @@ def _cmd_classic(cfg: SweepConfig):
 
 
 def _cmd_sweep(cfg: SweepConfig):
-    recs = sweep_records(
-        cfg.thetas, cfg.gammas, cfg.ns, tau=cfg.tau, omega=cfg.omega, workers=cfg.workers
-    )
-    return SWEEP_COLUMNS, [_sweep_row(r) for r in recs], []
+    return SWEEP_COLUMNS, _sweep_table(cfg), []
 
 
 _COMMAND_BODIES = {
@@ -413,47 +380,55 @@ _COMMAND_BODIES = {
 def _cell_text(v: object) -> str:
     if v is None:
         return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    return _f17(v)
+    return v if isinstance(v, str) else _f17(v)
 
 
-def _render_csv(command, columns, rows, echo, summary) -> str:
-    lines = [f"# lgsim {command}"]
-    lines += [f"# config {k}={v}" for k, v in echo]
-    lines += [f"# {s}" for s in summary]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell_text(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _sweep_lines(fmt: str, table: SweepTable) -> Iterator[str]:
+    """The rows of each (n, gamma) block as one chunk, from one %-template.
+
+    ``"%.17g" % x`` is ``format(x, ".17g")``, and ``"%r" % x`` is the text
+    ``json.dumps`` writes for a float, as every value is finite (checked by
+    ``sweep_records``).  So the bytes are those of the dict-row renderers.
+    """
+    thetas = table.thetas.tolist()
+    for b in table.blocks:
+        if fmt == "csv":
+            template = ",".join(["%.17g", _f17(b.gamma), str(b.n)] + ["%.17g"] * 5 + ["%s"])
+        else:
+            cells = ["%r", repr(b.gamma), str(b.n)] + ["%r"] * 5 + ['"%s"']
+            template = "{" + ", ".join(f'"{c}": {v}' for c, v in zip(SWEEP_COLUMNS, cells)) + "}"
+        rows = zip(thetas, *(col.tolist() for col in b.curve), b.verdict.tolist())
+        yield "\n".join(map(template.__mod__, rows))
 
 
-def _render_jsonl(command, columns, rows, echo, summary) -> str:
-    meta = {"meta": {"command": command, "config": dict(echo), "summary": list(summary)}}
-    lines = [json.dumps(meta, sort_keys=True)]
-    for row in rows:
-        out = {}
-        for c in columns:
-            v = row[c]
-            if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-                out[c] = int(v)
-            elif isinstance(v, float):
-                out[c] = float(v)
-            else:
-                out[c] = v
-        lines.append(json.dumps(out))
-    return "\n".join(lines) + "\n"
+def _table_lines(cfg: SweepConfig, columns, rows, summary) -> Iterator[str]:
+    """The table's lines without newlines; a sweep yields one chunk per block."""
+    if cfg.format == "csv":
+        yield f"# lgsim {cfg.command}"
+        yield from (f"# config {k}={v}" for k, v in cfg.echo)
+        yield from (f"# {s}" for s in summary)
+        yield ",".join(columns)
+    else:
+        meta = {"command": cfg.command, "config": dict(cfg.echo), "summary": list(summary)}
+        yield json.dumps({"meta": meta}, sort_keys=True)
+    if isinstance(rows, SweepTable):
+        yield from _sweep_lines(cfg.format, rows)
+    elif cfg.format == "csv":
+        yield from (",".join(_cell_text(row[c]) for c in columns) for row in rows)
+    else:
+        yield from (json.dumps({c: row[c] for c in columns}) for row in rows)
 
 
 def _emit(cfg: SweepConfig, columns, rows, summary) -> None:
-    render = _render_csv if cfg.format == "csv" else _render_jsonl
-    text = render(cfg.command, columns, rows, cfg.echo, summary)
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    chunks = (line + "\n" for line in _table_lines(cfg, columns, rows, summary))
+    if not cfg.out:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {cfg.out}: {exc}") from None
 
 
 def read_table(path) -> tuple[dict, list[dict]]:
@@ -502,23 +477,12 @@ def read_table(path) -> tuple[dict, list[dict]]:
 
 
 def records_from_rows(rows: list[dict]) -> list[SweepRecord]:
-    """Rebuild validated sweep records from parsed rows (exact round trip)."""
-    out = []
-    for row in rows:
-        out.append(
-            SweepRecord(
-                theta=float(row["theta"]),
-                gamma=float(row["gamma"]),
-                n=int(row["n"]),
-                c12=float(row["c12"]),
-                c23=float(row["c23"]),
-                c13_prime=float(row["c13_prime"]),
-                lg_quantity=float(row["lg_quantity"]),
-                eps_total=float(row["eps_total"]),
-                verdict=row["verdict"],
-            )
-        )
-    return out
+    """Rebuild validated sweep records from parsed rows (exact round trip).
+
+    ``SweepRecord`` converts each cell to its field's type and checks it.
+    """
+    cells = itemgetter(*SWEEP_COLUMNS)
+    return [SweepRecord(*cells(row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------

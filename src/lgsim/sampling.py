@@ -90,6 +90,8 @@ class TrajectoryRecords:
             raise ValueError(f"outcomes must be a (shots, events) array, got {raw.shape}")
         if raw.shape[1] != len(self.tags) or len(self.tags) != len(self.times):
             raise ValueError("tags/times must match the outcome columns")
+        if sum(bool(b) for b in self.mask) != len(self.tags):
+            raise ValueError("mask must include exactly one event per outcome column")
         # check before the int8 cast, which would wrap 257 to 1 and truncate 1.7
         if not np.all((raw == 1) | (raw == -1)):
             raise ValueError("outcomes must be +1/-1")

@@ -1,10 +1,13 @@
 """Grid evaluation over protocol parameters, violation windows, noise cutoffs.
 
 Everything here runs on the kernel layer, so a 10^4-point theta grid is one
-call, and a gamma bisection is a few dozen of them.  Row order of sweep
-output is a pure function of the requested grids (n outermost, then gamma,
-then theta); worker threads only parallelise the per-(n, gamma) curve
-evaluations and never reorder rows.
+call, and a gamma bisection is a few dozen of them.  ``sweep_records``
+returns a columnar ``SweepTable``: one block of kernel arrays and verdicts
+per (n, gamma), checked as whole arrays, never one object per grid point;
+``SweepTable.records()`` expands it into validated ``SweepRecord`` rows.
+Row order is a pure function of the requested grids (n outermost, then
+gamma, then theta); worker threads only parallelise the per-(n, gamma)
+curve evaluations and never reorder rows.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from .protocol import Verdict, violation_verdict
 __all__ = [
     "SWEEP_COLUMNS",
     "CurveArrays",
+    "SweepBlock",
     "SweepRecord",
+    "SweepTable",
     "ViolationWindow",
     "lg_curve",
     "sweep_records",
@@ -96,6 +101,67 @@ class SweepRecord:
             )
 
 
+class SweepBlock(NamedTuple):
+    """The rows of one (n, gamma) pair: its curve over theta and verdict values."""
+
+    n: int
+    gamma: float
+    curve: CurveArrays
+    verdict: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A swept (n, gamma, theta) grid held as columns.
+
+    ``blocks`` run n outermost, then gamma; the rows of each block follow
+    ``thetas``.  ``len`` counts rows.
+    """
+
+    thetas: np.ndarray
+    blocks: tuple[SweepBlock, ...]
+
+    def __len__(self) -> int:
+        return len(self.thetas) * len(self.blocks)
+
+    def records(self) -> list[SweepRecord]:
+        """Every row as a validated ``SweepRecord``, in table order."""
+        thetas = self.thetas.tolist()
+        return [
+            SweepRecord(theta, b.gamma, b.n, *row)
+            for b in self.blocks
+            for theta, *row in zip(thetas, *(col.tolist() for col in b.curve), b.verdict.tolist())
+        ]
+
+
+# object scalars, so a verdict column holds references to three shared strings
+_STRICT, _LENIENT, _CLEAN = (
+    np.asarray(v.value, dtype=object)
+    for v in (Verdict.VIOLATES_STRICT, Verdict.VIOLATES_LENIENT, Verdict.NO_VIOLATION)
+)
+
+
+def _verdicts(cur: CurveArrays) -> np.ndarray:
+    """``violation_verdict`` of every point, with its checks and errors.
+
+    Also requires ``lg`` to match its correlators within 1e-12, as
+    ``SweepRecord`` does.
+    """
+    lg, eps = cur.lg, cur.eps_total
+    bad = ~(np.isfinite(lg) & (eps >= 0.0) & np.isfinite(eps))
+    if bad.any():
+        i = int(np.argmax(bad))
+        violation_verdict(float(lg[i]), float(eps[i]))  # raises for the first bad point
+    expected = 1.0 + cur.c12 + cur.c23 + cur.c13_prime
+    bad = ~(np.abs(lg - expected) <= 1e-12)
+    if bad.any():
+        raise ValueError(
+            f"lg_quantity {float(lg[bad][0])!r} inconsistent with correlators "
+            f"(expected {float(expected[bad][0])!r})"
+        )
+    return np.where(lg < -eps, _STRICT, np.where(lg < 0.0, _LENIENT, _CLEAN))
+
+
 @dataclass(frozen=True)
 class ViolationWindow:
     """Contiguous theta interval where the chosen criterion is violated.
@@ -142,9 +208,9 @@ def sweep_records(
     tau: float,
     omega: float = 1.0,
     workers: int = 1,
-) -> list[SweepRecord]:
-    """Evaluate the full (n, gamma, theta) grid into validated records."""
-    thetas = np.asarray(thetas, dtype=float)
+) -> SweepTable:
+    """Evaluate the full (n, gamma, theta) grid into a checked ``SweepTable``."""
+    thetas = np.array(thetas, dtype=float)
     gammas = [float(g) for g in gammas]
     ns = [int(n) for n in ns]
     if workers != int(workers) or workers < 1:
@@ -152,37 +218,17 @@ def sweep_records(
     workers = int(workers)
 
     tasks = [(n, g) for n in ns for g in gammas]
+
+    def curve(key: tuple[int, float]) -> CurveArrays:
+        return lg_curve(thetas, key[0], key[1], tau, omega)
+
     if workers == 1 or len(tasks) == 1:
-        curves = {key: lg_curve(thetas, key[0], key[1], tau, omega) for key in tasks}
+        curves = list(map(curve, tasks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                key: pool.submit(lg_curve, thetas, key[0], key[1], tau, omega)
-                for key in tasks
-            }
-            curves = {key: fut.result() for key, fut in futures.items()}
-
-    records = []
-    for n in ns:
-        for g in gammas:
-            cur = curves[(n, g)]
-            for i, theta in enumerate(thetas):
-                lg = float(cur.lg[i])
-                eps = float(cur.eps_total[i])
-                records.append(
-                    SweepRecord(
-                        theta=float(theta),
-                        gamma=g,
-                        n=n,
-                        c12=float(cur.c12[i]),
-                        c23=float(cur.c23[i]),
-                        c13_prime=float(cur.c13_prime[i]),
-                        lg_quantity=lg,
-                        eps_total=eps,
-                        verdict=violation_verdict(lg, eps),
-                    )
-                )
-    return records
+            curves = list(pool.map(curve, tasks))
+    blocks = tuple(SweepBlock(n, g, cur, _verdicts(cur)) for (n, g), cur in zip(tasks, curves))
+    return SweepTable(thetas, blocks)
 
 
 def _check_positive(value: float, name: str) -> float:
@@ -197,10 +243,6 @@ def _margin_curve(thetas, n, gamma, tau, omega, criterion) -> np.ndarray:
     if criterion == "strict":
         return cur.lg + cur.eps_total
     return cur.lg
-
-
-def _margin_scalar(theta, n, gamma, tau, omega, criterion) -> float:
-    return float(_margin_curve(np.array([theta]), n, gamma, tau, omega, criterion)[0])
 
 
 def violation_window(
@@ -234,33 +276,24 @@ def violation_window(
     if first == 0:
         raise ValueError("violation extends to theta=0; no onset to bracket")
 
-    def bisect(lo: float, hi: float) -> tuple[float, tuple[float, float]]:
-        # invariant: margin(lo) >= 0 > margin(hi)
+    def bisect(lo: float, hi: float, violated_hi: bool) -> tuple[float, tuple[float, float]]:
+        # invariant: margin < 0 holds at hi if violated_hi, else at lo, and not at the other end
         while hi - lo > refine:
             mid = lo + 0.5 * (hi - lo)
             if not lo < mid < hi:
                 break
-            if _margin_scalar(mid, n, gamma, tau, omega, criterion) < 0.0:
+            margin_mid = _margin_curve(np.array([mid]), n, gamma, tau, omega, criterion)[0]
+            if (margin_mid < 0.0) == violated_hi:
                 hi = mid
             else:
                 lo = mid
         return 0.5 * (lo + hi), (lo, hi)
 
-    lo_edge, lo_bracket = bisect(float(grid[first - 1]), float(grid[first]))
+    lo_edge, lo_bracket = bisect(float(grid[first - 1]), float(grid[first]), True)
     if last == len(grid) - 1:
         hi_edge, hi_bracket = float(grid[-1]), (float(grid[-1]), float(grid[-1]))
     else:
-        # mirrored bisection: violating on the left, clean on the right
-        lo, hi = float(grid[last]), float(grid[last + 1])
-        while hi - lo > refine:
-            mid = lo + 0.5 * (hi - lo)
-            if not lo < mid < hi:
-                break
-            if _margin_scalar(mid, n, gamma, tau, omega, criterion) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        hi_edge, hi_bracket = 0.5 * (lo + hi), (lo, hi)
+        hi_edge, hi_bracket = bisect(float(grid[last]), float(grid[last + 1]), False)
     return ViolationWindow(
         lo=lo_edge, hi=hi_edge, lo_bracket=lo_bracket, hi_bracket=hi_bracket, criterion=criterion
     )

@@ -1,10 +1,12 @@
 """End-to-end command-line behaviour: parsing, rendering, round trips."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
+from lgsim import sweeps
 from lgsim.cli import main, read_table, records_from_rows
 from lgsim.sweeps import sweep_records
 
@@ -149,6 +151,38 @@ def test_flag_validation(capsys, flag, value, fragment):
     assert f"{flag.split('=')[0]}:" in err  # errors name the flag that caused them
 
 
+def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    err = expect_error(capsys, "sweep", "--theta", "0:1:2", "--out", str(target))
+    assert f"--out: cannot write {target}" in err
+    err = expect_error(capsys, "classic", "--out", str(tmp_path))
+    assert f"--out: cannot write {tmp_path}" in err
+
+
+@pytest.mark.parametrize(
+    ("column", "value", "fragment"),
+    [
+        ("lg", math.nan, "lg must be finite"),
+        ("eps_total", -1e-3, "eps_total must be nonnegative and finite"),
+        ("c12", 5.0, "inconsistent with correlators"),
+    ],
+)
+def test_corrupt_curves_are_refused(monkeypatch, capsys, column, value, fragment):
+    real = sweeps.lg_curve
+
+    def corrupt(*args):
+        cur = real(*args)
+        bad = getattr(cur, column).copy()
+        bad[1] = value
+        return cur._replace(**{column: bad})
+
+    monkeypatch.setattr(sweeps, "lg_curve", corrupt)
+    with pytest.raises(ValueError, match=fragment):
+        sweep_records([0.5, 1.5, 2.5], [0.0], [1], tau=math.pi)
+    err = expect_error(capsys, "sweep", "--theta", "0.5:2.5:3")
+    assert fragment in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -182,7 +216,7 @@ def test_csv_round_trip_is_exact(tmp_path, capsys):
     assert meta["config"]["theta"] == "0.1:3.0:7"
     got = records_from_rows(rows)
     thetas = [0.1 + k * (2.9 / 6.0) for k in range(7)]
-    want = sweep_records(thetas, [0.0, 0.01], [0, 1], tau=math.pi, omega=1.0)
+    want = sweep_records(thetas, [0.0, 0.01], [0, 1], tau=math.pi, omega=1.0).records()
     assert got == want  # %.17g round trips every float bit for bit
 
 
@@ -197,7 +231,29 @@ def test_jsonl_round_trip(tmp_path, capsys):
     assert meta["config"]["gamma"] == "0:0.01:2"
     got = records_from_rows(rows)
     thetas = [0.1 + k * (2.9 / 6.0) for k in range(7)]
-    assert got == sweep_records(thetas, [0.0, 0.01], [0, 1], tau=math.pi, omega=1.0)
+    assert got == sweep_records(thetas, [0.0, 0.01], [0, 1], tau=math.pi, omega=1.0).records()
+
+
+PINNED_GRID = ("sweep", "--theta", "0:3.141592653589793:9", "--gamma", "0:0.01:3", "--n", "0,1,5")
+
+
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        (PINNED_GRID, "64decb267d8f6b4cd9cc2992ae3eef5b881f35dd9d91aa98b4df7604ff9ea3d3"),
+        (
+            PINNED_GRID + ("--format", "jsonl"),
+            "945c7906d2e3287429ba0899dde8b29aff448b292c79db795acf11b1dedaf5a6",
+        ),
+        (("fig2",), "10357bcde748d6090c7bc3135a69589ce1de3f2e6fa14fb8494d9e03f5b2f4c6"),
+    ],
+)
+def test_table_bytes_are_pinned(capsys, argv, digest):
+    # sha256 of the stdout tables written before sweep output became columnar;
+    # the grid holds theta = 0 and pi, gamma = 0 and > 0, and the n = 0 control
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_read_table_rejects_garbage(tmp_path):

@@ -206,6 +206,11 @@ def test_records_validation():
     good = np.ones((4, 2), dtype=np.int8)
     with pytest.raises(ValueError, match="tags/times"):
         TrajectoryRecords(good, ("Q1",), (1.0, 2.0), (True, True), 0)
+    with pytest.raises(ValueError, match="mask must include exactly one event"):
+        TrajectoryRecords(good, ("Q1", "Q3"), (1.0, 2.0), (False,), 0)
+    with pytest.raises(ValueError, match="mask must include exactly one event"):
+        TrajectoryRecords(good, ("Q1", "Q3"), (1.0, 2.0), (True, True, True), 0)
+    TrajectoryRecords(good, ("Q1", "Q3"), (1.0, 2.0), (True, False, True), 0)
     bad = good.copy()
     bad[0, 0] = 3
     with pytest.raises(ValueError, match=r"\+1/-1"):

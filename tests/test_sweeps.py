@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from lgsim.dynamics import HamiltonianSpec, LindbladSpec
-from lgsim.protocol import Verdict, build_protocol_schedule, epsilon_total, lg_quantity
+from lgsim.protocol import (
+    Verdict,
+    build_protocol_schedule,
+    epsilon_total,
+    lg_quantity,
+    violation_verdict,
+)
 from lgsim.sweeps import (
     SWEEP_COLUMNS,
     SweepRecord,
@@ -41,7 +47,9 @@ def test_curve_argument_validation():
 
 def test_sweep_row_order_and_columns():
     thetas = np.array([0.2, 1.4])
-    rows = sweep_records(thetas, gammas=[0.0, 0.005], ns=[0, 1], tau=math.pi, omega=1.0)
+    table = sweep_records(thetas, gammas=[0.0, 0.005], ns=[0, 1], tau=math.pi, omega=1.0)
+    assert len(table) == 8
+    rows = table.records()
     assert len(rows) == 8
     key = [(r.n, r.gamma, r.theta) for r in rows]
     assert key == sorted(key)
@@ -61,8 +69,9 @@ def test_sweep_row_order_and_columns():
 def test_parallel_sweep_matches_serial():
     thetas = np.linspace(0.1, 3.0, 9)
     kwargs = dict(gammas=[0.0, 0.004, 0.009], ns=[1, 2], tau=math.pi, omega=1.0)
-    serial = sweep_records(thetas, **kwargs)
-    parallel = sweep_records(thetas, workers=3, **kwargs)
+    serial = sweep_records(thetas, **kwargs).records()
+    parallel = sweep_records(thetas, workers=3, **kwargs).records()
+    assert len(serial) == 54
     assert serial == parallel
 
 
@@ -93,7 +102,8 @@ def test_sweep_record_validation():
 
 
 def test_verdicts_in_swept_rows_are_consistent():
-    rows = sweep_records(np.linspace(0.05, 3.1, 31), [0.0, 0.01], [1], math.pi, 1.0)
+    rows = sweep_records(np.linspace(0.05, 3.1, 31), [0.0, 0.01], [1], math.pi, 1.0).records()
+    assert len(rows) == 62
     for r in rows:
         if r.verdict is Verdict.VIOLATES_STRICT:
             assert r.lg_quantity < -r.eps_total
@@ -101,6 +111,20 @@ def test_verdicts_in_swept_rows_are_consistent():
             assert -r.eps_total <= r.lg_quantity < 0.0
         else:
             assert r.lg_quantity >= 0.0
+
+
+def test_table_verdicts_match_the_scalar_verdict():
+    # theta = 0 and pi, and gamma = 0, put lg and eps_total at roundoff
+    thetas = np.linspace(0.0, math.pi, 201)
+    table = sweep_records(thetas, [0.0, 0.004, 0.02], [0, 1, 2], math.pi, 1.0)
+    assert len(table) == 201 * 9
+    seen = set()
+    for block in table.blocks:
+        for lg, eps, verdict in zip(block.curve.lg, block.curve.eps_total, block.verdict):
+            want = violation_verdict(float(lg), float(eps))
+            assert verdict == want.value
+            seen.add(want)
+    assert seen == set(Verdict)
 
 
 # ---------------------------------------------------------------------------
