@@ -46,12 +46,14 @@ from .dynamics import (
     unitary_propagator,
 )
 from .protocol import (
+    BATTERY_IDS,
     AdroitnessReport,
     CorrelatorSet,
     ExperimentSchedule,
     MeasurementEvent,
     Verdict,
     adroitness_experiments,
+    adroitness_grid,
     adroitness_report,
     build_protocol_schedule,
     classic_lg,
@@ -87,6 +89,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ATOL",
+    "BATTERY_IDS",
     "CHOI_ATOL",
     "IDENTITY",
     "SIGMA_X",
@@ -110,6 +113,7 @@ __all__ = [
     "Verdict",
     "ViolationWindow",
     "adroitness_experiments",
+    "adroitness_grid",
     "adroitness_report",
     "anticommutator",
     "build_protocol_schedule",

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import HamiltonianSpec, LindbladSpec
-from .protocol import adroitness_experiments, adroitness_report, classic_lg
+from .protocol import BATTERY_IDS, adroitness_experiments, adroitness_grid, classic_lg
 from .sampling import estimate_adroitness, sample_trajectories
 from .sweeps import SWEEP_COLUMNS, SweepRecord, SweepTable, gamma_cutoff, sweep_records
 from .sweeps import violation_window
@@ -299,38 +299,33 @@ def _cell_seed(base: int, cell: int, side: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _sampled_epsilon(cfg: SweepConfig, sched, cell: int) -> tuple[float, float]:
+    keep = sample_trajectories(sched, cfg.shots, _cell_seed(cfg.seed, cell, 0))
+    drop = sample_trajectories(
+        sched, cfg.shots, _cell_seed(cfg.seed, cell, 1), mask=(True, False, True)
+    )
+    est = estimate_adroitness(keep, drop)
+    return est.epsilon, float(np.sqrt((est.cell_standard_errors**2).sum()))
+
+
 def _cmd_adroitness(cfg: SweepConfig):
     rows = []
     cell = 0
     for gamma in cfg.gammas:
         spec = LindbladSpec(HamiltonianSpec(cfg.omega), gamma)
-        for theta in cfg.thetas:
-            report = adroitness_report(theta, cfg.tau, spec)
-            schedules = adroitness_experiments(theta, cfg.tau, spec) if cfg.shots else None
+        grid = adroitness_grid(cfg.thetas, cfg.tau, spec).tolist()
+        for theta, eps in zip(cfg.thetas, grid):
             head = (theta, gamma, cfg.tau, cfg.omega)
-            mc_eps, mc_se = [], []
-            for k, (eid, eps) in enumerate(report.entries):
-                mc = (None, None)
-                if cfg.shots:
-                    sched = schedules[k]
-                    keep = sample_trajectories(
-                        sched, cfg.shots, _cell_seed(cfg.seed, cell + k, 0)
-                    )
-                    drop = sample_trajectories(
-                        sched,
-                        cfg.shots,
-                        _cell_seed(cfg.seed, cell + k, 1),
-                        mask=(True, False, True),
-                    )
-                    est = estimate_adroitness(keep, drop)
-                    mc = (est.epsilon, float(np.sqrt((est.cell_standard_errors**2).sum())))
-                    mc_eps.append(mc[0])
-                    mc_se.append(mc[1])
-                rows.append(dict(zip(_ADROIT_COLUMNS, (eid, *head, eps, *mc))))
-            mc = (None, None)
-            if mc_eps:
-                mc = (sum(mc_eps), float(np.sqrt(np.sum(np.square(mc_se)))))
-            rows.append(dict(zip(_ADROIT_COLUMNS, ("total", *head, report.epsilon_total, *mc))))
+            mc = [(None, None)] * 4
+            total_mc = (None, None)
+            if cfg.shots:
+                schedules = adroitness_experiments(theta, cfg.tau, spec)
+                mc = [_sampled_epsilon(cfg, s, cell + k) for k, s in enumerate(schedules)]
+                mc_eps, mc_se = zip(*mc)
+                total_mc = (sum(mc_eps), float(np.sqrt(np.sum(np.square(mc_se)))))
+            for eid, e, mc_cells in zip(BATTERY_IDS, eps, mc):
+                rows.append(dict(zip(_ADROIT_COLUMNS, (eid, *head, e, *mc_cells))))
+            rows.append(dict(zip(_ADROIT_COLUMNS, ("total", *head, sum(eps), *total_mc))))
             cell += 4
     summary = []
     if cfg.shots:

@@ -31,6 +31,19 @@ a three-event schedule whose middle event is tagged as the probe,
 
 and the battery sums this over four probe placements.  Under dephasing noise
 the battery's total feeds the softened bound ``lg >= -eps_total``.
+
+``joint_distribution`` walks one schedule; ``adroitness_grid`` walks the
+whole battery over a theta grid at once, carrying the branch vector of every
+(theta, first outcome) pair of an experiment as one row of a stacked array.
+It performs the scalar walker's float operations in the scalar walker's
+order, so each epsilon equals ``epsilon_adroitness`` on the matching schedule
+bit for bit.  Matvecs and 3-vector dots are stacked ``np.matmul`` calls
+(``(4, 4) @ (..., 4, 1)`` and ``(..., 1, 3) @ (..., 3, 1)``): numpy evaluates
+each stack item with the routine it uses for the one-dimensional ``g @ w``
+and ``q @ v``, whereas on dense matrices one big ``W @ g.T`` product, an
+``einsum`` or a hand-written sum orders the terms differently and changes
+the last bit.  ``adroitness_report`` and ``epsilon_total`` are one-theta
+calls of the grid.
 """
 
 from __future__ import annotations
@@ -56,7 +69,9 @@ __all__ = [
     "correlator_exact",
     "lg_quantity",
     "joint_distribution",
+    "BATTERY_IDS",
     "adroitness_experiments",
+    "adroitness_grid",
     "epsilon_adroitness",
     "epsilon_total",
     "adroitness_report",
@@ -66,6 +81,11 @@ __all__ = [
 EVENT_TAGS = ("Q1", "Q2", "Q3", "boxed", "probe")
 
 _PROB_TOL = 1e-10  # joint distributions must sum to 1 this tightly
+
+BATTERY_IDS = ("a", "b", "c", "d")  # the battery's experiments, in order
+# per experiment: which of (first, probe, third) measure the tilted axis (1)
+# rather than sz (0)
+_BATTERY_LAYOUT = ((1, 1, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,12 +271,11 @@ def adroitness_experiments(
     tau = float(tau)
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    qt = sigma_theta(float(theta))
-    qz = pauli("z")
-    combos = ((qt, qt, qz), (qt, qz, qz), (qz, qz, qt), (qz, qt, qt))
+    pair = (pauli("z"), sigma_theta(float(theta)))
     rho0 = DensityOperator.maximally_mixed()
     out = []
-    for first, probe, third in combos:
+    for layout in _BATTERY_LAYOUT:
+        first, probe, third = (pair[k] for k in layout)
         events = (
             MeasurementEvent(tau, first, "Q1"),
             MeasurementEvent(2.0 * tau, probe, "probe"),
@@ -422,10 +441,13 @@ def joint_distribution(
         for col, s3 in enumerate((1.0, -1.0)):
             table[row, col] = w[0] + s3 * (q2 @ w[1:])
 
-    total = table.sum()
+    _check_normalised(table.sum())
+    return table
+
+
+def _check_normalised(total) -> None:
     if abs(total - 1.0) > _PROB_TOL:
         raise ValueError(f"joint distribution sums to {total!r}, expected 1")
-    return table
 
 
 def epsilon_adroitness(schedule: ExperimentSchedule) -> float:
@@ -440,27 +462,105 @@ def epsilon_adroitness(schedule: ExperimentSchedule) -> float:
     return float(np.abs(with_probe - without).sum())
 
 
-def epsilon_total(theta: float, tau: float, dynamics: LindbladSpec) -> float:
-    """Summed adroitness over the four-experiment battery."""
-    return float(
-        sum(epsilon_adroitness(s) for s in adroitness_experiments(theta, tau, dynamics))
-    )
+def _dots(axes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise ``axes @ w[1:]`` as stacked 3-vector dots (see module doc)."""
+    return np.matmul(axes[..., None, :], w[..., 1:, None])[..., 0, 0]
 
 
-def adroitness_report(theta: float, tau: float, dynamics: LindbladSpec) -> AdroitnessReport:
-    """Battery evaluation with per-experiment resolution."""
-    ids = ("a", "b", "c", "d")
-    entries = tuple(
-        (eid, epsilon_adroitness(s))
-        for eid, s in zip(ids, adroitness_experiments(theta, tau, dynamics))
-    )
+def _matvecs(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise ``g @ w`` as stacked matvecs (see module doc)."""
+    return np.matmul(g, w[..., None])[..., 0]
+
+
+def adroitness_grid(thetas, tau: float, dynamics: LindbladSpec) -> np.ndarray:
+    """Per-experiment adroitness of the battery over a theta grid, shape (B, 4).
+
+    Row ``b`` holds experiments ``BATTERY_IDS`` at ``thetas[b]``, each equal
+    bit for bit to ``epsilon_adroitness`` on the matching schedule of
+    ``adroitness_experiments``.  The walk is ``joint_distribution``'s for the
+    three events at ``tau, 2*tau, 3*tau``, with the propagators of the same
+    gaps: ``x = P(tau) rho0`` does not depend on theta, so it is computed
+    once, and for each experiment the branch vectors of every (theta, first
+    outcome) pair go through the rest as rows.  A joint table that fails to
+    sum to 1 raises ``joint_distribution``'s error, and an epsilon outside
+    [0, 2] raises ``AdroitnessReport``'s, each for the first failing cell in
+    grid order.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise ValueError(f"theta grid must be one dimensional, got shape {thetas.shape}")
+    tau = float(tau)
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    times = (tau, 2.0 * tau, 3.0 * tau)
+    if not math.isfinite(times[2]):
+        raise ValueError(f"event time must be nonnegative and finite, got {times[2]}")
+    if not isinstance(dynamics, LindbladSpec):
+        raise ValueError("dynamics must be a LindbladSpec")
+    size = thetas.shape[0]
+    tilted = np.zeros((size, 3))
+    for b, theta in enumerate(thetas.tolist()):
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        tilted[b, 0] = math.sin(theta)
+        tilted[b, 2] = math.cos(theta)
+    pair = (np.broadcast_to(pauli("z").bloch_axis, tilted.shape), tilted)
+    x = _ptm(dynamics, times[0] - 0.0) @ DensityOperator.maximally_mixed().coefficients
+    gap = _ptm(dynamics, times[1] - times[0])
+    gap_late = _ptm(dynamics, times[2] - times[1])
+    gap_long = _ptm(dynamics, times[2] - times[0])
+
+    sign = np.array([1.0, -1.0])  # first outcome +1, -1
+    totals = np.empty((size, 4, 2))  # per experiment: probe kept, removed
+    eps = np.empty((size, 4))
+    for e, layout in enumerate(_BATTERY_LAYOUT):
+        first, probe, third = (pair[k][:, None, :] for k in layout)  # (B, 1, 3)
+        amp = x[0] + sign * _dots(first, x)  # (B, 2)
+        w = np.empty(amp.shape + (4,))
+        w[..., 0] = 0.5 * amp
+        w[..., 1:] = (0.5 * sign * amp)[..., None] * first
+        kept = _matvecs(gap, w)
+        proj = probe[..., 0] * kept[..., 1] + probe[..., 1] * kept[..., 2]
+        proj += probe[..., 2] * kept[..., 3]  # _measured's terms, in its order
+        kept[..., 1:] = proj[..., None] * probe
+        tables = np.empty((size, 2, 2, 2))  # probe kept/removed, s1, s3
+        for side, end in enumerate((_matvecs(gap_late, kept), _matvecs(gap_long, w))):
+            d = _dots(third, end)
+            tables[:, side, :, 0] = end[..., 0] + d
+            tables[:, side, :, 1] = end[..., 0] + -d
+        tables = tables.reshape(size, 2, 4)
+        totals[:, e] = tables.sum(axis=-1)
+        eps[:, e] = np.abs(tables[:, 0] - tables[:, 1]).sum(axis=-1)
+
+    bad = (np.abs(totals - 1.0) > _PROB_TOL).any(axis=(1, 2))
+    bad |= ~((eps >= 0.0) & (eps <= 2.0 + 1e-9)).all(axis=1)
+    if bad.any():
+        b = int(np.argmax(bad))
+        for total in totals[b].ravel():
+            _check_normalised(total)
+        _report(thetas[b], tau, dynamics, eps[b])
+        raise AssertionError("unreachable: a flagged cell fails one of the checks")
+    return eps
+
+
+def _report(theta, tau: float, dynamics: LindbladSpec, eps: np.ndarray) -> AdroitnessReport:
     return AdroitnessReport(
         theta=float(theta),
         tau=float(tau),
         gamma=dynamics.gamma,
         omega=dynamics.hamiltonian.omega,
-        entries=entries,
+        entries=tuple(zip(BATTERY_IDS, eps.tolist())),
     )
+
+
+def adroitness_report(theta: float, tau: float, dynamics: LindbladSpec) -> AdroitnessReport:
+    """Battery evaluation with per-experiment resolution (one-theta grid)."""
+    return _report(theta, tau, dynamics, adroitness_grid([theta], tau, dynamics)[0])
+
+
+def epsilon_total(theta: float, tau: float, dynamics: LindbladSpec) -> float:
+    """Summed adroitness over the four-experiment battery."""
+    return adroitness_report(theta, tau, dynamics).epsilon_total
 
 
 def classic_lg(omega: float = 1.0) -> CorrelatorSet:

@@ -256,6 +256,39 @@ def test_table_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+ADROIT_GRID = ("adroitness", "--theta", "0:3.141592653589793:5", "--gamma", "0:0.01:3")
+
+
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        (ADROIT_GRID, "c250cc94d9db39ea5614da0319adceebcf5a6fad9bc37aec1669504456fd4bc1"),
+        (
+            ADROIT_GRID + ("--format", "jsonl"),
+            "7169a0f77368779edc2f55c7aacbd484b219cce27a1d75877573329c0669174f",
+        ),
+        (
+            ("adroitness", "--theta=-1:7:4", "--gamma", "0.003:0.003:1", "--m", "2")
+            + ("--omega", "0.7"),
+            "0a14767ee798756f9b76d287c51d74308a4d72232ab1101f78ce36a90387d9ee",
+        ),
+        (
+            ("adroitness", "--theta", "0.785:2.5:2", "--gamma", "0:0.004:2")
+            + ("--shots", "300", "--seed", "9"),
+            "d78c9dc94e50f1cb2e86e74aa282a062fc15fb2a5cf0cc69a95400c3f6a66c42",
+        ),
+    ],
+)
+def test_adroitness_bytes_are_pinned(capsys, argv, digest):
+    # sha256 of the stdout tables written while the CLI still evaluated the
+    # battery one (theta, gamma) cell at a time through joint_distribution;
+    # the grids hold theta = 0, pi, negative and > 2*pi, gamma = 0 and > 0,
+    # m > 1 with omega != 1, and one seeded Monte Carlo table
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_read_table_rejects_garbage(tmp_path):
     p = tmp_path / "broken.csv"
     p.write_text("")
@@ -314,3 +347,22 @@ def test_adroitness_with_shots_is_seeded(capsys):
         assert float(r[7]) >= 0.0
     # total MC epsilon is the sum of the per-experiment estimates
     assert float(rows[-1][6]) == pytest.approx(sum(float(r[6]) for r in rows[:4]), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("flag", "message"),
+    [
+        (
+            "--omega=1e-300",
+            "propagator for gamma=0.002, omega=1e-300, t=3.141592653589793e+300 failed "
+            "CPTP validation: transfer matrix contains non-finite entries",
+        ),
+        (
+            "--gamma=0:1e308:3",
+            "propagator for gamma=5e+307, omega=1.0, t=3.141592653589793 failed "
+            "CPTP validation: transfer matrix contains non-finite entries",
+        ),
+    ],
+)
+def test_adroitness_propagator_failures_are_one_line_errors(capsys, flag, message):
+    assert expect_error(capsys, "adroitness", flag) == f"lgsim: error: {message}"

@@ -1,14 +1,22 @@
-"""The theta-batched kernels against the exact engine, and the sampler walk
-against the per-shot recurrence it replaces."""
+"""The theta-batched kernels and the batched battery against the exact
+engine, and the sampler walk against the per-shot recurrence it replaces."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgsim import _kernels
 from lgsim.dynamics import HamiltonianSpec, LindbladSpec, lindblad_propagator
-from lgsim.protocol import adroitness_report, build_protocol_schedule, lg_quantity
+from lgsim.protocol import (
+    adroitness_experiments,
+    adroitness_grid,
+    build_protocol_schedule,
+    epsilon_adroitness,
+    lg_quantity,
+)
 
 GRID = np.linspace(0.05, math.pi - 0.05, 37)
 
@@ -41,8 +49,50 @@ def test_battery_kernel_matches_exact_engine(gamma):
     eps = _kernels.battery_eps(GRID[::4], gap, gap2)
     assert eps.shape == (len(GRID[::4]), 4)
     for k, theta in enumerate(GRID[::4]):
-        rep = adroitness_report(float(theta), tau, spec)
-        assert eps[k] == pytest.approx([e for _, e in rep.entries], abs=1e-12)
+        exact = [epsilon_adroitness(s) for s in adroitness_experiments(float(theta), tau, spec)]
+        assert eps[k] == pytest.approx(exact, abs=1e-12)
+
+
+@st.composite
+def battery_cases(draw):
+    omega = draw(st.floats(min_value=0.2, max_value=2.0))
+    half = draw(st.booleans())
+    rate = omega if half else 2.0 * omega  # Bloch rotation rate W
+    # gamma = W/2 is critical damping of the y-z block; 4*gamma = W is
+    # where the damping rate meets the rotation rate
+    gamma = draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=2.0),
+            st.sampled_from([0.0, min(rate / 2.0, 2.0), rate / 4.0, 2.0]),
+        )
+    )
+    m = draw(st.integers(min_value=1, max_value=4))
+    tau = math.pi * m / omega if draw(st.booleans()) else draw(st.floats(0.05, 8.0))
+    thetas = [
+        0.0,
+        math.pi,
+        draw(st.floats(min_value=-20.0, max_value=-1e-3)),
+        draw(st.floats(min_value=2.0 * math.pi, max_value=40.0)),
+    ]
+    thetas += draw(st.lists(st.floats(min_value=-40.0, max_value=40.0), max_size=4))
+    order = draw(st.permutations(range(len(thetas))))
+    spec = LindbladSpec(HamiltonianSpec(omega, half=half), gamma)
+    return [thetas[k] for k in order], tau, spec
+
+
+@given(battery_cases())
+@settings(max_examples=40, deadline=None)
+def test_batched_battery_matches_every_engine(case):
+    thetas, tau, spec = case
+    grid = adroitness_grid(thetas, tau, spec)
+    assert grid.shape == (len(thetas), 4)
+    for b, theta in enumerate(thetas):
+        exact = [epsilon_adroitness(s) for s in adroitness_experiments(theta, tau, spec)]
+        assert grid[b].tolist() == exact  # the general walker, bit for bit
+        assert adroitness_grid([theta], tau, spec)[0].tolist() == exact
+    gap = lindblad_propagator(spec, tau).ptm
+    gap2 = lindblad_propagator(spec, 2.0 * tau).ptm
+    assert np.max(np.abs(grid - _kernels.battery_eps(thetas, gap, gap2))) <= 1e-12
 
 
 def reference_paths(u, lin, aff, axes, r0, out):

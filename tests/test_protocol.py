@@ -1,18 +1,24 @@
 """Schedules, correlators, the boxed protocol, and the probe battery."""
 
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lgsim import protocol
 from lgsim.dynamics import HamiltonianSpec, LindbladSpec
 from lgsim.protocol import (
+    BATTERY_IDS,
     AdroitnessReport,
     CorrelatorSet,
     ExperimentSchedule,
     MeasurementEvent,
     Verdict,
     adroitness_experiments,
+    adroitness_grid,
     adroitness_report,
     build_protocol_schedule,
     classic_lg,
@@ -87,7 +93,7 @@ def test_ideal_closed_form(n, theta):
     assert lg_quantity(sch).lg_quantity == pytest.approx(ideal_lg(theta, n), abs=1e-12)
 
 
-def test_fused_matches_per_pair_evaluation():
+def test_lg_quantity_matches_correlator_exact():
     sch = build_protocol_schedule(2.1, 2, math.pi, NOISY)
     cs = lg_quantity(sch)
     assert cs.c12 == pytest.approx(correlator_exact(sch, "Q1", "Q2"), abs=1e-14)
@@ -219,6 +225,99 @@ def test_adroitness_report_fields():
         AdroitnessReport(0.4, math.pi, 0.002, 1.0, entries=(("a", -0.1),))
     with pytest.raises(ValueError, match="epsilon"):
         AdroitnessReport(0.4, math.pi, 0.002, 1.0, entries=(("a", 2.5),))
+
+
+def test_grid_validation():
+    with pytest.raises(ValueError, match="one dimensional"):
+        adroitness_grid(np.ones((2, 2)), math.pi, NOISY)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        adroitness_grid([0.5, math.nan], math.pi, NOISY)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        adroitness_grid([0.5], 0.0, NOISY)
+    with pytest.raises(ValueError, match="event time must be nonnegative and finite, got inf"):
+        adroitness_grid([0.5], 1e308, NOISY)
+    with pytest.raises(ValueError, match="LindbladSpec"):
+        adroitness_grid([0.5], math.pi, 0.002)
+    assert adroitness_grid([], math.pi, NOISY).shape == (0, 4)
+
+
+def scalar_battery_error(thetas, tau, spec):
+    """The error the per-schedule walk raises first on this grid, or None."""
+    for theta in thetas:
+        try:
+            eps = [epsilon_adroitness(s) for s in adroitness_experiments(theta, tau, spec)]
+            AdroitnessReport(theta, tau, spec.gamma, 1.0, tuple(zip(BATTERY_IDS, eps)))
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    ("bloch_scale", "fragment"),
+    [
+        # identity row scaled: not trace preserving, so no joint table sums to 1
+        ((1.05, 1.05, 1.05, 1.05), "joint distribution sums to"),
+        # Bloch part stretched: trace preserving, but tables go negative and
+        # some epsilons leave [0, 2]
+        ((1.0, 3.0, 3.0, 3.0), "epsilon for experiment 'a' must lie in"),
+    ],
+)
+def test_corrupt_propagators_are_refused(monkeypatch, capsys, bloch_scale, fragment):
+    from lgsim.cli import main
+
+    real = protocol.lindblad_propagator
+    monkeypatch.setattr(
+        protocol,
+        "lindblad_propagator",
+        lambda spec, t: types.SimpleNamespace(ptm=np.diag(bloch_scale) @ real(spec, t).ptm),
+    )
+    thetas = [1.0, 0.3, 2.0]
+    expected = scalar_battery_error(thetas, 1.0, NOISY)
+    assert fragment in expected
+    with pytest.raises(ValueError) as exc:
+        adroitness_grid(thetas, 1.0, NOISY)
+    assert str(exc.value) == expected  # same check, same first failing cell
+    with pytest.raises(ValueError) as exc:
+        adroitness_report(0.3, 1.0, NOISY)
+    assert str(exc.value) == scalar_battery_error([0.3], 1.0, NOISY)
+
+    argv = ["adroitness", "--theta", "0:3:7", "--gamma", "0.002:0.002:1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    cli_thetas = np.linspace(0.0, 3.0, 7).tolist()
+    assert err == f"lgsim: error: {scalar_battery_error(cli_thetas, math.pi, NOISY)}\n"
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=5),
+    st.floats(min_value=0.1, max_value=5.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_grid_matches_the_walker_on_dense_maps(seed, thetas, tau):
+    # the dephasing propagators have two nonzero terms per row, which no
+    # summation order can change; dense affine contractions of the Bloch
+    # ball (one per gap length) make every matvec term count
+    rng = np.random.default_rng(seed)
+    maps = {}
+
+    def propagator(spec, t):
+        if t not in maps:
+            ptm = np.eye(4)
+            ptm[1:, 1:] = rng.normal(size=(3, 3))
+            ptm[1:, 1:] *= 0.6 / np.linalg.norm(ptm[1:, 1:], 2)
+            ptm[1:, 0] = rng.normal(size=3)
+            ptm[1:, 0] *= 0.4 * rng.random() / np.linalg.norm(ptm[1:, 0])
+            maps[t] = types.SimpleNamespace(ptm=ptm)
+        return maps[t]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "lindblad_propagator", propagator)
+        grid = adroitness_grid(thetas, tau, NOISY)
+        for b, theta in enumerate(thetas):
+            exact = [epsilon_adroitness(s) for s in adroitness_experiments(theta, tau, NOISY)]
+            assert grid[b].tolist() == exact
 
 
 # ---------------------------------------------------------------------------
