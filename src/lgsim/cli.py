@@ -120,6 +120,8 @@ def _parse_range(text: str, where: str) -> tuple[float, ...]:
         raise ConfigError(f"{where}: range start must not exceed stop, got {text!r}")
     if steps == 1 and start != stop:
         raise ConfigError(f"{where}: a single-step range needs start == stop, got {text!r}")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"{where}: range is too wide (stop - start overflows), got {text!r}")
     return tuple(float(v) for v in np.linspace(start, stop, steps))
 
 

@@ -18,9 +18,12 @@ leaves z untouched except through the rotation; the identity component is
 conserved).  The finite-time propagator is the matrix exponential of that
 generator, computed with ``scipy.linalg.expm``; the closed-system case is
 special-cased to the exact rotation so that gamma = 0 reduces to the unitary
-channel with no roundoff from the exponential.  The dx/dt row above is
-cross-checked in the tests against a fine-step integration of the 2x2 master
-equation itself, so a transcription mistake here cannot survive the suite.
+channel with no roundoff from the exponential.  scipy is imported only when
+the first gamma > 0 propagator is built, so importing the package, every
+gamma = 0 command and parsing a table back never load it.  The dx/dt row
+above is cross-checked in the tests against a fine-step integration of the
+2x2 master equation itself, so a transcription mistake here cannot survive
+the suite.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
-from .qubit import SIGMA_X, Channel, Observable
+from .qubit import IDENTITY, SIGMA_X, Channel, Observable
 
 __all__ = [
     "HamiltonianSpec",
@@ -125,8 +127,8 @@ def heisenberg_observable(hamiltonian: HamiltonianSpec, q: Observable, t: float)
     sz to ``sin(W t) sy + cos(W t) sz`` with ``W`` the Bloch rotation rate.
     """
     t = _check_duration(t)
-    coeff = hamiltonian.omega * (0.5 if hamiltonian.half else 1.0)
-    u = expm(-1j * coeff * t * np.asarray(SIGMA_X))
+    angle = hamiltonian.omega * (0.5 if hamiltonian.half else 1.0) * t
+    u = math.cos(angle) * IDENTITY - 1j * math.sin(angle) * SIGMA_X  # exp(-i angle sx)
     return Observable(u.conj().T @ q.matrix @ u, label=f"{q.label}@t={t:.12g}")
 
 
@@ -146,6 +148,8 @@ def lindblad_propagator(spec: LindbladSpec, t: float) -> Channel:
     t = _check_duration(t)
     if spec.gamma == 0.0:
         return unitary_propagator(spec.hamiltonian, t)
+    from scipy.linalg import expm  # imported here: gamma = 0 runs never load scipy
+
     ptm = expm(t * liouvillian(spec))
     try:
         return Channel(ptm)

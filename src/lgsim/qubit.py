@@ -10,7 +10,9 @@ row being ``(1, 0, 0, 0)``, and unitality is the first column being
 
 Complete positivity is checked through the Choi matrix
 ``J(S) = sum_ab E_ab (x) S(E_ab)`` over the matrix units ``E_ab``; a map is CP
-iff ``J`` is positive semidefinite.  Kraus operators are recovered from the
+iff ``J`` is positive semidefinite.  ``J`` is linear in the transfer matrix, so
+it is one constant contraction: the transfer matrix between two constant 4x4
+matrices built once from the basis.  Kraus operators are recovered from the
 eigendecomposition of ``J`` when needed.
 
 Tolerances: exact-path equality checks use the absolute tolerance ``ATOL``
@@ -203,16 +205,22 @@ def sigma_theta(theta: float) -> Observable:
     return Observable(m, label=f"sigma_theta({theta:.12g})")
 
 
+# J[2a+i, 2b+k] = sum_lm c_ab[m] S[l, m] B_l[i, k] with c_ab the Pauli
+# coefficients of the matrix unit E_ab: the (ab, ik) entries of
+# _CHOI_IN @ S.T @ _CHOI_OUT.  Each entry of either product sums exactly two
+# nonzero terms, the same two sums as mapping each E_ab and expanding the
+# image in the basis, so J is bit-identical to that construction.  A flat
+# 16x16 product would add four terms in a row and round differently.
+_CHOI_IN = np.array([pauli_coefficients(e) for e in np.eye(4).reshape(4, 2, 2)])
+_CHOI_OUT = np.array(_BASIS).reshape(4, 4)
+for _m in (_CHOI_IN, _CHOI_OUT):
+    _m.setflags(write=False)
+
+
 def _choi_matrix(ptm: np.ndarray) -> np.ndarray:
-    """Choi matrix of the map with the given transfer matrix."""
-    j = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[a, b] = 1.0
-            mapped = operator_from_coefficients(ptm @ pauli_coefficients(e))
-            j += np.kron(e, mapped)
-    return j
+    """Choi matrix ``sum_ab E_ab (x) S(E_ab)`` of the map with transfer matrix ``S``."""
+    j = _CHOI_IN @ ptm.T @ _CHOI_OUT
+    return j.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 @dataclass(frozen=True, eq=False)

@@ -187,18 +187,27 @@ def _check_criterion(criterion: str) -> str:
     return criterion
 
 
-def lg_curve(thetas, n: int, gamma: float, tau: float, omega: float = 1.0) -> CurveArrays:
-    """Correlators, lg, and battery total for every theta in one kernel pass."""
+def _curve(thetas, n, gamma, tau, omega, battery: bool) -> CurveArrays:
+    """``lg_curve``; without ``battery``, ``eps_total`` is None.
+
+    Skipping the battery skips its kernel and the ``2 tau`` propagator, which
+    the lenient margin never reads.
+    """
     spec = LindbladSpec(HamiltonianSpec(omega), gamma)
     if not (tau > 0.0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     gap = lindblad_propagator(spec, float(tau)).ptm
-    gap2 = lindblad_propagator(spec, 2.0 * float(tau)).ptm
+    gap2 = lindblad_propagator(spec, 2.0 * float(tau)).ptm if battery else None
     gap13 = lindblad_propagator(spec, (2 * int(n) + 3) * float(tau)).ptm
     c12, c23, c13p = _kernels.protocol_lg(thetas, n, gap, gap13)
-    eps = _kernels.battery_eps(thetas, gap, gap2).sum(axis=1)
+    eps = _kernels.battery_eps(thetas, gap, gap2).sum(axis=1) if battery else None
     lg = 1.0 + c12 + c23 + c13p
     return CurveArrays(c12=c12, c23=c23, c13_prime=c13p, lg=lg, eps_total=eps)
+
+
+def lg_curve(thetas, n: int, gamma: float, tau: float, omega: float = 1.0) -> CurveArrays:
+    """Correlators, lg, and battery total for every theta in one kernel pass."""
+    return _curve(thetas, n, gamma, tau, omega, battery=True)
 
 
 def sweep_records(
@@ -239,10 +248,10 @@ def _check_positive(value: float, name: str) -> float:
 
 
 def _margin_curve(thetas, n, gamma, tau, omega, criterion) -> np.ndarray:
-    cur = lg_curve(thetas, n, gamma, tau, omega)
     if criterion == "strict":
+        cur = lg_curve(thetas, n, gamma, tau, omega)
         return cur.lg + cur.eps_total
-    return cur.lg
+    return _curve(thetas, n, gamma, tau, omega, battery=False).lg
 
 
 def violation_window(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -149,6 +150,21 @@ def test_flag_validation(capsys, flag, value, fragment):
     err = expect_error(capsys, *argv)
     assert fragment in err
     assert f"{flag.split('=')[0]}:" in err  # errors name the flag that caused them
+
+
+@pytest.mark.parametrize("command", ["sweep", "fig3", "adroitness"])
+@pytest.mark.parametrize("key", ["theta", "gamma"])
+def test_overflowing_ranges_are_refused(tmp_path, capsys, command, key):
+    # stop - start overflows, so np.linspace would warn and return nan points
+    value = "-1e308:1e308:3"
+    cfgfile = tmp_path / "wide.cfg"
+    cfgfile.write_text(f"{key}={value}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = expect_error(capsys, command, f"--{key}={value}")
+        assert f"--{key}: range is too wide (stop - start overflows)" in err
+        err = expect_error(capsys, command, "--config", str(cfgfile))
+        assert f"config line 1 ({key}): range is too wide" in err
 
 
 def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):

@@ -11,14 +11,20 @@ had a transcription error (a factor of two in the decay rate, a flipped
 rotation sense), these comparisons would catch it.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lgsim
 from lgsim.dynamics import (
     HamiltonianSpec,
     LindbladSpec,
@@ -27,7 +33,7 @@ from lgsim.dynamics import (
     liouvillian,
     unitary_propagator,
 )
-from lgsim.qubit import DensityOperator, expectation, pauli, sigma_theta
+from lgsim.qubit import SIGMA_X, DensityOperator, expectation, pauli, sigma_theta
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -156,6 +162,64 @@ def test_heisenberg_z_evolution():
     q = heisenberg_observable(ham, pauli("z"), 0.25 * math.pi)
     # W t = pi/2: sz -> sy in the Heisenberg picture
     assert np.allclose(q.matrix, pauli("y").matrix, atol=1e-12)
+
+
+@given(
+    omega=st.floats(min_value=0.01, max_value=2.0),
+    half=st.booleans(),
+    t=st.floats(min_value=0.0, max_value=4.0 * math.pi),
+)
+@settings(max_examples=200, deadline=None)
+def test_heisenberg_unitary_matches_expm(omega, half, t):
+    # the closed-form exp(-i angle sx) against the matrix exponential
+    from scipy.linalg import expm
+
+    u = expm(-1j * omega * (0.5 if half else 1.0) * t * SIGMA_X)
+    for q in (pauli("y"), pauli("z"), sigma_theta(0.7)):
+        evolved = heisenberg_observable(HamiltonianSpec(omega, half=half), q, t)
+        assert np.max(np.abs(evolved.matrix - u.conj().T @ q.matrix @ u)) <= 1e-14
+
+
+IMPORT_GUARD = """
+import json, sys
+from pathlib import Path
+
+loaded = {}
+out = Path(sys.argv[1])
+import lgsim
+loaded["import lgsim"] = "scipy.linalg" in sys.modules
+from lgsim.cli import main, read_table
+assert main(["fig2", "--theta", "0:3.141592653589793:9", "--n", "1,2",
+             "--out", str(out / "fig2.csv")]) == 0
+loaded["fig2"] = "scipy.linalg" in sys.modules
+assert main(["classic", "--out", str(out / "classic.csv")]) == 0
+loaded["classic"] = "scipy.linalg" in sys.modules
+read_table(out / "fig2.csv")
+loaded["read_table"] = "scipy.linalg" in sys.modules
+lgsim.lindblad_propagator(lgsim.LindbladSpec(lgsim.HamiltonianSpec(1.0), 0.01), 1.0)
+loaded["damped propagator"] = "scipy.linalg" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_with_the_first_damped_propagator(tmp_path):
+    src = str(Path(lgsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import lgsim": False,
+        "fig2": False,
+        "classic": False,
+        "read_table": False,
+        "damped propagator": True,
+    }
 
 
 def test_full_period_returns_identity():

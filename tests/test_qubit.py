@@ -37,6 +37,7 @@ from lgsim.qubit import (
     pauli_coefficients,
     sigma_theta,
 )
+from lgsim.qubit import _choi_matrix
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi, allow_nan=False)
@@ -207,6 +208,28 @@ def test_channel_rejects_transpose_map():
     # the transpose is positive but not completely positive
     with pytest.raises(ValueError, match="completely positive"):
         Channel(np.diag([1.0, 1.0, -1.0, 1.0]))
+
+
+def choi_by_mapping_matrix_units(ptm):
+    """The Choi matrix built one matrix unit at a time (the oracle)."""
+    j = np.zeros((4, 4), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            e = np.zeros((2, 2), dtype=complex)
+            e[a, b] = 1.0
+            mapped = operator_from_coefficients(ptm @ pauli_coefficients(e))
+            j += np.kron(e, mapped)
+    return j
+
+
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=16, max_size=16),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=300)
+def test_choi_contraction_is_bit_identical_to_the_oracle(entries, log_scale):
+    ptm = np.array(entries).reshape(4, 4) * 10.0**log_scale
+    assert np.array_equal(_choi_matrix(ptm), choi_by_mapping_matrix_units(ptm))
 
 
 def test_composition_matches_matrix_product():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lgsim import _kernels, sweeps
 from lgsim.dynamics import HamiltonianSpec, LindbladSpec
 from lgsim.protocol import (
     Verdict,
@@ -224,3 +225,65 @@ def test_gamma_cutoff_bisection_stops_at_one_float():
 def test_gamma_cutoff_undefined_for_the_control():
     with pytest.raises(ValueError, match="no violation at gamma=0"):
         gamma_cutoff(n=0, tau=math.pi, omega=1.0, criterion="lenient")
+
+
+# ---------------------------------------------------------------------------
+# the lenient margin skips the battery
+
+
+def full_curve_margin(thetas, n, gamma, tau, omega, criterion):
+    """The margin read off the full ``lg_curve`` (the oracle)."""
+    cur = lg_curve(thetas, n, gamma, tau, omega)
+    return cur.lg + cur.eps_total if criterion == "strict" else cur.lg
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.7])
+def test_lenient_margin_equals_the_full_curve(monkeypatch, omega):
+    tau = math.pi / omega
+    gammas = (0.0, 0.004, 0.011, 0.03)
+    grid = np.linspace(0.0, math.pi, 201)
+    for n in range(11):
+        for gamma in gammas:
+            assert np.array_equal(
+                sweeps._margin_curve(grid, n, gamma, tau, omega, "lenient"),
+                lg_curve(grid, n, gamma, tau, omega).lg,
+            )
+
+    def windows_and_cutoffs():
+        windows = [
+            violation_window(n, gamma, tau, omega, coarse_points=401)
+            for n in range(11)
+            for gamma in gammas
+        ]
+        cutoffs = [outcome(gamma_cutoff, n, tau, omega, theta_points=101) for n in range(11)]
+        return windows, cutoffs
+
+    windows, cutoffs = windows_and_cutoffs()
+    monkeypatch.setattr(sweeps, "_margin_curve", full_curve_margin)
+    assert (windows, cutoffs) == windows_and_cutoffs()
+    assert any(w is not None for w in windows) and any(w is None for w in windows)
+    assert any(isinstance(c, float) for c in cutoffs) and "no violation" in cutoffs[0]
+
+
+def test_only_the_strict_margin_runs_the_battery(monkeypatch):
+    calls = []
+    real = _kernels.battery_eps
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "battery_eps", counted)
+    violation_window(1, 0.002, math.pi, 1.0, coarse_points=101)
+    gamma_cutoff(1, math.pi, theta_points=101)
+    assert calls == []
+    violation_window(1, 0.002, math.pi, 1.0, criterion="strict", coarse_points=101)
+    gamma_cutoff(1, math.pi, criterion="strict", theta_points=101)
+    assert len(calls) > 2
