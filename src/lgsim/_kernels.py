@@ -13,15 +13,18 @@ the event kind.
 The sampler relies on the collapse: after event ``j`` the conditional Bloch
 vector is exactly ``+/- axes[j]``, so ``p(+1)`` at event ``j + 1`` takes one
 of two values.  Both are computed once per schedule, term by term in the
-order of the per-shot recurrence ``p = (1 + q.(aff + lin r))/2``, and each
-shot then walks a two-value lookup.
+order of the per-shot recurrence ``p = (1 + q.(aff + lin r))/2``, and turned
+into integer cut-offs on raw 64-bit Philox words (``word_cutoffs``): the
+uniform numpy would make of a word ``w`` is ``(w >> 11) * 2**-53``, and it is
+below ``p`` exactly when ``w`` is below the cut-off.  Each shot then walks a
+two-value lookup of cut-offs, with no doubles drawn or compared.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["protocol_lg", "battery_eps", "sample_paths"]
+__all__ = ["protocol_lg", "battery_eps", "word_cutoffs", "sample_paths"]
 
 
 def _grid(thetas):
@@ -152,17 +155,46 @@ def _p_plus(lin, aff, axes, r):
     return 0.5 * (1.0 + (axes[..., 0] * nx + axes[..., 1] * ny + axes[..., 2] * nz))
 
 
-def sample_paths(u, lin, aff, axes, r0, out):
-    """Fill ``out`` with +1/-1 outcomes for pre-drawn uniforms ``u``."""
-    k = u.shape[1]
+def word_cutoffs(p):
+    """Integer cut-offs equivalent to ``u < p`` for the uniform a word maps to.
+
+    numpy turns a Philox word ``w`` into ``u = (w >> 11) * 2**-53``, so
+    ``u < p`` holds exactly when ``w >> 11 < c`` with ``c = ceil(p * 2**53)``
+    (the scaling by a power of two and the ``ceil`` are exact), that is when
+    ``w < c << 11``.  ``p`` is clipped to [0, 1] first, NaN counting as 0
+    (``u < nan`` is never true).  ``c = 2**53`` needs the cut-off 2**64, which
+    no uint64 holds; those entries get cut-off 0 and ``always`` True.  So for
+    every uint64 ``w``, ``(w < cut) | always`` equals ``u < p``.
+    """
+    # fmax/fmin return the number when the other argument is NaN
+    c = np.ceil(np.fmin(np.fmax(np.asarray(p, dtype=np.float64), 0.0), 1.0) * 2.0**53)
+    always = c == 2.0**53
+    cut = np.where(always, 0.0, c).astype(np.uint64) << np.uint64(11)
+    return cut, always
+
+
+def sample_paths(words, lin, aff, axes, r0, out):
+    """Fill ``out`` with +1/-1 outcomes for pre-drawn Philox ``words``.
+
+    ``words[s, j]`` is the raw uint64 that decides event ``j`` of shot ``s``:
+    the outcome is +1 exactly when ``(words[s, j] >> 11) * 2**-53 < p(+1)``.
+    """
+    k = words.shape[1]
     # prev[j, 0] / prev[j, 1]: Bloch vector entering event j's gap after a
     # +1 / -1 at event j - 1; event 0 starts from r0 on both sides
     prev = np.empty((k, 2, 3))
     prev[0] = r0
     prev[1:, 0] = axes[:-1]
     prev[1:, 1] = -axes[:-1]
-    p = _p_plus(lin[:, None], aff[:, None], axes[:, None], prev)  # (k, 2)
-    pos = np.ones(u.shape[0], dtype=bool)
+    cut, always = word_cutoffs(_p_plus(lin[:, None], aff[:, None], axes[:, None], prev))
+    pos = np.ones(words.shape[0], dtype=bool)
     for j in range(k):
-        pos = u[:, j] < np.where(pos, p[j, 0], p[j, 1])
-        out[:, j] = np.where(pos, 1, -1)
+        hit = words[:, j] < np.where(pos, cut[j, 0], cut[j, 1])
+        if always[j, 0]:
+            hit |= pos
+        if always[j, 1]:
+            hit |= ~pos
+        pos = hit
+        out[:, j] = pos
+    out *= 2
+    out -= 1

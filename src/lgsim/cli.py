@@ -211,7 +211,10 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
     omega = _parse_float(omega_text, omega_where)
     if omega <= 0:
         raise ConfigError(f"{omega_where}: omega must be positive, got {omega_text}")
-    m = _parse_int(*get("m"), minimum=1)
+    m_text, m_where = get("m")
+    m = _parse_int(m_text, m_where, minimum=1)
+    if m > sys.float_info.max / math.pi:  # exact int/float comparison
+        raise ConfigError(f"{m_where}: m is too large (tau = pi*m/omega overflows)")
     criterion = _parse_choice(*get("criterion"), choices=("lenient", "strict"))
     shots = _parse_int(*get("shots"), minimum=0)
     seed = _parse_int(*get("seed"), minimum=0)

@@ -13,14 +13,18 @@ is a short recurrence: evolve the Bloch vector through the gap (affine map
 taken from the propagator's transfer matrix), compute ``p(+1) = (1+q.r)/2``,
 compare against a uniform draw, collapse.  Because the collapse leaves only
 ``+/- q`` behind, ``p(+1)`` at each event takes one of two values fixed by
-the previous outcome; the kernel computes both once per schedule and each
-shot walks that lookup.
+the previous outcome; the kernel computes both once per schedule, turns each
+into an integer cut-off, and each shot walks that lookup.
 
 Randomness is counter based: shot block ``j`` of a run with seed ``s`` draws
-its uniforms from a Philox generator keyed ``(s, j)``, with a fixed block
-size of 2**16 shots.  The stream for any shot therefore depends only on
-``(seed, shot index)``, never on how the work is executed, and identical
-``(schedule, mask, shots, seed)`` inputs give bit-identical records.
+one raw 64-bit word per (shot, event) from a Philox bit generator keyed
+``(s, j)``, with a fixed block size of 2**16 shots.  An outcome is +1 when its
+word lies below the event's cut-off, which is exactly when the uniform
+``Generator.random()`` would make of that word, ``(w >> 11) * 2**-53``, lies
+below ``p(+1)``; no doubles are drawn.  The stream for any shot therefore
+depends only on ``(seed, shot index)``, never on how the work is executed,
+and identical ``(schedule, mask, shots, seed)`` inputs give bit-identical
+records.
 """
 
 from __future__ import annotations
@@ -219,9 +223,9 @@ def enumerated_joint(trajectories: Sequence[OutcomeTrajectory], a: int, b: int) 
     return table
 
 
-def _philox_uniforms(seed: int, block: int, shots: int, events: int) -> np.ndarray:
+def _philox_words(seed: int, block: int, shots: int, events: int) -> np.ndarray:
     key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random((shots, events))
+    return np.random.Philox(key=key).random_raw(shots * events).reshape(shots, events)
 
 
 def sample_trajectories(
@@ -264,8 +268,8 @@ def sample_trajectories(
     out = np.empty((shots, k), dtype=np.int8)
     for block, start in enumerate(range(0, shots, BLOCK_SHOTS)):
         size = min(BLOCK_SHOTS, shots - start)
-        u = _philox_uniforms(seed, block, size, k)
-        _kernels.sample_paths(u, lin, aff, axes, r0, out[start : start + size])
+        words = _philox_words(seed, block, size, k)
+        _kernels.sample_paths(words, lin, aff, axes, r0, out[start : start + size])
 
     full_mask = [False] * len(schedule.events)
     for idx in included:
@@ -298,13 +302,14 @@ def estimate_joint_distribution(
     records: TrajectoryRecords, first: str = "Q1", second: str = "Q3"
 ) -> np.ndarray:
     """Estimated joint table ``P[i, j]`` of two tagged columns (0 = +1, 1 = -1)."""
-    a = records.column(first)
-    b = records.column(second)
-    table = np.empty((2, 2))
-    for i, sa in enumerate((1, -1)):
-        for j, sb in enumerate((1, -1)):
-            table[i, j] = np.count_nonzero((a == sa) & (b == sb))
-    return table / records.shots
+    a = records.column(first) == 1
+    b = records.column(second) == 1
+    n = records.shots
+    na = np.count_nonzero(a)
+    nb = np.count_nonzero(b)
+    nab = np.count_nonzero(a & b)
+    table = np.array([[nab, na - nab], [nb - nab, n - na - nb + nab]], dtype=np.float64)
+    return table / n
 
 
 def estimate_adroitness(

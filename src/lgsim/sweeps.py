@@ -87,7 +87,7 @@ class SweepRecord:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "verdict", Verdict(self.verdict))
         expected = 1.0 + self.c12 + self.c23 + self.c13_prime
-        if abs(self.lg_quantity - expected) > 1e-12:
+        if not (abs(self.lg_quantity - expected) <= 1e-12):  # NaN fails too
             raise ValueError(
                 f"lg_quantity {self.lg_quantity!r} inconsistent with correlators "
                 f"(expected {expected!r})"

@@ -167,6 +167,13 @@ def test_overflowing_ranges_are_refused(tmp_path, capsys, command, key):
         assert f"config line 1 ({key}): range is too wide" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "adroitness"])
+def test_overflowing_m_is_refused(capsys, command):
+    # tau = pi * m / omega converts m to a float, which has no room for 10**400
+    err = expect_error(capsys, command, "--m", "1" + "0" * 400)
+    assert "--m: m is too large (tau = pi*m/omega overflows)" in err
+
+
 def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     err = expect_error(capsys, "sweep", "--theta", "0:1:2", "--out", str(target))
@@ -248,6 +255,22 @@ def test_jsonl_round_trip(tmp_path, capsys):
     got = records_from_rows(rows)
     thetas = [0.1 + k * (2.9 / 6.0) for k in range(7)]
     assert got == sweep_records(thetas, [0.0, 0.01], [0, 1], tau=math.pi, omega=1.0).records()
+
+
+def test_nan_correlator_in_a_table_is_refused(tmp_path, capsys):
+    table = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, *SWEEP_ARGS, "--out", str(table))
+    assert code == 0
+    lines = table.read_text().splitlines(keepends=True)
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    col = lines[header].rstrip("\n").split(",").index("c12")
+    cells = lines[header + 1].split(",")
+    cells[col] = "nan"
+    lines[header + 1] = ",".join(cells)
+    table.write_text("".join(lines))
+    _, rows = read_table(table)
+    with pytest.raises(ValueError, match="inconsistent with correlators"):
+        records_from_rows(rows)
 
 
 PINNED_GRID = ("sweep", "--theta", "0:3.141592653589793:9", "--gamma", "0:0.01:3", "--n", "0,1,5")

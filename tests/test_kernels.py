@@ -115,22 +115,106 @@ def reference_paths(u, lin, aff, axes, r0, out):
         rz = sg * axes[j, 2]
 
 
+def word_uniforms(words):
+    # what numpy's Generator.random() makes of each Philox word
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def run_both(words, lin, aff, axes, r0):
+    expected = np.empty(words.shape, dtype=np.int8)
+    got = np.empty(words.shape, dtype=np.int8)
+    reference_paths(word_uniforms(words), lin, aff, axes, r0, expected)
+    _kernels.sample_paths(words, lin, aff, axes, r0, got)
+    return got, expected
+
+
 @pytest.mark.parametrize("k", [1, 6])
 def test_sampler_paths_are_bit_identical(k):
     rng = np.random.default_rng(k)
-    u = rng.random((4096, k))
+    words = rng.integers(0, 2**64, size=(4096, k), dtype=np.uint64)
     lin = rng.normal(size=(k, 3, 3)) * 0.4
     aff = rng.normal(size=(k, 3)) * 0.05
     axes = rng.normal(size=(k, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     r0 = np.array([0.3, -0.2, 0.5])
-    expected = np.empty((4096, k), dtype=np.int8)
-    got = np.empty((4096, k), dtype=np.int8)
-    reference_paths(u, lin, aff, axes, r0, expected)
-    _kernels.sample_paths(u, lin, aff, axes, r0, got)
+    got, expected = run_both(words, lin, aff, axes, r0)
     assert np.array_equal(got, expected)
     # both outcomes occur in every column, so the lookup is exercised
     assert np.all((got == 1).any(axis=0)) and np.all((got == -1).any(axis=0))
+
+
+def test_sampler_paths_repeat_a_certain_outcome():
+    # +z, +z, -z, -z measured with no gaps: every later p(+1) is exactly 0 or
+    # 1, and p(+1) = 1 (a cut-off of 2**64, which no uint64 holds) occurs
+    # after a +1 and after a -1
+    rng = np.random.default_rng(0)
+    words = rng.integers(0, 2**64, size=(512, 4), dtype=np.uint64)
+    words[:4, 1:] = [[0, 0, 0], [2**64 - 1] * 3, [2**11 - 1] * 3, [2**11] * 3]
+    lin = np.broadcast_to(np.eye(3), (4, 3, 3))
+    aff = np.zeros((4, 3))
+    axes = np.array([[0.0, 0.0, 1.0]] * 2 + [[0.0, 0.0, -1.0]] * 2)
+    got, expected = run_both(words, lin, aff, axes, np.array([0.0, 0.0, 0.2]))
+    assert np.array_equal(got, expected)
+    assert np.all(got * [1, 1, -1, -1] == got[:, :1]) and set(got[:, 0]) == {1, -1}
+
+
+def word_below(w, p):
+    # the comparison the cut-offs replace: numpy's uniform for w against p
+    return ((w >> 11) * 2.0**-53) < p
+
+
+def cutoff_decides(w, p):
+    cut, always = _kernels.word_cutoffs(p)
+    return bool((np.uint64(w) < cut) | always)
+
+
+@st.composite
+def grid_neighbourhoods(draw):
+    # p on the 2**-53 grid or one float either side, w at the edge c * 2**11
+    c = draw(st.integers(0, 2**53))
+    p = c * 2.0**-53
+    p = draw(st.sampled_from([math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)]))
+    w = draw(st.sampled_from([c * 2**11 - 1, c * 2**11]).filter(lambda w: 0 <= w < 2**64))
+    return w, p
+
+
+@given(st.one_of(st.tuples(st.integers(0, 2**64 - 1), st.floats()), grid_neighbourhoods()))
+@settings(max_examples=500, deadline=None)
+def test_word_cutoffs_match_the_double_comparison(case):
+    w, p = case
+    assert cutoff_decides(w, p) == word_below(w, p)
+
+
+# values below 0, signed zeros, the smallest subnormal and normal, the first
+# grid step and its lower neighbour, both neighbours of 1, values above 1, NaN
+EDGE_PS = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 2.0**-53]
+EDGE_PS += [math.nextafter(2.0**-53, 0.0), 0.5, math.nextafter(1.0, 0.0), 1.0]
+EDGE_PS += [math.nextafter(1.0, 2.0), 2.0, math.inf, math.nan]
+EDGE_WS = [0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1]
+
+
+def test_word_cutoffs_on_edge_values():
+    ps = np.array(EDGE_PS)
+    with np.errstate(all="raise"):  # no NaN or out-of-range float reaches the cast
+        cut, always = _kernels.word_cutoffs(ps)
+    assert cut.dtype == np.uint64 and cut.shape == always.shape == ps.shape
+    for w in EDGE_WS:
+        got = (np.uint64(w) < cut) | always
+        assert got.tolist() == [word_below(w, p) for p in EDGE_PS], w
+
+
+@pytest.mark.parametrize("key", [(0, 0), (9, 1), (2**64 - 1, 2**32)])
+def test_philox_words_map_to_numpy_uniforms(key):
+    # the sampler decides on raw words because Generator.random() on Philox
+    # maps each word w to (w >> 11) * 2**-53; a numpy that changes this
+    # would silently change every seeded record
+    key = np.array(key, dtype=np.uint64)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(1000)
+    words = np.random.Philox(key=key).random_raw(1000)
+    assert np.array_equal(uniforms, word_uniforms(words)), (
+        f"numpy {np.__version__} no longer maps Philox words to uniforms as "
+        "(w >> 11) * 2**-53; the sampler's word cut-offs assume that mapping"
+    )
 
 
 def test_dispatcher_validation():
