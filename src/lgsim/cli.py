@@ -14,8 +14,8 @@ keys as the long flags; flags override the file, the file overrides built-in
 defaults.  The resolved configuration is echoed into the output as comment
 lines so every table is self-describing.  CSV output puts comments on ``#``
 lines; JSONL output puts them in a leading ``{"meta": ...}`` object.  Floats
-are rendered with %.17g, so parsing a table back reproduces the records
-bit for bit (``read_table`` / ``records_from_rows``).
+are rendered with %.17g, so ``read_table`` / ``records_from_rows`` parse a
+table back bit for bit, checking its columns as a sweep checks them on write.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -36,7 +35,7 @@ from .dynamics import HamiltonianSpec, LindbladSpec
 from .protocol import BATTERY_IDS, adroitness_experiments, adroitness_grid, classic_lg
 from .sampling import estimate_adroitness, sample_trajectories
 from .sweeps import SWEEP_COLUMNS, SweepRecord, SweepTable, gamma_cutoff, sweep_records
-from .sweeps import violation_window
+from .sweeps import _records_from_cells, violation_window
 
 __all__ = [
     "ConfigError",
@@ -228,6 +227,16 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
             raise ConfigError(f"{get('gamma')[1]}: gamma must be nonnegative, got {g}")
     if command == "fig3" and len(ns) != 1:
         raise ConfigError(f"{get('n')[1]}: fig3 evaluates exactly one n, got {len(ns)}")
+    timing = [k for k in ("n", "m", "omega") if k in _USED_KEYS[command]]
+    if "m" in timing:
+        steps, expr = (2 * max(ns) + 4, "(2*max(n)+4)*tau") if "n" in timing else (3, "3*tau")
+        try:
+            last = steps * (math.pi * m / omega)
+        except OverflowError:  # steps is too large for a float
+            last = math.inf
+        if not math.isfinite(last):
+            named = ", ".join(merged[k][1] for k in timing if merged[k][1] != f"default {k}")
+            raise ConfigError(f"{named}: the last event time {expr} overflows (tau = pi*m/omega)")
 
     echo = [(k, merged[k][0]) for k in _USED_KEYS[command]]
     if forced_note is not None:
@@ -477,12 +486,12 @@ def read_table(path) -> tuple[dict, list[dict]]:
 
 
 def records_from_rows(rows: list[dict]) -> list[SweepRecord]:
-    """Rebuild validated sweep records from parsed rows (exact round trip).
+    """Rebuild sweep records from parsed rows (exact round trip).
 
-    ``SweepRecord`` converts each cell to its field's type and checks it.
+    The cells are taken as one column each and checked as ``sweep_records``
+    checks what it writes; the first bad row raises a one-line ``ValueError``.
     """
-    cells = itemgetter(*SWEEP_COLUMNS)
-    return [SweepRecord(*cells(row)) for row in rows]
+    return _records_from_cells([[row[c] for row in rows] for c in SWEEP_COLUMNS])
 
 
 # ---------------------------------------------------------------------------

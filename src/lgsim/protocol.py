@@ -151,6 +151,13 @@ class Verdict(str, enum.Enum):
     NO_VIOLATION = "no_violation"
 
 
+def _check_positive(value: float, name: str) -> float:
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def violation_verdict(lg: float, eps_total: float) -> Verdict:
     """Classify a Leggett-Garg value against both readings of the bound."""
     if not math.isfinite(lg):
@@ -235,9 +242,7 @@ def build_protocol_schedule(
     if n != int(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     n = int(n)
-    tau = float(tau)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    tau = _check_positive(tau, "tau")
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
@@ -268,9 +273,7 @@ def adroitness_experiments(
         c: sz,          sz,          sigma_theta
         d: sz,          sigma_theta, sigma_theta
     """
-    tau = float(tau)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    tau = _check_positive(tau, "tau")
     pair = (pauli("z"), sigma_theta(float(theta)))
     rho0 = DensityOperator.maximally_mixed()
     out = []
@@ -313,10 +316,24 @@ def _measured(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _included_indices(schedule: ExperimentSchedule, i: int, j: int, include_intermediate: bool):
-    if include_intermediate:
-        return set(range(j + 1))
-    return {i, j}
+def _walk(schedule: ExperimentSchedule, x: np.ndarray, start: int, stop: int, between: bool):
+    """Carry coefficients ``x`` from event ``start`` up to event ``stop``.
+
+    ``start = -1`` means the input at time 0.  With ``between``, every event
+    strictly between the two applies its unconditioned measurement channel;
+    otherwise those events are removed and one propagator covers the whole
+    gap.  The result is at ``stop``'s time, before ``stop`` measures.
+    """
+    events = schedule.events
+    t = events[start].time if start >= 0 else 0.0
+    for ev in events[start + 1 : stop] if between else ():
+        g = _ptm(schedule.dynamics, ev.time - t)
+        t = ev.time
+        if g is not None:
+            x = g @ x
+        x = _measured(ev.observable.coefficients, x)
+    g = _ptm(schedule.dynamics, events[stop].time - t)
+    return x if g is None else g @ x
 
 
 def correlator_exact(
@@ -335,44 +352,19 @@ def correlator_exact(
     j = schedule.index_of(second)
     if i >= j:
         raise ValueError(f"{first!r} must come before {second!r} in the schedule")
-    included = _included_indices(schedule, i, j, include_intermediate)
-    spec = schedule.dynamics
-
-    x = schedule.initial_state.coefficients.copy()
-    t = 0.0
-    y = None
-    for k, ev in enumerate(schedule.events[: j + 1]):
-        if k not in included:
-            continue
-        g = _ptm(spec, ev.time - t)
-        t = ev.time
-        if g is not None:
-            x = g @ x
-            if y is not None:
-                y = g @ y
-        q = ev.observable.coefficients
-        if k == i:
-            y = _half_anticommutator(q, x)
-        elif k == j:
-            return float(2.0 * (q @ y))
-        else:
-            x = _measured(q, x)
-            if y is not None:
-                y = _measured(q, y)
-    raise AssertionError("unreachable: second event is always visited")
+    x = _walk(schedule, schedule.initial_state.coefficients, -1, i, include_intermediate)
+    y = _half_anticommutator(schedule.events[i].observable.coefficients, x)
+    y = _walk(schedule, y, i, j, include_intermediate)
+    return float(2.0 * (schedule.events[j].observable.coefficients @ y))
 
 
 def lg_quantity(schedule: ExperimentSchedule) -> CorrelatorSet:
     """All three protocol correlators of a Q1/Q2/Q3 schedule.
 
     ``c12`` and ``c23`` keep every event in place; ``c13_prime`` keeps only
-    Q1 and Q3, bridging the gap with a single propagator.
+    Q1 and Q3, bridging the gap with a single propagator.  ``correlator_exact``
+    refuses a schedule that does not order Q1 before Q2 before Q3.
     """
-    i1 = schedule.index_of("Q1")
-    i2 = schedule.index_of("Q2")
-    i3 = schedule.index_of("Q3")
-    if not (i1 < i2 < i3):
-        raise ValueError("schedule must order Q1 before Q2 before Q3")
     return CorrelatorSet(
         c12=correlator_exact(schedule, "Q1", "Q2"),
         c23=correlator_exact(schedule, "Q2", "Q3"),
@@ -400,23 +392,7 @@ def joint_distribution(
     j = schedule.index_of(second)
     if i >= j:
         raise ValueError(f"{first!r} must come before {second!r} in the schedule")
-    included = _included_indices(schedule, i, j, include_intermediate)
-    spec = schedule.dynamics
-
-    x = schedule.initial_state.coefficients.copy()
-    t = 0.0
-    for k, ev in enumerate(schedule.events[:i]):
-        if k not in included:
-            continue
-        g = _ptm(spec, ev.time - t)
-        t = ev.time
-        if g is not None:
-            x = g @ x
-        x = _measured(ev.observable.coefficients, x)
-    g = _ptm(spec, schedule.events[i].time - t)
-    if g is not None:
-        x = g @ x
-
+    x = _walk(schedule, schedule.initial_state.coefficients, -1, i, include_intermediate)
     q1 = schedule.events[i].observable.bloch_axis
     q2 = schedule.events[j].observable.bloch_axis
     table = np.empty((2, 2))
@@ -425,19 +401,7 @@ def joint_distribution(
         w = np.empty(4)
         w[0] = 0.5 * amp
         w[1:] = 0.5 * s1 * amp * q1
-        t_branch = schedule.events[i].time
-        for k in range(i + 1, j):
-            if k not in included:
-                continue
-            ev = schedule.events[k]
-            g = _ptm(spec, ev.time - t_branch)
-            t_branch = ev.time
-            if g is not None:
-                w = g @ w
-            w = _measured(ev.observable.coefficients, w)
-        g = _ptm(spec, schedule.events[j].time - t_branch)
-        if g is not None:
-            w = g @ w
+        w = _walk(schedule, w, i, j, include_intermediate)
         for col, s3 in enumerate((1.0, -1.0)):
             table[row, col] = w[0] + s3 * (q2 @ w[1:])
 
@@ -489,9 +453,7 @@ def adroitness_grid(thetas, tau: float, dynamics: LindbladSpec) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ValueError(f"theta grid must be one dimensional, got shape {thetas.shape}")
-    tau = float(tau)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    tau = _check_positive(tau, "tau")
     times = (tau, 2.0 * tau, 3.0 * tau)
     if not math.isfinite(times[2]):
         raise ValueError(f"event time must be nonnegative and finite, got {times[2]}")

@@ -3,25 +3,28 @@
 Everything here runs on the kernel layer, so a 10^4-point theta grid is one
 call, and a gamma bisection is a few dozen of them.  ``sweep_records``
 returns a columnar ``SweepTable``: one block of kernel arrays and verdicts
-per (n, gamma), checked as whole arrays, never one object per grid point;
-``SweepTable.records()`` expands it into validated ``SweepRecord`` rows.
-Row order is a pure function of the requested grids (n outermost, then
-gamma, then theta); worker threads only parallelise the per-(n, gamma)
-curve evaluations and never reorder rows.
+per (n, gamma), checked as whole arrays, never one object per grid point.
+Parsing a table back runs the same column checks, and ``SweepRecord`` is a
+plain row that checked columns expand into, in both directions.  Row order
+is a pure function of the requested grids (n outermost, then gamma, then
+theta); worker threads only parallelise the per-(n, gamma) curve
+evaluations and never reorder rows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .dynamics import HamiltonianSpec, LindbladSpec, lindblad_propagator
-from .protocol import Verdict, violation_verdict
+from .protocol import Verdict, _check_positive, violation_verdict
 
 __all__ = [
     "SWEEP_COLUMNS",
@@ -61,15 +64,8 @@ class CurveArrays(NamedTuple):
     eps_total: np.ndarray
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One fully evaluated grid point.
-
-    ``lg_quantity`` must equal ``1 + c12 + c23 + c13_prime`` within 1e-12 and
-    ``verdict`` must match ``violation_verdict(lg_quantity, eps_total)``;
-    both are revalidated on construction so a corrupted table cannot be
-    parsed back silently.
-    """
+class SweepRecord(NamedTuple):
+    """One row of a sweep table, expanded from checked columns."""
 
     theta: float
     gamma: float
@@ -80,25 +76,6 @@ class SweepRecord:
     lg_quantity: float
     eps_total: float
     verdict: Verdict
-
-    def __post_init__(self):
-        for name in ("theta", "gamma", "c12", "c23", "c13_prime", "lg_quantity", "eps_total"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "verdict", Verdict(self.verdict))
-        expected = 1.0 + self.c12 + self.c23 + self.c13_prime
-        if not (abs(self.lg_quantity - expected) <= 1e-12):  # NaN fails too
-            raise ValueError(
-                f"lg_quantity {self.lg_quantity!r} inconsistent with correlators "
-                f"(expected {expected!r})"
-            )
-        if not (self.eps_total >= 0.0 and math.isfinite(self.eps_total)):
-            raise ValueError(f"eps_total must be nonnegative, got {self.eps_total}")
-        if self.verdict is not violation_verdict(self.lg_quantity, self.eps_total):
-            raise ValueError(
-                f"verdict {self.verdict.value} inconsistent with lg={self.lg_quantity!r}, "
-                f"eps_total={self.eps_total!r}"
-            )
 
 
 class SweepBlock(NamedTuple):
@@ -125,13 +102,13 @@ class SweepTable:
         return len(self.thetas) * len(self.blocks)
 
     def records(self) -> list[SweepRecord]:
-        """Every row as a validated ``SweepRecord``, in table order."""
+        """Every row as a ``SweepRecord``, in table order."""
         thetas = self.thetas.tolist()
-        return [
-            SweepRecord(theta, b.gamma, b.n, *row)
-            for b in self.blocks
-            for theta, *row in zip(thetas, *(col.tolist() for col in b.curve), b.verdict.tolist())
-        ]
+        rows: list[SweepRecord] = []
+        for b in self.blocks:
+            cols = [col.tolist() for col in b.curve]
+            rows += _expand(thetas, repeat(b.gamma), repeat(b.n), cols, b.verdict.tolist())
+        return rows
 
 
 # object scalars, so a verdict column holds references to three shared strings
@@ -139,13 +116,43 @@ _STRICT, _LENIENT, _CLEAN = (
     np.asarray(v.value, dtype=object)
     for v in (Verdict.VIOLATES_STRICT, Verdict.VIOLATES_LENIENT, Verdict.NO_VIOLATION)
 )
+_VERDICT = {v.value: v for v in Verdict}
 
 
-def _verdicts(cur: CurveArrays) -> np.ndarray:
+def _expand(thetas, gammas, ns, cols, verdicts) -> list[SweepRecord]:
+    """``SweepRecord`` rows from checked columns (iterables of Python values)."""
+    return list(map(SweepRecord, thetas, gammas, ns, *cols, map(_VERDICT.get, verdicts)))
+
+
+def _coordinates(thetas: np.ndarray, gammas: np.ndarray, ns) -> list[int]:
+    """Check a grid, or a table's first three columns; return ``ns`` as ints.
+
+    theta must be finite, gamma nonnegative and finite, and n a nonnegative
+    int or its decimal text; the first bad value of a column raises.
+    """
+    for name, values, ok, rule in (
+        ("theta", thetas, np.isfinite(thetas), "finite"),
+        ("gamma", gammas, (gammas >= 0.0) & np.isfinite(gammas), "nonnegative and finite"),
+    ):
+        if not ok.all():
+            raise ValueError(f"{name} must be {rule}, got {float(values[np.argmin(ok)])}")
+    ints = []
+    for value in ns:
+        try:
+            n = int(value, 10) if isinstance(value, str) else operator.index(value)
+        except (TypeError, ValueError):
+            n = -1
+        if n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {value}")
+        ints.append(n)
+    return ints
+
+
+def _verdicts(cur: CurveArrays, verdict: np.ndarray | None = None) -> np.ndarray:
     """``violation_verdict`` of every point, with its checks and errors.
 
-    Also requires ``lg`` to match its correlators within 1e-12, as
-    ``SweepRecord`` does.
+    Also requires ``lg`` to match its correlators within 1e-12 and, when a
+    ``verdict`` column is given, that column to equal the computed one.
     """
     lg, eps = cur.lg, cur.eps_total
     bad = ~(np.isfinite(lg) & (eps >= 0.0) & np.isfinite(eps))
@@ -159,7 +166,36 @@ def _verdicts(cur: CurveArrays) -> np.ndarray:
             f"lg_quantity {float(lg[bad][0])!r} inconsistent with correlators "
             f"(expected {float(expected[bad][0])!r})"
         )
-    return np.where(lg < -eps, _STRICT, np.where(lg < 0.0, _LENIENT, _CLEAN))
+    computed = np.where(lg < -eps, _STRICT, np.where(lg < 0.0, _LENIENT, _CLEAN))
+    if verdict is not None and (computed != verdict).any():
+        i = int(np.argmax(computed != verdict))
+        raise ValueError(
+            f"verdict {verdict[i]} inconsistent with lg={float(lg[i])!r}, "
+            f"eps_total={float(eps[i])!r}"
+        )
+    return computed
+
+
+def _records_from_cells(cells) -> list[SweepRecord]:
+    """Sweep records from a table's cells, one sequence per ``SWEEP_COLUMNS``.
+
+    ``float`` reads ``%.17g`` text back bit for bit.  The columns then pass
+    the checks ``sweep_records`` runs on write, and the verdicts must match.
+    """
+    theta, gamma, n, *numbers, verdict = cells
+    floats = []
+    for name, col in zip(("theta", "gamma", *SWEEP_COLUMNS[3:8]), (theta, gamma, *numbers)):
+        try:
+            floats.append(list(map(float, col)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    theta, gamma, *numbers = floats
+    ns = _coordinates(np.array(theta), np.array(gamma), n)
+    verdicts = _verdicts(
+        CurveArrays(*(np.array(col, dtype=float) for col in numbers)),
+        np.fromiter(verdict, dtype=object, count=len(verdict)),
+    )
+    return _expand(theta, gamma, ns, numbers, verdicts.tolist())
 
 
 @dataclass(frozen=True)
@@ -194,11 +230,10 @@ def _curve(thetas, n, gamma, tau, omega, battery: bool) -> CurveArrays:
     the lenient margin never reads.
     """
     spec = LindbladSpec(HamiltonianSpec(omega), gamma)
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    gap = lindblad_propagator(spec, float(tau)).ptm
-    gap2 = lindblad_propagator(spec, 2.0 * float(tau)).ptm if battery else None
-    gap13 = lindblad_propagator(spec, (2 * int(n) + 3) * float(tau)).ptm
+    tau = _check_positive(tau, "tau")
+    gap = lindblad_propagator(spec, tau).ptm
+    gap2 = lindblad_propagator(spec, 2.0 * tau).ptm if battery else None
+    gap13 = lindblad_propagator(spec, (2 * int(n) + 3) * tau).ptm
     c12, c23, c13p = _kernels.protocol_lg(thetas, n, gap, gap13)
     eps = _kernels.battery_eps(thetas, gap, gap2).sum(axis=1) if battery else None
     lg = 1.0 + c12 + c23 + c13p
@@ -221,7 +256,7 @@ def sweep_records(
     """Evaluate the full (n, gamma, theta) grid into a checked ``SweepTable``."""
     thetas = np.array(thetas, dtype=float)
     gammas = [float(g) for g in gammas]
-    ns = [int(n) for n in ns]
+    ns = _coordinates(thetas, np.array(gammas), ns)
     if workers != int(workers) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     workers = int(workers)
@@ -238,13 +273,6 @@ def sweep_records(
             curves = list(pool.map(curve, tasks))
     blocks = tuple(SweepBlock(n, g, cur, _verdicts(cur)) for (n, g), cur in zip(tasks, curves))
     return SweepTable(thetas, blocks)
-
-
-def _check_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
 
 
 def _margin_curve(thetas, n, gamma, tau, omega, criterion) -> np.ndarray:

@@ -3,13 +3,18 @@
 import hashlib
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lgsim import sweeps
+from lgsim import cli, sweeps
 from lgsim.cli import main, read_table, records_from_rows
-from lgsim.sweeps import sweep_records
+from lgsim.sweeps import SWEEP_COLUMNS, CurveArrays, SweepBlock, SweepTable, sweep_records
 
 
 def f17(v):
@@ -51,6 +56,15 @@ def test_classic_csv(capsys):
     assert float(row[1]) == pytest.approx(-math.sqrt(2.0) / 2.0, abs=1e-12)
     assert float(row[3]) == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-12)
     assert row[4] == "violates_lenient"
+
+
+def test_classic_bytes_are_pinned(capsys):
+    # sha256 of the stdout table written before correlator_exact and
+    # joint_distribution shared one event walk
+    code, out, _ = run(capsys, "classic")
+    assert code == 0
+    digest = "b6c68fd2a02681323fd85bc6d1bb57241e8089379adc11cb731082142b0b6238"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_classic_omega_rescales_nothing(capsys):
@@ -174,6 +188,31 @@ def test_overflowing_m_is_refused(capsys, command):
     assert "--m: m is too large (tau = pi*m/omega overflows)" in err
 
 
+# values whose last event time overflows: tau = pi*m/omega itself for
+# omega=1e-310, and (2*max(n)+4)*tau or 3*tau for the others (pi*BIG_M fits)
+BIG_M = "5" + "0" * 307
+FAR_TIMES = [("omega", "1e-310"), ("omega", "2e-308"), ("m", BIG_M), ("n", "1" + "0" * 400)]
+
+
+@pytest.mark.parametrize(
+    ("command", "key", "value"),
+    [
+        (command, key, value)
+        for command in ("sweep", "fig2", "fig3", "adroitness")
+        for key, value in FAR_TIMES
+        if (command, key) != ("adroitness", "n")  # adroitness takes no n
+    ],
+)
+def test_overflowing_event_times_are_refused(tmp_path, capsys, command, key, value):
+    expr = "3*tau" if command == "adroitness" else "(2*max(n)+4)*tau"
+    cfgfile = tmp_path / "far.cfg"
+    cfgfile.write_text(f"{key}={value}\n")
+    err = expect_error(capsys, command, f"--{key}={value}")
+    assert err == f"lgsim: error: --{key}: the last event time {expr} overflows (tau = pi*m/omega)"
+    err = expect_error(capsys, command, "--config", str(cfgfile))
+    assert f"config line 1 ({key}): the last event time {expr} overflows" in err
+
+
 def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     err = expect_error(capsys, "sweep", "--theta", "0:1:2", "--out", str(target))
@@ -271,6 +310,156 @@ def test_nan_correlator_in_a_table_is_refused(tmp_path, capsys):
     _, rows = read_table(table)
     with pytest.raises(ValueError, match="inconsistent with correlators"):
         records_from_rows(rows)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+any_float = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+nonnegative = st.one_of(
+    st.sampled_from([v for v in EDGE_FLOATS if v >= 0.0]), st.floats(0.0, 1.7e308)
+)
+
+
+@st.composite
+def sweep_tables(draw):
+    """Consistent tables: lg is 1 + c12 + c23 + c13_prime and finite, verdicts computed."""
+    thetas = np.array(draw(st.lists(any_float, min_size=1, max_size=4)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        column = st.lists(any_float, min_size=len(thetas), max_size=len(thetas))
+        c12, c23, c13p = (np.array(draw(column)) for _ in range(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lg = 1.0 + c12 + c23 + c13p
+        assume(np.isfinite(lg).all())
+        eps = draw(st.lists(nonnegative, min_size=len(thetas), max_size=len(thetas)))
+        cur = CurveArrays(c12, c23, c13p, lg, np.array(eps))
+        n = draw(st.integers(0, 10**30))
+        blocks.append(SweepBlock(n, draw(nonnegative), cur, sweeps._verdicts(cur)))
+    return SweepTable(thetas, tuple(blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=sweep_tables())
+def test_random_tables_round_trip_bit_for_bit(table):
+    want = table.records()
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, header in (("csv", [",".join(SWEEP_COLUMNS)]), ("jsonl", [])):
+            path = Path(tmp) / f"table.{fmt}"
+            path.write_text("\n".join([*header, *cli._sweep_lines(fmt, table)]) + "\n")
+            got = records_from_rows(read_table(path)[1])
+            assert got == want
+            # == takes -0.0 for 0.0; repr tells them apart
+            assert [list(map(repr, r)) for r in got] == [list(map(repr, r)) for r in want]
+
+
+SWEEP_THETAS = [0.1 + k * (2.9 / 6.0) for k in range(7)]  # SWEEP_ARGS' theta grid
+CORRUPT_ROW = 9  # block 1 (n=0, gamma=0.01), theta index 2; its verdict is no_violation
+
+
+def corrupt_table(path, fmt, column, value):
+    """Rewrite one cell of data row CORRUPT_ROW, in the table's own format."""
+    lines = path.read_text().splitlines()
+    if fmt == "csv":
+        header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        row = header + 1 + CORRUPT_ROW
+        cells = lines[row].split(",")
+        cells[lines[header].split(",").index(column)] = (
+            f17(value) if isinstance(value, float) else str(value)
+        )
+        lines[row] = ",".join(cells)
+    else:
+        row = 1 + CORRUPT_ROW  # after the meta line
+        obj = json.loads(lines[row])
+        obj[column] = value
+        lines[row] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def sweep_records_error(monkeypatch, column, value):
+    """What sweep_records raises when the same value sits at the same row."""
+    thetas, gammas, ns = list(SWEEP_THETAS), [0.0, 0.01], [0, 1]
+    block, k = divmod(CORRUPT_ROW, len(thetas))
+    if column == "theta":
+        thetas[k] = value
+    elif column == "gamma":
+        gammas[block % 2] = value
+    elif column == "n":
+        ns[block // 2] = value
+    else:
+        field = "lg" if column == "lg_quantity" else column
+        real, calls = sweeps.lg_curve, []
+
+        def corrupt(*args):
+            cur = real(*args)
+            calls.append(args)
+            if len(calls) - 1 == block:
+                bad = getattr(cur, field).copy()
+                bad[k] = value
+                cur = cur._replace(**{field: bad})
+            return cur
+
+        monkeypatch.setattr(sweeps, "lg_curve", corrupt)
+    with pytest.raises(ValueError) as exc:
+        sweep_records(thetas, gammas, ns, tau=math.pi, omega=1.0)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize(
+    ("column", "value"),
+    [
+        ("theta", math.nan),
+        ("gamma", -5.0),
+        ("n", -3),
+        ("n", 1.5),
+        ("c12", math.nan),
+        ("c23", 0.5),
+        ("c13_prime", math.inf),
+        ("lg_quantity", -0.2),  # lg no longer matches its correlators
+        ("eps_total", -1.0),
+        ("verdict", "violates_strict"),
+    ],
+)
+def test_corrupt_cells_are_refused_as_on_write(tmp_path, capsys, monkeypatch, fmt, column, value):
+    table = tmp_path / f"grid.{fmt}"
+    code, _, _ = run(capsys, *SWEEP_ARGS, "--format", fmt, "--out", str(table))
+    assert code == 0
+    _, rows = read_table(table)
+    clean = records_from_rows(rows)[CORRUPT_ROW]
+    corrupt_table(table, fmt, column, value)
+    _, rows = read_table(table)
+    with pytest.raises(ValueError) as exc:
+        records_from_rows(rows)
+    message = str(exc.value)
+    assert "\n" not in message
+    if column == "verdict":  # sweep_records computes verdicts, so none is ever wrong on write
+        assert message == (
+            f"verdict violates_strict inconsistent with lg={clean.lg_quantity!r}, "
+            f"eps_total={clean.eps_total!r}"
+        )
+    else:
+        assert message == sweep_records_error(monkeypatch, column, value)
+
+
+@pytest.mark.parametrize(
+    ("column", "value", "message"),
+    [
+        ("n", "x", "n must be a nonnegative integer, got x"),
+        ("n", None, "n must be a nonnegative integer, got None"),
+        ("theta", "x", "theta: could not convert string to float: 'x'"),
+        ("eps_total", None, "eps_total: float() argument must be a string or a real number"),
+    ],
+)
+def test_unparseable_cells_are_one_line_errors(tmp_path, capsys, column, value, message):
+    table = tmp_path / "grid.jsonl"
+    run(capsys, *SWEEP_ARGS, "--format", "jsonl", "--out", str(table))
+    _, rows = read_table(table)
+    rows[CORRUPT_ROW][column] = value
+    with pytest.raises(ValueError) as exc:
+        records_from_rows(rows)
+    assert str(exc.value).startswith(message)
+    assert "\n" not in str(exc.value)
 
 
 PINNED_GRID = ("sweep", "--theta", "0:3.141592653589793:9", "--gamma", "0:0.01:3", "--n", "0,1,5")

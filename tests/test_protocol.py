@@ -103,6 +103,25 @@ def test_lg_quantity_matches_correlator_exact():
     )
 
 
+def test_exact_walks_are_pinned():
+    # float.hex of the values the event walkers gave before they shared one
+    # propagate-then-measure helper: a noisy n = 2 box, omega != 1, tau != pi
+    spec = LindbladSpec(HamiltonianSpec(1.3), 0.003)
+    sch = build_protocol_schedule(0.7, 2, 0.9 * math.pi, spec)
+    cs = lg_quantity(sch)
+    assert [v.hex() for v in (cs.c12, cs.c23, cs.c13_prime)] == [
+        "0x1.2fdfa26649bf0p-9",
+        "0x1.74883cc58c1b0p-2",
+        "0x1.019cb77fb1b47p-2",
+    ]
+    same, cross = "0x1.00374655ddba2p-2", "0x1.ff917354448bcp-3"
+    kept = joint_distribution(sch).ravel().tolist()
+    assert [v.hex() for v in kept] == [same, cross, cross, same]
+    same, cross = 0.3128935974046786, 0.1871064025953214
+    removed = joint_distribution(sch, include_intermediate=False).ravel().tolist()
+    assert removed == [same, cross, cross, same]
+
+
 def test_n_zero_is_a_nonviolating_control():
     for theta in np.linspace(0.0, math.pi, 101):
         sch = build_protocol_schedule(theta, 0, math.pi, IDEAL)

@@ -16,7 +16,6 @@ from lgsim.protocol import (
 )
 from lgsim.sweeps import (
     SWEEP_COLUMNS,
-    SweepRecord,
     gamma_cutoff,
     lg_curve,
     sweep_records,
@@ -79,27 +78,6 @@ def test_parallel_sweep_matches_serial():
 def test_sweep_worker_validation():
     with pytest.raises(ValueError, match="workers"):
         sweep_records(np.array([0.5]), [0.0], [1], math.pi, 1.0, workers=0)
-
-
-def test_sweep_record_validation():
-    ok = dict(
-        theta=0.5,
-        gamma=0.0,
-        n=1,
-        c12=0.2,
-        c23=-0.6,
-        c13_prime=-0.7,
-        lg_quantity=-0.1,
-        eps_total=0.0,
-        verdict=Verdict.VIOLATES_STRICT,
-    )
-    SweepRecord(**ok)
-    with pytest.raises(ValueError, match="inconsistent with correlators"):
-        SweepRecord(**{**ok, "lg_quantity": -0.2})
-    with pytest.raises(ValueError, match="verdict"):
-        SweepRecord(**{**ok, "verdict": Verdict.NO_VIOLATION})
-    with pytest.raises(ValueError, match="eps_total"):
-        SweepRecord(**{**ok, "eps_total": -1.0, "verdict": Verdict.VIOLATES_LENIENT})
 
 
 def test_verdicts_in_swept_rows_are_consistent():
