@@ -210,6 +210,13 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
     omega = _parse_float(omega_text, omega_where)
     if omega <= 0:
         raise ConfigError(f"{omega_where}: omega must be positive, got {omega_text}")
+    if command == "classic":
+        tau = 3.0 * math.pi / (4.0 * omega)  # as classic_lg computes it
+        if not (tau > 0.0 and math.isfinite(2.0 * tau)):
+            raise ConfigError(
+                f"{omega_where}: the event times tau and 2*tau must be positive and finite "
+                f"(tau = 3*pi/(4*omega)), got tau = {tau!r}"
+            )
     m_text, m_where = get("m")
     m = _parse_int(m_text, m_where, minimum=1)
     if m > sys.float_info.max / math.pi:  # exact int/float comparison

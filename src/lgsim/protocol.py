@@ -32,17 +32,18 @@ a three-event schedule whose middle event is tagged as the probe,
 and the battery sums this over four probe placements.  Under dephasing noise
 the battery's total feeds the softened bound ``lg >= -eps_total``.
 
-``joint_distribution`` walks one schedule; ``adroitness_grid`` walks the
-whole battery over a theta grid at once, carrying the branch vector of every
-(theta, first outcome) pair of an experiment as one row of a stacked array.
-It performs the scalar walker's float operations in the scalar walker's
-order, so each epsilon equals ``epsilon_adroitness`` on the matching schedule
-bit for bit.  Matvecs and 3-vector dots are stacked ``np.matmul`` calls
-(``(4, 4) @ (..., 4, 1)`` and ``(..., 1, 3) @ (..., 3, 1)``): numpy evaluates
-each stack item with the routine it uses for the one-dimensional ``g @ w``
-and ``q @ v``, whereas on dense matrices one big ``W @ g.T`` product, an
-``einsum`` or a hand-written sum orders the terms differently and changes
-the last bit.  ``adroitness_report`` and ``epsilon_total`` are one-theta
+One walker, ``_walk``, carries coefficient rows of any batch shape from
+event to event, and ``correlator_exact``, ``joint_distribution`` and
+``adroitness_grid`` all step through it.  The grid walks the whole battery
+over a theta grid at once: one row per (theta, first outcome) pair and
+``(B, 3)`` measurement axes.  Matvecs and 3-vector dots are stacked
+``np.matmul`` calls (``(4, 4) @ (..., 4, 1)`` and ``(..., 1, 3) @ (..., 3,
+1)``): numpy evaluates each stack item with the routine it uses for the
+one-dimensional ``g @ w`` and ``q @ v``, whereas on dense matrices one big
+``W @ g.T`` product, an ``einsum`` or a hand-written sum orders the terms
+differently and changes the last bit.  So every row gets the bits a
+one-schedule walk gives, and each grid epsilon equals ``epsilon_adroitness``
+on its schedule.  ``adroitness_report`` and ``epsilon_total`` are one-theta
 calls of the grid.
 """
 
@@ -291,9 +292,7 @@ def adroitness_experiments(
 # ---------------------------------------------------------------------------
 # exact evaluation on Pauli coefficients
 
-
-def _ptm(spec: LindbladSpec, dt: float) -> np.ndarray | None:
-    return None if dt == 0.0 else lindblad_propagator(spec, dt).ptm
+_SIGNS = np.array([1.0, -1.0])  # outcomes +1, -1: the index order of joint tables
 
 
 def _half_anticommutator(q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -304,36 +303,68 @@ def _half_anticommutator(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _measured(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the unconditioned measurement channel of an involution."""
-    if abs(abs(q[0]) - 1.0) <= ATOL:
-        return x
-    out = x.copy()
-    proj = q[1] * x[1] + q[2] * x[2] + q[3] * x[3]
-    out[1] = proj * q[1]
-    out[2] = proj * q[2]
-    out[3] = proj * q[3]
-    return out
+def _dots(axes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise ``axes @ w[1:]`` as stacked 3-vector dots (see module doc)."""
+    return np.matmul(axes[..., None, :], w[..., 1:, None])[..., 0, 0]
 
 
-def _walk(schedule: ExperimentSchedule, x: np.ndarray, start: int, stop: int, between: bool):
-    """Carry coefficients ``x`` from event ``start`` up to event ``stop``.
+def _walk(dynamics: LindbladSpec, x: np.ndarray, t: float, events) -> np.ndarray:
+    """Carry coefficient rows ``x`` (``(..., 4)``) at time ``t`` through ``events``.
 
-    ``start = -1`` means the input at time 0.  With ``between``, every event
-    strictly between the two applies its unconditioned measurement channel;
-    otherwise those events are removed and one propagator covers the whole
-    gap.  The result is at ``stop``'s time, before ``stop`` measures.
+    ``events`` are ``(time, axis)`` pairs: propagate to each time and, at all
+    but the last, project the Bloch part onto ``axis`` (the unconditioned
+    measurement channel; axes broadcast against the rows, ``None`` is a
+    trivial ``+/- I`` event).  The result is before the last event measures.
     """
-    events = schedule.events
-    t = events[start].time if start >= 0 else 0.0
-    for ev in events[start + 1 : stop] if between else ():
-        g = _ptm(schedule.dynamics, ev.time - t)
-        t = ev.time
-        if g is not None:
-            x = g @ x
-        x = _measured(ev.observable.coefficients, x)
-    g = _ptm(schedule.dynamics, events[stop].time - t)
-    return x if g is None else g @ x
+    last = len(events) - 1
+    for k, (time, axis) in enumerate(events):
+        if time != t:  # stacked matvecs (see module doc)
+            x = np.matmul(lindblad_propagator(dynamics, time - t).ptm, x[..., None])[..., 0]
+        t = time
+        if axis is not None and k < last:
+            proj = axis[..., 0] * x[..., 1] + axis[..., 1] * x[..., 2]
+            proj += axis[..., 2] * x[..., 3]
+            x = np.concatenate((x[..., :1], proj[..., None] * axis), axis=-1)
+    return x
+
+
+def _joint_tables(dynamics: LindbladSpec, x: np.ndarray, head: list, tails) -> list:
+    """Joint outcome tables ``P[..., s1, s2]`` of two measurements, one per tail.
+
+    ``head`` walks the input rows ``x`` from time 0 to the first measurement,
+    its last event; each tail walks on to the second, its own last event.
+    Axes broadcast against the rows of ``x``; index 0 is outcome +1.
+    """
+    x = _walk(dynamics, x, 0.0, head)
+    t, first = head[-1]
+    amp = x[..., 0, None] + _SIGNS * _dots(first, x)[..., None]
+    w = np.concatenate(
+        ((0.5 * amp)[..., None], (0.5 * _SIGNS * amp)[..., None] * first[..., None, :]), axis=-1
+    )
+    tables = []
+    for tail in tails:
+        tail = [(time, q if q is None else q[..., None, :]) for time, q in tail]
+        end = _walk(dynamics, w, t, tail)
+        tables.append(end[..., 0, None] + _SIGNS * _dots(tail[-1][1], end)[..., None])
+    return tables
+
+
+def _paths(schedule: ExperimentSchedule, first: str, second: str, between: bool):
+    """Indices of two tagged events and ``_walk``'s paths to the first and on to the second.
+
+    Without ``between`` every other event is removed from the run.
+    """
+    i = schedule.index_of(first)
+    j = schedule.index_of(second)
+    if i >= j:
+        raise ValueError(f"{first!r} must come before {second!r} in the schedule")
+    steps = []
+    for ev in schedule.events:
+        q = ev.observable.coefficients
+        steps.append((ev.time, None if abs(abs(q[0]) - 1.0) <= ATOL else q[1:]))
+    if between:
+        return i, j, steps[: i + 1], steps[i + 1 : j + 1]
+    return i, j, steps[i : i + 1], steps[j : j + 1]
 
 
 def correlator_exact(
@@ -348,13 +379,10 @@ def correlator_exact(
     run entirely (no measurement channel), and each removed stretch of time
     is covered by one propagator; this is the primed-correlator semantics.
     """
-    i = schedule.index_of(first)
-    j = schedule.index_of(second)
-    if i >= j:
-        raise ValueError(f"{first!r} must come before {second!r} in the schedule")
-    x = _walk(schedule, schedule.initial_state.coefficients, -1, i, include_intermediate)
+    i, j, head, tail = _paths(schedule, first, second, include_intermediate)
+    x = _walk(schedule.dynamics, schedule.initial_state.coefficients, 0.0, head)
     y = _half_anticommutator(schedule.events[i].observable.coefficients, x)
-    y = _walk(schedule, y, i, j, include_intermediate)
+    y = _walk(schedule.dynamics, y, head[-1][0], tail)
     return float(2.0 * (schedule.events[j].observable.coefficients @ y))
 
 
@@ -388,23 +416,10 @@ def joint_distribution(
     Raises ``ValueError`` if the resulting table fails to sum to 1 within
     1e-10, which would indicate a non-CPTP propagator upstream.
     """
-    i = schedule.index_of(first)
-    j = schedule.index_of(second)
-    if i >= j:
-        raise ValueError(f"{first!r} must come before {second!r} in the schedule")
-    x = _walk(schedule, schedule.initial_state.coefficients, -1, i, include_intermediate)
-    q1 = schedule.events[i].observable.bloch_axis
-    q2 = schedule.events[j].observable.bloch_axis
-    table = np.empty((2, 2))
-    for row, s1 in enumerate((1.0, -1.0)):
-        amp = x[0] + s1 * (q1 @ x[1:])
-        w = np.empty(4)
-        w[0] = 0.5 * amp
-        w[1:] = 0.5 * s1 * amp * q1
-        w = _walk(schedule, w, i, j, include_intermediate)
-        for col, s3 in enumerate((1.0, -1.0)):
-            table[row, col] = w[0] + s3 * (q2 @ w[1:])
-
+    i, j, head, tail = _paths(schedule, first, second, include_intermediate)
+    for k in (i, j):
+        schedule.events[k].observable.bloch_axis  # raises for a trivial event
+    (table,) = _joint_tables(schedule.dynamics, schedule.initial_state.coefficients, head, [tail])
     _check_normalised(table.sum())
     return table
 
@@ -426,29 +441,17 @@ def epsilon_adroitness(schedule: ExperimentSchedule) -> float:
     return float(np.abs(with_probe - without).sum())
 
 
-def _dots(axes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise ``axes @ w[1:]`` as stacked 3-vector dots (see module doc)."""
-    return np.matmul(axes[..., None, :], w[..., 1:, None])[..., 0, 0]
-
-
-def _matvecs(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise ``g @ w`` as stacked matvecs (see module doc)."""
-    return np.matmul(g, w[..., None])[..., 0]
-
-
 def adroitness_grid(thetas, tau: float, dynamics: LindbladSpec) -> np.ndarray:
     """Per-experiment adroitness of the battery over a theta grid, shape (B, 4).
 
     Row ``b`` holds experiments ``BATTERY_IDS`` at ``thetas[b]``, each equal
     bit for bit to ``epsilon_adroitness`` on the matching schedule of
-    ``adroitness_experiments``.  The walk is ``joint_distribution``'s for the
-    three events at ``tau, 2*tau, 3*tau``, with the propagators of the same
-    gaps: ``x = P(tau) rho0`` does not depend on theta, so it is computed
-    once, and for each experiment the branch vectors of every (theta, first
-    outcome) pair go through the rest as rows.  A joint table that fails to
-    sum to 1 raises ``joint_distribution``'s error, and an epsilon outside
-    [0, 2] raises ``AdroitnessReport``'s, each for the first failing cell in
-    grid order.
+    ``adroitness_experiments``: each experiment is one ``_joint_tables`` call
+    over the three events at ``tau, 2*tau, 3*tau`` with ``(B, 3)`` axes, the
+    probe kept on one tail and removed on the other.  A joint table that
+    fails to sum to 1 raises ``joint_distribution``'s error, and an epsilon
+    outside [0, 2] raises ``AdroitnessReport``'s, each for the first failing
+    cell in grid order.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
@@ -467,32 +470,16 @@ def adroitness_grid(thetas, tau: float, dynamics: LindbladSpec) -> np.ndarray:
         tilted[b, 0] = math.sin(theta)
         tilted[b, 2] = math.cos(theta)
     pair = (np.broadcast_to(pauli("z").bloch_axis, tilted.shape), tilted)
-    x = _ptm(dynamics, times[0] - 0.0) @ DensityOperator.maximally_mixed().coefficients
-    gap = _ptm(dynamics, times[1] - times[0])
-    gap_late = _ptm(dynamics, times[2] - times[1])
-    gap_long = _ptm(dynamics, times[2] - times[0])
+    rho0 = DensityOperator.maximally_mixed().coefficients
 
-    sign = np.array([1.0, -1.0])  # first outcome +1, -1
-    totals = np.empty((size, 4, 2))  # per experiment: probe kept, removed
-    eps = np.empty((size, 4))
+    tables = np.empty((size, 4, 2, 4))  # per experiment: probe kept/removed, (s1, s3)
     for e, layout in enumerate(_BATTERY_LAYOUT):
-        first, probe, third = (pair[k][:, None, :] for k in layout)  # (B, 1, 3)
-        amp = x[0] + sign * _dots(first, x)  # (B, 2)
-        w = np.empty(amp.shape + (4,))
-        w[..., 0] = 0.5 * amp
-        w[..., 1:] = (0.5 * sign * amp)[..., None] * first
-        kept = _matvecs(gap, w)
-        proj = probe[..., 0] * kept[..., 1] + probe[..., 1] * kept[..., 2]
-        proj += probe[..., 2] * kept[..., 3]  # _measured's terms, in its order
-        kept[..., 1:] = proj[..., None] * probe
-        tables = np.empty((size, 2, 2, 2))  # probe kept/removed, s1, s3
-        for side, end in enumerate((_matvecs(gap_late, kept), _matvecs(gap_long, w))):
-            d = _dots(third, end)
-            tables[:, side, :, 0] = end[..., 0] + d
-            tables[:, side, :, 1] = end[..., 0] + -d
-        tables = tables.reshape(size, 2, 4)
-        totals[:, e] = tables.sum(axis=-1)
-        eps[:, e] = np.abs(tables[:, 0] - tables[:, 1]).sum(axis=-1)
+        first, probe, third = (pair[k] for k in layout)
+        tails = ([(times[1], probe), (times[2], third)], [(times[2], third)])
+        sides = _joint_tables(dynamics, rho0, [(times[0], first)], tails)
+        tables[:, e] = np.stack(sides, axis=1).reshape(size, 2, 4)
+    totals = tables.sum(axis=-1)
+    eps = np.abs(tables[..., 0, :] - tables[..., 1, :]).sum(axis=-1)
 
     bad = (np.abs(totals - 1.0) > _PROB_TOL).any(axis=(1, 2))
     bad |= ~((eps >= 0.0) & (eps <= 2.0 + 1e-9)).all(axis=1)

@@ -315,23 +315,6 @@ def compose(first: Channel, then: Channel) -> Channel:
     return then @ first
 
 
-def measurement_ptm(coeffs: np.ndarray) -> np.ndarray:
-    """Transfer matrix of the unconditioned Lueders channel for an involution.
-
-    For a traceless observable (unit axis ``q``), the channel keeps the
-    identity part and projects the Bloch part onto ``q``:
-    ``X -> x0 I + (q . xv)(q . sigma)``.  For ``+/- I`` it is the identity map.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if abs(abs(c[0]) - 1.0) <= ATOL:
-        return np.eye(4)
-    q = c[1:]
-    ptm = np.zeros((4, 4))
-    ptm[0, 0] = 1.0
-    ptm[1:, 1:] = np.outer(q, q)
-    return ptm
-
-
 def measure_channel(q: Observable) -> Channel:
     """Unconditioned measurement of ``q``: ``X -> P+ X P+ + P- X P-``.
 

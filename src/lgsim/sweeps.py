@@ -13,6 +13,8 @@ evaluations and never reorder rows.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
@@ -87,6 +89,19 @@ class SweepBlock(NamedTuple):
     verdict: np.ndarray
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, which building one tuple per row
+    keeps triggering over every live parsed row; then restore its setting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass(frozen=True, eq=False)
 class SweepTable:
     """A swept (n, gamma, theta) grid held as columns.
@@ -101,6 +116,7 @@ class SweepTable:
     def __len__(self) -> int:
         return len(self.thetas) * len(self.blocks)
 
+    @_gc_paused()
     def records(self) -> list[SweepRecord]:
         """Every row as a ``SweepRecord``, in table order."""
         thetas = self.thetas.tolist()
@@ -176,6 +192,7 @@ def _verdicts(cur: CurveArrays, verdict: np.ndarray | None = None) -> np.ndarray
     return computed
 
 
+@_gc_paused()
 def _records_from_cells(cells) -> list[SweepRecord]:
     """Sweep records from a table's cells, one sequence per ``SWEEP_COLUMNS``.
 

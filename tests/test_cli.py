@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: parsing, rendering, round trips."""
 
+import gc
 import hashlib
 import json
 import math
@@ -213,6 +214,19 @@ def test_overflowing_event_times_are_refused(tmp_path, capsys, command, key, val
     assert f"config line 1 ({key}): the last event time {expr} overflows" in err
 
 
+@pytest.mark.parametrize(("value", "tau"), [("1e-310", "inf"), ("1e308", "0.0")])
+def test_classic_refuses_an_omega_whose_times_leave_the_floats(tmp_path, capsys, value, tau):
+    # tau = 3*pi/(4*omega) overflows for a tiny omega; for a huge one 4*omega
+    # overflows and tau becomes 0, so the three events would coincide
+    rule = "the event times tau and 2*tau must be positive and finite (tau = 3*pi/(4*omega))"
+    err = expect_error(capsys, "classic", f"--omega={value}")
+    assert err == f"lgsim: error: --omega: {rule}, got tau = {tau}"
+    cfgfile = tmp_path / "classic.cfg"
+    cfgfile.write_text(f"omega={value}\n")
+    err = expect_error(capsys, "classic", "--config", str(cfgfile))
+    assert err == f"lgsim: error: config line 1 (omega): {rule}, got tau = {tau}"
+
+
 def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     err = expect_error(capsys, "sweep", "--theta", "0:1:2", "--out", str(target))
@@ -403,6 +417,28 @@ def sweep_records_error(monkeypatch, column, value):
     with pytest.raises(ValueError) as exc:
         sweep_records(thetas, gammas, ns, tau=math.pi, omega=1.0)
     return str(exc.value)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_back_leaves_the_gc_state_as_it_found_it(tmp_path, capsys, enabled):
+    # expanding records pauses the cyclic collector, and must restore the
+    # caller's setting on success and when a corrupt cell raises
+    table = tmp_path / "grid.csv"
+    assert run(capsys, *SWEEP_ARGS, "--out", str(table))[0] == 0
+    _, rows = read_table(table)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(records_from_rows(rows)) == len(rows)
+        assert gc.isenabled() is enabled
+        assert len(sweep_records([0.5, 1.0], [0.0], [1], tau=math.pi).records()) == 2
+        assert gc.isenabled() is enabled
+        corrupt_table(table, "csv", "c23", 0.5)
+        with pytest.raises(ValueError, match="inconsistent with correlators"):
+            records_from_rows(read_table(table)[1])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

@@ -18,6 +18,8 @@ from lgsim.protocol import (
     lg_quantity,
 )
 
+from test_protocol import reference_epsilon
+
 GRID = np.linspace(0.05, math.pi - 0.05, 37)
 
 
@@ -87,8 +89,10 @@ def test_batched_battery_matches_every_engine(case):
     grid = adroitness_grid(thetas, tau, spec)
     assert grid.shape == (len(thetas), 4)
     for b, theta in enumerate(thetas):
-        exact = [epsilon_adroitness(s) for s in adroitness_experiments(theta, tau, spec)]
-        assert grid[b].tolist() == exact  # the general walker, bit for bit
+        schedules = adroitness_experiments(theta, tau, spec)
+        exact = [reference_epsilon(s) for s in schedules]
+        assert grid[b].tolist() == exact  # the scalar reference walker, bit for bit
+        assert [epsilon_adroitness(s) for s in schedules] == exact
         assert adroitness_grid([theta], tau, spec)[0].tolist() == exact
     gap = lindblad_propagator(spec, tau).ptm
     gap2 = lindblad_propagator(spec, 2.0 * tau).ptm

@@ -29,7 +29,17 @@ from lgsim.protocol import (
     lg_quantity,
     violation_verdict,
 )
-from lgsim.qubit import DensityOperator, pauli, sigma_theta
+from lgsim.qubit import (
+    ATOL,
+    IDENTITY,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    DensityOperator,
+    Observable,
+    pauli,
+    sigma_theta,
+)
 
 IDEAL = LindbladSpec(HamiltonianSpec(1.0))
 NOISY = LindbladSpec(HamiltonianSpec(1.0), 0.002)
@@ -37,6 +47,88 @@ NOISY = LindbladSpec(HamiltonianSpec(1.0), 0.002)
 
 def ideal_lg(theta, n):
     return 1.0 + math.cos(theta) ** (2 * n + 2) + 2.0 * math.cos(theta)
+
+
+# ---------------------------------------------------------------------------
+# reference: the scalar event walker the exact engine used before its walk
+# carried rows.  It steps one coefficient vector at a time with 1-D ``g @ x``
+# and walks each first outcome separately, so the row-wise walker in
+# ``protocol`` is checked against code that shares none of its steps.
+
+
+def reference_walk(schedule, x, start, stop, between):
+    events = schedule.events
+    t = events[start].time if start >= 0 else 0.0
+    for ev in events[start + 1 : stop] if between else ():
+        if ev.time != t:
+            x = protocol.lindblad_propagator(schedule.dynamics, ev.time - t).ptm @ x
+        t = ev.time
+        x = reference_measured(ev.observable.coefficients, x)
+    if events[stop].time != t:
+        x = protocol.lindblad_propagator(schedule.dynamics, events[stop].time - t).ptm @ x
+    return x
+
+
+def reference_measured(q, x):
+    if abs(abs(q[0]) - 1.0) <= ATOL:
+        return x
+    out = x.copy()
+    proj = q[1] * x[1] + q[2] * x[2] + q[3] * x[3]
+    out[1] = proj * q[1]
+    out[2] = proj * q[2]
+    out[3] = proj * q[3]
+    return out
+
+
+def reference_joint(schedule, first, second, between):
+    i, j = schedule.index_of(first), schedule.index_of(second)
+    x = reference_walk(schedule, schedule.initial_state.coefficients, -1, i, between)
+    q1 = schedule.events[i].observable.bloch_axis
+    q2 = schedule.events[j].observable.bloch_axis
+    table = np.empty((2, 2))
+    for row, s1 in enumerate((1.0, -1.0)):
+        amp = x[0] + s1 * (q1 @ x[1:])
+        w = np.empty(4)
+        w[0] = 0.5 * amp
+        w[1:] = 0.5 * s1 * amp * q1
+        w = reference_walk(schedule, w, i, j, between)
+        for col, s3 in enumerate((1.0, -1.0)):
+            table[row, col] = w[0] + s3 * (q2 @ w[1:])
+    return table
+
+
+def reference_correlator(schedule, first, second, between):
+    i, j = schedule.index_of(first), schedule.index_of(second)
+    x = reference_walk(schedule, schedule.initial_state.coefficients, -1, i, between)
+    y = protocol._half_anticommutator(schedule.events[i].observable.coefficients, x)
+    y = reference_walk(schedule, y, i, j, between)
+    return float(2.0 * (schedule.events[j].observable.coefficients @ y))
+
+
+def reference_epsilon(schedule):
+    kept = reference_joint(schedule, "Q1", "Q3", True)
+    removed = reference_joint(schedule, "Q1", "Q3", False)
+    return float(np.abs(kept - removed).sum())
+
+
+def dense_propagators(rng):
+    """Stand-in for ``lindblad_propagator``: one dense affine contraction of
+    the Bloch ball per gap length.  The dephasing propagators have two
+    nonzero terms per row, which no summation order can change; here every
+    matvec term counts."""
+    maps = {}
+
+    def propagator(spec, t):
+        if t not in maps:
+            ptm = np.eye(4)
+            ptm[1:, 1:] = rng.normal(size=(3, 3))
+            ptm[1:, 1:] *= 0.6 / np.linalg.norm(ptm[1:, 1:], 2)
+            ptm[1:, 0] = rng.normal(size=3)
+            ptm[1:, 0] *= 0.4 * rng.random() / np.linalg.norm(ptm[1:, 0])
+            maps[t] = types.SimpleNamespace(ptm=ptm)
+        return maps[t]
+
+    return propagator
 
 
 # ---------------------------------------------------------------------------
@@ -315,28 +407,50 @@ def test_corrupt_propagators_are_refused(monkeypatch, capsys, bloch_scale, fragm
 )
 @settings(max_examples=30, deadline=None)
 def test_grid_matches_the_walker_on_dense_maps(seed, thetas, tau):
-    # the dephasing propagators have two nonzero terms per row, which no
-    # summation order can change; dense affine contractions of the Bloch
-    # ball (one per gap length) make every matvec term count
-    rng = np.random.default_rng(seed)
-    maps = {}
-
-    def propagator(spec, t):
-        if t not in maps:
-            ptm = np.eye(4)
-            ptm[1:, 1:] = rng.normal(size=(3, 3))
-            ptm[1:, 1:] *= 0.6 / np.linalg.norm(ptm[1:, 1:], 2)
-            ptm[1:, 0] = rng.normal(size=3)
-            ptm[1:, 0] *= 0.4 * rng.random() / np.linalg.norm(ptm[1:, 0])
-            maps[t] = types.SimpleNamespace(ptm=ptm)
-        return maps[t]
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "lindblad_propagator", propagator)
+        mp.setattr(protocol, "lindblad_propagator", dense_propagators(np.random.default_rng(seed)))
         grid = adroitness_grid(thetas, tau, NOISY)
         for b, theta in enumerate(thetas):
-            exact = [epsilon_adroitness(s) for s in adroitness_experiments(theta, tau, NOISY)]
+            exact = [reference_epsilon(s) for s in adroitness_experiments(theta, tau, NOISY)]
             assert grid[b].tolist() == exact
+
+
+@st.composite
+def random_schedules(draw):
+    """2-8 events at strictly increasing times (the first may sit at 0), axes
+    anywhere on the sphere, +/- I events between the tagged pair, and a
+    random input state.  The pair is tagged Q1 and Q3."""
+    size = draw(st.integers(min_value=2, max_value=8))
+    i, j = sorted(draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True)))
+    t = draw(st.sampled_from([0.0, 0.3]))
+    angles = st.floats(min_value=-2.0 * math.pi, max_value=2.0 * math.pi)
+    events = []
+    for k in range(size):
+        trivial = k not in (i, j) and draw(st.integers(0, 3)) == 0
+        if trivial:
+            obs = Observable(draw(st.sampled_from([1.0, -1.0])) * IDENTITY)
+        else:
+            polar, azimuth = draw(angles), draw(angles)
+            axis = (math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth))
+            obs = Observable(axis[0] * SIGMA_X + axis[1] * SIGMA_Y + math.cos(polar) * SIGMA_Z)
+        tag = "Q1" if k == i else "Q3" if k == j else "boxed"
+        events.append(MeasurementEvent(t, obs, tag))
+        t += draw(st.floats(min_value=0.05, max_value=3.0))
+    r = np.array([draw(st.floats(min_value=-1.0, max_value=1.0)) for _ in range(3)])
+    r *= draw(st.floats(min_value=0.0, max_value=1.0)) / max(1.0, float(np.linalg.norm(r)))
+    return ExperimentSchedule(tuple(events), NOISY, DensityOperator.from_bloch(r))
+
+
+@given(random_schedules(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_random_schedules_match_the_scalar_walker(sch, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "lindblad_propagator", dense_propagators(np.random.default_rng(seed)))
+        for between in (True, False):
+            c = correlator_exact(sch, "Q1", "Q3", include_intermediate=between)
+            assert c == reference_correlator(sch, "Q1", "Q3", between)
+            table = joint_distribution(sch, "Q1", "Q3", include_intermediate=between)
+            assert table.tolist() == reference_joint(sch, "Q1", "Q3", between).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgsim import protocol
+from lgsim.dynamics import HamiltonianSpec, LindbladSpec
 from lgsim.qubit import (
     ATOL,
     IDENTITY,
@@ -30,7 +32,6 @@ from lgsim.qubit import (
     identity_channel,
     is_hermitian,
     measure_channel,
-    measurement_ptm,
     operator_from_coefficients,
     operators_close,
     pauli,
@@ -239,11 +240,18 @@ def test_composition_matches_matrix_product():
     assert np.allclose(compose(b, a).ptm, a.ptm @ b.ptm)
 
 
-@given(angles)
+@given(angles, angles, st.lists(finite_floats, min_size=4, max_size=4))
 @settings(max_examples=40)
-def test_measure_channel_equals_measurement_ptm(theta):
-    q = sigma_theta(theta)
-    assert np.allclose(measure_channel(q).ptm, measurement_ptm(q.coefficients), atol=1e-12)
+def test_measure_channel_equals_the_walkers_projection(polar, azimuth, x):
+    # the exact walker's projection step (an event at the current time, then
+    # a last event that is not measured) against the Kraus-built channel
+    axis = [math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth)]
+    axis.append(math.cos(polar))
+    q = Observable(axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z)
+    x = np.array(x)
+    events = [(0.0, q.bloch_axis), (0.0, None)]
+    projected = protocol._walk(LindbladSpec(HamiltonianSpec(1.0)), x, 0.0, events)
+    assert np.allclose(projected, measure_channel(q).ptm @ x, rtol=0.0, atol=1e-12)
 
 
 def test_dephase_z_kills_transverse_parts():
