@@ -13,9 +13,15 @@ list.  A config file (``--config``) holds ``key=value`` lines with the same
 keys as the long flags; flags override the file, the file overrides built-in
 defaults.  The resolved configuration is echoed into the output as comment
 lines so every table is self-describing.  CSV output puts comments on ``#``
-lines; JSONL output puts them in a leading ``{"meta": ...}`` object.  Floats
-are rendered with %.17g, so ``read_table`` / ``records_from_rows`` parse a
-table back bit for bit, checking its columns as a sweep checks them on write.
+lines; JSONL output puts them in a leading ``{"meta": ...}`` object.
+
+Every command hands the writer column blocks, and one renderer writes them:
+each block becomes one %-template, with its fixed cells written in once, and
+each row is that template applied to the row's varying values.  CSV floats
+are %.17g, so ``read_table`` / ``records_from_rows`` parse a table back bit
+for bit, checking its columns as a sweep checks them on write.  JSONL floats
+are %r, which is the text ``json.dumps`` writes for a finite float (and every
+written float is checked to be finite).
 """
 
 from __future__ import annotations
@@ -217,6 +223,11 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
                 f"{omega_where}: the event times tau and 2*tau must be positive and finite "
                 f"(tau = 3*pi/(4*omega)), got tau = {tau!r}"
             )
+    else:
+        try:
+            HamiltonianSpec(omega)  # the drive the other commands build
+        except ValueError as exc:
+            raise ConfigError(f"{omega_where}: {exc}") from None
     m_text, m_where = get("m")
     m = _parse_int(m_text, m_where, minimum=1)
     if m > sys.float_info.max / math.pi:  # exact int/float comparison
@@ -266,18 +277,29 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
 
 
 # ---------------------------------------------------------------------------
-# command bodies: each returns (columns, rows, summary_lines); rows is a list
-# of dicts or, for the sweep commands, a SweepTable
+# command bodies: each returns (columns, blocks, summary_lines).  A block is
+# (cells, rows): cells holds each column's fixed value for the block, or the
+# type float or str for a column that varies by row; rows is an iterable of
+# tuples of the varying values, in column order.  Varying text cells are
+# identifiers (experiment ids, verdicts), so they need no escaping.
 
 
-def _sweep_table(cfg: SweepConfig):
+def _sweep_table(cfg: SweepConfig) -> SweepTable:
     return sweep_records(
         cfg.thetas, cfg.gammas, cfg.ns, tau=cfg.tau, omega=cfg.omega, workers=cfg.workers
     )
 
 
+def _sweep_blocks(table: SweepTable):
+    """One block per (n, gamma), turned into row tuples only as it is written."""
+    thetas = table.thetas.tolist()
+    for b in table.blocks:
+        cells = (float, b.gamma, b.n, float, float, float, float, float, str)
+        yield cells, zip(thetas, *(col.tolist() for col in b.curve), b.verdict.tolist())
+
+
 def _cmd_fig2(cfg: SweepConfig):
-    table = _sweep_table(cfg)
+    blocks = _sweep_blocks(_sweep_table(cfg))
     summary = []
     for n in cfg.ns:
         w = violation_window(n, 0.0, cfg.tau, cfg.omega, criterion=cfg.criterion)
@@ -288,11 +310,11 @@ def _cmd_fig2(cfg: SweepConfig):
                 f"onset[n={n}] theta/pi={w.lo / math.pi:.9f} "
                 f"width/pi={w.width / math.pi:.9f} (criterion={cfg.criterion})"
             )
-    return SWEEP_COLUMNS, table, summary
+    return SWEEP_COLUMNS, blocks, summary
 
 
 def _cmd_fig3(cfg: SweepConfig):
-    table = _sweep_table(cfg)
+    blocks = _sweep_blocks(_sweep_table(cfg))
     summary = []
     for crit in ("lenient", "strict"):
         try:
@@ -300,7 +322,7 @@ def _cmd_fig3(cfg: SweepConfig):
             summary.append(f"gamma_cutoff[{crit}]={cut:.9g}")
         except ValueError as exc:
             summary.append(f"gamma_cutoff[{crit}] undefined: {exc}")
-    return SWEEP_COLUMNS, table, summary
+    return SWEEP_COLUMNS, blocks, summary
 
 
 _ADROIT_COLUMNS = (
@@ -329,32 +351,36 @@ def _sampled_epsilon(cfg: SweepConfig, sched, cell: int) -> tuple[float, float]:
     return est.epsilon, float(np.sqrt((est.cell_standard_errors**2).sum()))
 
 
+_ADROIT_IDS = (*BATTERY_IDS, "total")
+
+
 def _cmd_adroitness(cfg: SweepConfig):
-    rows = []
+    """One block per gamma: experiments a-d, then their total, for each theta."""
+    mc_cell = float if cfg.shots else None  # without shots both MC cells are empty
+    blocks = []
     cell = 0
     for gamma in cfg.gammas:
         spec = LindbladSpec(HamiltonianSpec(cfg.omega), gamma)
         grid = adroitness_grid(cfg.thetas, cfg.tau, spec).tolist()
+        rows = []
         for theta, eps in zip(cfg.thetas, grid):
-            head = (theta, gamma, cfg.tau, cfg.omega)
-            mc = [(None, None)] * 4
-            total_mc = (None, None)
+            mc = [()] * 5
             if cfg.shots:
                 schedules = adroitness_experiments(theta, cfg.tau, spec)
                 mc = [_sampled_epsilon(cfg, s, cell + k) for k, s in enumerate(schedules)]
                 mc_eps, mc_se = zip(*mc)
-                total_mc = (sum(mc_eps), float(np.sqrt(np.sum(np.square(mc_se)))))
-            for eid, e, mc_cells in zip(BATTERY_IDS, eps, mc):
-                rows.append(dict(zip(_ADROIT_COLUMNS, (eid, *head, e, *mc_cells))))
-            rows.append(dict(zip(_ADROIT_COLUMNS, ("total", *head, sum(eps), *total_mc))))
+                mc.append((sum(mc_eps), float(np.sqrt(np.sum(np.square(mc_se))))))
+            rows += [(eid, theta, e, *m) for eid, e, m in zip(_ADROIT_IDS, [*eps, sum(eps)], mc)]
             cell += 4
+        cells = (str, float, gamma, cfg.tau, cfg.omega, float, mc_cell, mc_cell)
+        blocks.append((cells, rows))
     summary = []
     if cfg.shots:
         summary.append(
             "epsilon_mc is biased upward near zero (absolute differences of "
             "noisy cells); the exact column is the reference"
         )
-    return _ADROIT_COLUMNS, rows, summary
+    return _ADROIT_COLUMNS, blocks, summary
 
 
 _CLASSIC_COLUMNS = ("c12", "c23", "c13_prime", "lg_quantity", "verdict")
@@ -362,22 +388,17 @@ _CLASSIC_COLUMNS = ("c12", "c23", "c13_prime", "lg_quantity", "verdict")
 
 def _cmd_classic(cfg: SweepConfig):
     cs = classic_lg(cfg.omega)
-    row = {
-        "c12": cs.c12,
-        "c23": cs.c23,
-        "c13_prime": cs.c13_prime,
-        "lg_quantity": cs.lg_quantity,
-        "verdict": "violates_lenient" if cs.lg_quantity < 0 else "no_violation",
-    }
+    verdict = "violates_lenient" if cs.lg_quantity < 0 else "no_violation"
+    row = (cs.c12, cs.c23, cs.c13_prime, cs.lg_quantity, verdict)
     summary = [
         "no probe battery exists at this timing, so only the lenient reading applies",
         f"ideal value is 1-sqrt(2) = {_f17(1.0 - math.sqrt(2.0))}",
     ]
-    return _CLASSIC_COLUMNS, [row], summary
+    return _CLASSIC_COLUMNS, [((float, float, float, float, str), [row])], summary
 
 
 def _cmd_sweep(cfg: SweepConfig):
-    return SWEEP_COLUMNS, _sweep_table(cfg), []
+    return SWEEP_COLUMNS, _sweep_blocks(_sweep_table(cfg)), []
 
 
 _COMMAND_BODIES = {
@@ -392,33 +413,26 @@ _COMMAND_BODIES = {
 # ---------------------------------------------------------------------------
 # table serialisation
 
-
-def _cell_text(v: object) -> str:
-    if v is None:
-        return ""
-    return v if isinstance(v, str) else _f17(v)
-
-
-def _sweep_lines(fmt: str, table: SweepTable) -> Iterator[str]:
-    """The rows of each (n, gamma) block as one chunk, from one %-template.
-
-    ``"%.17g" % x`` is ``format(x, ".17g")``, and ``"%r" % x`` is the text
-    ``json.dumps`` writes for a float, as every value is finite (checked by
-    ``sweep_records``).  So the bytes are those of the dict-row renderers.
-    """
-    thetas = table.thetas.tolist()
-    for b in table.blocks:
-        if fmt == "csv":
-            template = ",".join(["%.17g", _f17(b.gamma), str(b.n)] + ["%.17g"] * 5 + ["%s"])
-        else:
-            cells = ["%r", repr(b.gamma), str(b.n)] + ["%r"] * 5 + ['"%s"']
-            template = "{" + ", ".join(f'"{c}": {v}' for c, v in zip(SWEEP_COLUMNS, cells)) + "}"
-        rows = zip(thetas, *(col.tolist() for col in b.curve), b.verdict.tolist())
-        yield "\n".join(map(template.__mod__, rows))
+# each type's %-conversion, and the text of None; "%.17g" % x is
+# format(x, ".17g"), and "%r" % x is what json.dumps writes for a finite float
+_CONVERSIONS = {
+    "csv": {float: "%.17g", int: "%d", str: "%s", None: ""},
+    "jsonl": {float: "%r", int: "%d", str: '"%s"', None: "null"},
+}
 
 
-def _table_lines(cfg: SweepConfig, columns, rows, summary) -> Iterator[str]:
-    """The table's lines without newlines; a sweep yields one chunk per block."""
+def _row_template(fmt: str, columns, cells) -> str:
+    """The %-template of one block's rows: a varying column's conversion, or
+    that conversion applied once to the block's fixed value."""
+    conv = _CONVERSIONS[fmt]
+    texts = [conv[c] if c in conv else conv[type(c)] % c for c in cells]
+    if fmt == "csv":
+        return ",".join(texts)
+    return "{" + ", ".join(f'"{k}": {t}' for k, t in zip(columns, texts)) + "}"
+
+
+def _table_lines(cfg: SweepConfig, columns, blocks, summary) -> Iterator[str]:
+    """The table's lines without newlines; the rows of a block come as one chunk."""
     if cfg.format == "csv":
         yield f"# lgsim {cfg.command}"
         yield from (f"# config {k}={v}" for k, v in cfg.echo)
@@ -427,16 +441,12 @@ def _table_lines(cfg: SweepConfig, columns, rows, summary) -> Iterator[str]:
     else:
         meta = {"command": cfg.command, "config": dict(cfg.echo), "summary": list(summary)}
         yield json.dumps({"meta": meta}, sort_keys=True)
-    if isinstance(rows, SweepTable):
-        yield from _sweep_lines(cfg.format, rows)
-    elif cfg.format == "csv":
-        yield from (",".join(_cell_text(row[c]) for c in columns) for row in rows)
-    else:
-        yield from (json.dumps({c: row[c] for c in columns}) for row in rows)
+    for cells, rows in blocks:
+        yield "\n".join(map(_row_template(cfg.format, columns, cells).__mod__, rows))
 
 
-def _emit(cfg: SweepConfig, columns, rows, summary) -> None:
-    chunks = (line + "\n" for line in _table_lines(cfg, columns, rows, summary))
+def _emit(cfg: SweepConfig, columns, blocks, summary) -> None:
+    chunks = (line + "\n" for line in _table_lines(cfg, columns, blocks, summary))
     if not cfg.out:
         sys.stdout.writelines(chunks)
         return
@@ -542,8 +552,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.command, args)
-        columns, rows, summary = _COMMAND_BODIES[args.command](cfg)
-        _emit(cfg, columns, rows, summary)
+        columns, blocks, summary = _COMMAND_BODIES[args.command](cfg)
+        _emit(cfg, columns, blocks, summary)
     except (ConfigError, ValueError) as exc:
         print(f"lgsim: error: {exc}", file=sys.stderr)
         return 2

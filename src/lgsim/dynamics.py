@@ -57,6 +57,10 @@ class HamiltonianSpec:
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         object.__setattr__(self, "omega", float(self.omega))
+        if not math.isfinite(self.rotation_rate):
+            raise ValueError(
+                f"omega is too large (the rotation rate 2*omega overflows), got {self.omega}"
+            )
 
     @property
     def rotation_rate(self) -> float:

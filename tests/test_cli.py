@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: parsing, rendering, round trips."""
 
+import functools
 import gc
 import hashlib
 import json
@@ -59,12 +60,22 @@ def test_classic_csv(capsys):
     assert row[4] == "violates_lenient"
 
 
-def test_classic_bytes_are_pinned(capsys):
-    # sha256 of the stdout table written before correlator_exact and
-    # joint_distribution shared one event walk
-    code, out, _ = run(capsys, "classic")
+@pytest.mark.parametrize(
+    ("argv", "digest"),
+    [
+        (("classic",), "b6c68fd2a02681323fd85bc6d1bb57241e8089379adc11cb731082142b0b6238"),
+        (
+            ("classic", "--format", "jsonl"),
+            "dadc1159046ef44a652400b091020825715c15e0de9b489e4ebb4efff5967ef3",
+        ),
+    ],
+)
+def test_classic_bytes_are_pinned(capsys, argv, digest):
+    # sha256 of the stdout tables written before correlator_exact and
+    # joint_distribution shared one event walk (CSV), and before every table
+    # went through one block renderer (JSONL)
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    digest = "b6c68fd2a02681323fd85bc6d1bb57241e8089379adc11cb731082142b0b6238"
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
@@ -227,6 +238,20 @@ def test_classic_refuses_an_omega_whose_times_leave_the_floats(tmp_path, capsys,
     assert err == f"lgsim: error: config line 1 (omega): {rule}, got tau = {tau}"
 
 
+@pytest.mark.parametrize("command", ["sweep", "fig2", "fig3", "adroitness"])
+def test_an_omega_whose_rotation_rate_overflows_is_refused(tmp_path, capsys, command):
+    # HamiltonianSpec's rotation rate 2*omega is inf, so the propagator's
+    # rotation angle is not finite; the gamma > 0 grid takes the Lindblad path
+    rule = "omega is too large (the rotation rate 2*omega overflows), got 1e+308"
+    cfgfile = tmp_path / "fast.cfg"
+    cfgfile.write_text("omega=1e308\n")
+    for grid in (("--theta", "1:1:1"), ("--theta", "1:1:1", "--gamma", "0.1:0.1:1")):
+        err = expect_error(capsys, command, "--omega", "1e308", *grid)
+        assert err == f"lgsim: error: --omega: {rule}"
+        err = expect_error(capsys, command, "--config", str(cfgfile), *grid)
+        assert err == f"lgsim: error: config line 1 (omega): {rule}"
+
+
 def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     err = expect_error(capsys, "sweep", "--theta", "0:1:2", "--out", str(target))
@@ -353,18 +378,83 @@ def sweep_tables(draw):
     return SweepTable(thetas, tuple(blocks))
 
 
+@functools.cache
+def sweep_config(fmt):
+    return cli.resolve_config("sweep", cli.build_parser().parse_args(["sweep", "--format", fmt]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(table=sweep_tables())
 def test_random_tables_round_trip_bit_for_bit(table):
     want = table.records()
     with tempfile.TemporaryDirectory() as tmp:
-        for fmt, header in (("csv", [",".join(SWEEP_COLUMNS)]), ("jsonl", [])):
+        for fmt in ("csv", "jsonl"):
             path = Path(tmp) / f"table.{fmt}"
-            path.write_text("\n".join([*header, *cli._sweep_lines(fmt, table)]) + "\n")
+            blocks = cli._sweep_blocks(table)
+            lines = cli._table_lines(sweep_config(fmt), SWEEP_COLUMNS, blocks, [])
+            path.write_text("\n".join(lines) + "\n")
             got = records_from_rows(read_table(path)[1])
             assert got == want
             # == takes -0.0 for 0.0; repr tells them apart
             assert [list(map(repr, r)) for r in got] == [list(map(repr, r)) for r in want]
+
+
+def oracle_cell(v):
+    """A CSV cell as the dict-row renderer wrote it; an int is its digits, as n always was."""
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    return str(v) if isinstance(v, int) else f17(v)
+
+
+def oracle_lines(fmt, columns, rows):
+    """The dict-row renderer: one dict per row, joined cells or ``json.dumps``."""
+    if fmt == "csv":
+        return [",".join(map(oracle_cell, row)) for row in rows]
+    return [json.dumps(dict(zip(columns, row))) for row in rows]
+
+
+IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
+CELL_VALUES = {
+    "text": IDENT,
+    "float": any_float,
+    "int": st.integers(-(10**30), 10**30),
+    "none": st.none(),
+}
+
+
+@st.composite
+def column_blocks(draw):
+    """Columns of one kind each; in each block a column is fixed, or varies by
+    row if it holds text or floats.  Also returns every row in full."""
+    columns = draw(st.lists(IDENT, min_size=1, max_size=6, unique=True))
+    kinds = [draw(st.sampled_from(sorted(CELL_VALUES))) for _ in columns]
+    blocks, rows = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 4))
+        cells, values = [], []
+        for kind in kinds:
+            if kind in ("text", "float") and draw(st.booleans()):
+                cells.append(str if kind == "text" else float)
+                values.append(draw(st.lists(CELL_VALUES[kind], min_size=size, max_size=size)))
+            else:
+                cells.append(draw(CELL_VALUES[kind]))
+                values.append([cells[-1]] * size)
+        varying = [v for c, v in zip(cells, values) if c is float or c is str]
+        blocks.append((tuple(cells), list(zip(*varying)) if varying else [()] * size))
+        rows += zip(*values)
+    return columns, blocks, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=column_blocks())
+def test_block_renderer_writes_the_dict_row_bytes(table):
+    columns, blocks, rows = table
+    for fmt in ("csv", "jsonl"):
+        lines = list(cli._table_lines(sweep_config(fmt), columns, blocks, []))
+        body = "\n".join(lines[-len(blocks) :])  # each block's rows come as one chunk
+        assert body == "\n".join(oracle_lines(fmt, columns, rows))
 
 
 SWEEP_THETAS = [0.1 + k * (2.9 / 6.0) for k in range(7)]  # SWEEP_ARGS' theta grid
@@ -541,16 +631,43 @@ ADROIT_GRID = ("adroitness", "--theta", "0:3.141592653589793:5", "--gamma", "0:0
             + ("--shots", "300", "--seed", "9"),
             "d78c9dc94e50f1cb2e86e74aa282a062fc15fb2a5cf0cc69a95400c3f6a66c42",
         ),
+        (
+            ("adroitness", "--shots", "300", "--seed", "3", "--format", "jsonl"),
+            "8eaad90e07d58fde94c078e2a22fd63813005f49ee185ba7026fc129bd1c4e9d",
+        ),
     ],
 )
 def test_adroitness_bytes_are_pinned(capsys, argv, digest):
     # sha256 of the stdout tables written while the CLI still evaluated the
-    # battery one (theta, gamma) cell at a time through joint_distribution;
-    # the grids hold theta = 0, pi, negative and > 2*pi, gamma = 0 and > 0,
-    # m > 1 with omega != 1, and one seeded Monte Carlo table
+    # battery one (theta, gamma) cell at a time through joint_distribution,
+    # and (the seeded JSONL one) before every table went through one block
+    # renderer; the grids hold theta = 0, pi, negative and > 2*pi, gamma = 0
+    # and > 0, m > 1 with omega != 1, and seeded Monte Carlo tables
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classic", "--format", "jsonl"),
+        ADROIT_GRID + ("--shots", "50"),
+        PINNED_GRID + ("--format", "jsonl"),
+    ],
+)
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    # the one difference is the echoed out= value in the config comments
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "table.out"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    if "jsonl" in argv:
+        want = out.replace('"out": ""', f'"out": {json.dumps(str(target))}', 1)
+    else:
+        want = out.replace("\n# config out=\n", f"\n# config out={target}\n", 1)
+    assert want != out
+    assert target.read_bytes() == want.encode("utf-8")
 
 
 def test_read_table_rejects_garbage(tmp_path):

@@ -239,6 +239,9 @@ def test_validation_errors():
         HamiltonianSpec(0.0)
     with pytest.raises(ValueError, match="omega"):
         HamiltonianSpec(-1.0)
+    with pytest.raises(ValueError, match=r"rotation rate 2\*omega overflows"):
+        HamiltonianSpec(1e308)
+    assert HamiltonianSpec(1e308, half=True).rotation_rate == 1e308
     with pytest.raises(ValueError, match="gamma"):
         LindbladSpec(HamiltonianSpec(1.0), -0.1)
     with pytest.raises(ValueError, match="duration"):
