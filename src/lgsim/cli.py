@@ -17,7 +17,9 @@ lines; JSONL output puts them in a leading ``{"meta": ...}`` object.
 
 Every command hands the writer column blocks, and one renderer writes them:
 each block becomes one %-template, with its fixed cells written in once, and
-each row is that template applied to the row's varying values.  CSV floats
+each row is that template applied to the row's varying values.  A sweep's
+repeated columns are formatted once too: theta once per table, and each
+``eps_total`` array, which the n blocks of one gamma share, once.  CSV floats
 are %.17g, so ``read_table`` / ``records_from_rows`` parse a table back bit
 for bit, checking its columns as a sweep checks them on write.  JSONL floats
 are %r, which is the text ``json.dumps`` writes for a finite float (and every
@@ -281,7 +283,11 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
 # (cells, rows): cells holds each column's fixed value for the block, or the
 # type float or str for a column that varies by row; rows is an iterable of
 # tuples of the varying values, in column order.  Varying text cells are
-# identifiers (experiment ids, verdicts), so they need no escaping.
+# identifiers (experiment ids, verdicts), so they need no escaping.  A
+# _FLOAT_TEXT column varies by row and holds floats already written in the
+# table's float conversion; they go into the row as they are.
+
+_FLOAT_TEXT = object()
 
 
 def _sweep_table(cfg: SweepConfig) -> SweepTable:
@@ -290,16 +296,30 @@ def _sweep_table(cfg: SweepConfig) -> SweepTable:
     )
 
 
-def _sweep_blocks(table: SweepTable):
-    """One block per (n, gamma), turned into row tuples only as it is written."""
-    thetas = table.thetas.tolist()
+def _sweep_blocks(table: SweepTable, fmt: str):
+    """One block per (n, gamma), turned into row tuples only as it is written.
+
+    Columns that repeat across blocks are formatted once: theta once per
+    table, and each ``eps_total`` array once per array object (the n blocks
+    of one gamma share one).  The cache is keyed by identity, never by value:
+    gamma does not determine eps in a table built by a caller, and equal
+    arrays can differ in the sign of a zero, which the text shows.  Each
+    array's text is kept as one joined string and split per block.
+    """
+    conv = _CONVERSIONS[fmt][float]
+    thetas = [conv % v for v in table.thetas.tolist()]
+    eps_texts: dict[int, str] = {}  # id of an eps_total array -> its rows' text
     for b in table.blocks:
-        cells = (float, b.gamma, b.n, float, float, float, float, float, str)
-        yield cells, zip(thetas, *(col.tolist() for col in b.curve), b.verdict.tolist())
+        *cols, eps = b.curve
+        text = eps_texts.get(id(eps))
+        if text is None:
+            text = eps_texts[id(eps)] = "\n".join([conv % v for v in eps.tolist()])
+        rows = zip(thetas, *(col.tolist() for col in cols), text.split("\n"), b.verdict.tolist())
+        yield (_FLOAT_TEXT, b.gamma, b.n, float, float, float, float, _FLOAT_TEXT, str), rows
 
 
 def _cmd_fig2(cfg: SweepConfig):
-    blocks = _sweep_blocks(_sweep_table(cfg))
+    blocks = _sweep_blocks(_sweep_table(cfg), cfg.format)
     summary = []
     for n in cfg.ns:
         w = violation_window(n, 0.0, cfg.tau, cfg.omega, criterion=cfg.criterion)
@@ -314,7 +334,7 @@ def _cmd_fig2(cfg: SweepConfig):
 
 
 def _cmd_fig3(cfg: SweepConfig):
-    blocks = _sweep_blocks(_sweep_table(cfg))
+    blocks = _sweep_blocks(_sweep_table(cfg), cfg.format)
     summary = []
     for crit in ("lenient", "strict"):
         try:
@@ -398,7 +418,7 @@ def _cmd_classic(cfg: SweepConfig):
 
 
 def _cmd_sweep(cfg: SweepConfig):
-    return SWEEP_COLUMNS, _sweep_blocks(_sweep_table(cfg)), []
+    return SWEEP_COLUMNS, _sweep_blocks(_sweep_table(cfg), cfg.format), []
 
 
 _COMMAND_BODIES = {
@@ -416,8 +436,8 @@ _COMMAND_BODIES = {
 # each type's %-conversion, and the text of None; "%.17g" % x is
 # format(x, ".17g"), and "%r" % x is what json.dumps writes for a finite float
 _CONVERSIONS = {
-    "csv": {float: "%.17g", int: "%d", str: "%s", None: ""},
-    "jsonl": {float: "%r", int: "%d", str: '"%s"', None: "null"},
+    "csv": {float: "%.17g", int: "%d", str: "%s", None: "", _FLOAT_TEXT: "%s"},
+    "jsonl": {float: "%r", int: "%d", str: '"%s"', None: "null", _FLOAT_TEXT: "%s"},
 }
 
 
@@ -548,8 +568,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_FLAGS = frozenset(f"--{key}" for key in (*_ALL_KEYS, "config"))
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join ``--flag -x`` into ``--flag=-x`` for a value that starts with one dash.
+
+    argparse reads such a token as an option unless it is a plain negative
+    number, so ``--theta -1:1:3`` would leave ``--theta`` without a value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and token.startswith("-") and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(args.command, args)
         columns, blocks, summary = _COMMAND_BODIES[args.command](cfg)

@@ -7,8 +7,11 @@ per (n, gamma), checked as whole arrays, never one object per grid point.
 Parsing a table back runs the same column checks, and ``SweepRecord`` is a
 plain row that checked columns expand into, in both directions.  Row order
 is a pure function of the requested grids (n outermost, then gamma, then
-theta); worker threads only parallelise the per-(n, gamma) curve
-evaluations and never reorder rows.
+theta).  The battery reads theta, gamma and tau but never n, so its kernel
+runs once per distinct gamma and every n block of that gamma shares the one
+``eps_total`` array; the protocol kernel and the checks run per (n, gamma).
+Worker threads parallelise the battery and curve evaluations and never
+reorder rows.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ class SweepTable:
     """A swept (n, gamma, theta) grid held as columns.
 
     ``blocks`` run n outermost, then gamma; the rows of each block follow
-    ``thetas``.  ``len`` counts rows.
+    ``thetas``.  In a table from ``sweep_records`` the blocks of one gamma
+    share one ``eps_total`` array object.  ``len`` counts rows.
     """
 
     thetas: np.ndarray
@@ -240,26 +244,35 @@ def _check_criterion(criterion: str) -> str:
     return criterion
 
 
-def _curve(thetas, n, gamma, tau, omega, battery: bool) -> CurveArrays:
-    """``lg_curve``; without ``battery``, ``eps_total`` is None.
-
-    Skipping the battery skips its kernel and the ``2 tau`` propagator, which
-    the lenient margin never reads.
-    """
+def _spec_and_gap(gamma, tau, omega):
     spec = LindbladSpec(HamiltonianSpec(omega), gamma)
     tau = _check_positive(tau, "tau")
-    gap = lindblad_propagator(spec, tau).ptm
-    gap2 = lindblad_propagator(spec, 2.0 * tau).ptm if battery else None
+    return spec, tau, lindblad_propagator(spec, tau).ptm
+
+
+def _battery_total(thetas, gamma, tau, omega) -> np.ndarray:
+    """The battery's ``eps_total`` over theta; it does not depend on n."""
+    spec, tau, gap = _spec_and_gap(gamma, tau, omega)
+    gap2 = lindblad_propagator(spec, 2.0 * tau).ptm
+    return _kernels.battery_eps(thetas, gap, gap2).sum(axis=1)
+
+
+def _curve(thetas, n, gamma, tau, omega, eps_total=None) -> CurveArrays:
+    """The protocol kernel's curve at (n, gamma), carrying ``eps_total`` as given.
+
+    Without the battery's arrays ``eps_total`` is None: the lenient margin
+    never reads it, so it skips that kernel and the ``2 tau`` propagator.
+    """
+    spec, tau, gap = _spec_and_gap(gamma, tau, omega)
     gap13 = lindblad_propagator(spec, (2 * int(n) + 3) * tau).ptm
     c12, c23, c13p = _kernels.protocol_lg(thetas, n, gap, gap13)
-    eps = _kernels.battery_eps(thetas, gap, gap2).sum(axis=1) if battery else None
     lg = 1.0 + c12 + c23 + c13p
-    return CurveArrays(c12=c12, c23=c23, c13_prime=c13p, lg=lg, eps_total=eps)
+    return CurveArrays(c12=c12, c23=c23, c13_prime=c13p, lg=lg, eps_total=eps_total)
 
 
 def lg_curve(thetas, n: int, gamma: float, tau: float, omega: float = 1.0) -> CurveArrays:
     """Correlators, lg, and battery total for every theta in one kernel pass."""
-    return _curve(thetas, n, gamma, tau, omega, battery=True)
+    return _curve(thetas, n, gamma, tau, omega, _battery_total(thetas, gamma, tau, omega))
 
 
 def sweep_records(
@@ -278,16 +291,22 @@ def sweep_records(
         raise ValueError(f"workers must be a positive integer, got {workers}")
     workers = int(workers)
 
+    # one battery per distinct gamma, told apart by bits: -0.0 and 0.0 get two
+    distinct = {g.hex(): g for g in gammas}
     tasks = [(n, g) for n in ns for g in gammas]
 
-    def curve(key: tuple[int, float]) -> CurveArrays:
-        return lg_curve(thetas, key[0], key[1], tau, omega)
+    def battery(gamma: float) -> np.ndarray:
+        return _battery_total(thetas, gamma, tau, omega)
 
-    if workers == 1 or len(tasks) == 1:
-        curves = list(map(curve, tasks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            curves = list(pool.map(curve, tasks))
+    def curve(task: tuple[int, float]) -> CurveArrays:
+        n, gamma = task
+        return _curve(thetas, n, gamma, tau, omega, totals[gamma.hex()])
+
+    serial = workers == 1 or len(tasks) == 1
+    with contextlib.nullcontext() if serial else ThreadPoolExecutor(max_workers=workers) as pool:
+        run = map if serial else pool.map
+        totals = dict(zip(distinct, run(battery, distinct.values())))
+        curves = list(run(curve, tasks))
     blocks = tuple(SweepBlock(n, g, cur, _verdicts(cur)) for (n, g), cur in zip(tasks, curves))
     return SweepTable(thetas, blocks)
 
@@ -296,7 +315,7 @@ def _margin_curve(thetas, n, gamma, tau, omega, criterion) -> np.ndarray:
     if criterion == "strict":
         cur = lg_curve(thetas, n, gamma, tau, omega)
         return cur.lg + cur.eps_total
-    return _curve(thetas, n, gamma, tau, omega, battery=False).lg
+    return _curve(thetas, n, gamma, tau, omega).lg
 
 
 def violation_window(

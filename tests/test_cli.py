@@ -178,6 +178,23 @@ def test_flag_validation(capsys, flag, value, fragment):
     assert f"{flag.split('=')[0]}:" in err  # errors name the flag that caused them
 
 
+def test_values_that_start_with_a_dash_reach_their_flag(capsys):
+    # argparse reads "-1:1:3" as an option unless it is joined to its flag;
+    # a plain negative number such as --omega -1 always reached it
+    code, out, err = run(capsys, "sweep", "--theta", "-1:1:3")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "sweep", "--theta=-1:1:3")[1]
+    rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")][1:]
+    assert [r[0] for r in rows] == ["-1", "0", "1"]
+    err = expect_error(capsys, "sweep", "--gamma", "-0.5:0:2")
+    assert err == "lgsim: error: --gamma: gamma must be nonnegative, got -0.5"
+    err = expect_error(capsys, "sweep", "--omega", "-1")
+    assert err == "lgsim: error: --omega: omega must be positive, got -1"
+    with pytest.raises(SystemExit):  # a "--" token is never taken for a value
+        main(["sweep", "--theta", "--n", "1"])
+    assert "--theta: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["sweep", "fig3", "adroitness"])
 @pytest.mark.parametrize("key", ["theta", "gamma"])
 def test_overflowing_ranges_are_refused(tmp_path, capsys, command, key):
@@ -269,7 +286,7 @@ def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
     ],
 )
 def test_corrupt_curves_are_refused(monkeypatch, capsys, column, value, fragment):
-    real = sweeps.lg_curve
+    real = sweeps._curve  # sweep_records' per-block call
 
     def corrupt(*args):
         cur = real(*args)
@@ -277,7 +294,7 @@ def test_corrupt_curves_are_refused(monkeypatch, capsys, column, value, fragment
         bad[1] = value
         return cur._replace(**{column: bad})
 
-    monkeypatch.setattr(sweeps, "lg_curve", corrupt)
+    monkeypatch.setattr(sweeps, "_curve", corrupt)
     with pytest.raises(ValueError, match=fragment):
         sweep_records([0.5, 1.5, 2.5], [0.0], [1], tau=math.pi)
     err = expect_error(capsys, "sweep", "--theta", "0.5:2.5:3")
@@ -390,7 +407,7 @@ def test_random_tables_round_trip_bit_for_bit(table):
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("csv", "jsonl"):
             path = Path(tmp) / f"table.{fmt}"
-            blocks = cli._sweep_blocks(table)
+            blocks = cli._sweep_blocks(table, fmt)
             lines = cli._table_lines(sweep_config(fmt), SWEEP_COLUMNS, blocks, [])
             path.write_text("\n".join(lines) + "\n")
             got = records_from_rows(read_table(path)[1])
@@ -457,6 +474,51 @@ def test_block_renderer_writes_the_dict_row_bytes(table):
         assert body == "\n".join(oracle_lines(fmt, columns, rows))
 
 
+small_float = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e307, 1e307)
+)
+
+
+@st.composite
+def shared_eps_tables(draw):
+    """Sweep tables whose blocks share one eps_total array object, hold equal
+    copies with the sign of each zero flipped in every other block, or hold
+    their own arrays; the blocks may all carry one gamma.  theta holds -0.0,
+    5e-324 and 1e308."""
+    extra = draw(st.lists(any_float, max_size=3))
+    thetas = np.array(draw(st.permutations([-0.0, 5e-324, 1e308, *extra])))
+    column = st.lists(small_float, min_size=len(thetas), max_size=len(thetas))
+    eps_column = st.lists(nonnegative, min_size=len(thetas), max_size=len(thetas))
+    mode = draw(st.sampled_from(["shared", "flipped", "own"]))
+    gamma = draw(st.one_of(st.none(), nonnegative))  # None: a gamma per block
+    first = np.array(draw(eps_column))
+    blocks = []
+    for k in range(draw(st.integers(1, 4))):
+        c12, c23, c13p = (np.array(draw(column)) for _ in range(3))
+        if mode == "shared":
+            eps = first
+        elif mode == "flipped":
+            eps = np.where(first == 0.0, -first, first) if k % 2 else first.copy()
+        else:
+            eps = np.array(draw(eps_column))
+        cur = CurveArrays(c12, c23, c13p, 1.0 + c12 + c23 + c13p, eps)
+        g = draw(nonnegative) if gamma is None else gamma
+        blocks.append(SweepBlock(draw(st.integers(0, 10**30)), g, cur, sweeps._verdicts(cur)))
+    return SweepTable(thetas, tuple(blocks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=shared_eps_tables())
+def test_sweep_writer_matches_the_dict_row_oracle(table):
+    # theta and each eps_total array are formatted once and pasted into rows
+    rows = [(*r[:-1], r.verdict.value) for r in table.records()]
+    for fmt in ("csv", "jsonl"):
+        blocks = cli._sweep_blocks(table, fmt)
+        lines = list(cli._table_lines(sweep_config(fmt), SWEEP_COLUMNS, blocks, []))
+        body = "\n".join(lines[-len(table.blocks) :])
+        assert body == "\n".join(oracle_lines(fmt, SWEEP_COLUMNS, rows))
+
+
 SWEEP_THETAS = [0.1 + k * (2.9 / 6.0) for k in range(7)]  # SWEEP_ARGS' theta grid
 CORRUPT_ROW = 9  # block 1 (n=0, gamma=0.01), theta index 2; its verdict is no_violation
 
@@ -492,7 +554,7 @@ def sweep_records_error(monkeypatch, column, value):
         ns[block // 2] = value
     else:
         field = "lg" if column == "lg_quantity" else column
-        real, calls = sweeps.lg_curve, []
+        real, calls = sweeps._curve, []  # sweep_records' per-block call, in block order
 
         def corrupt(*args):
             cur = real(*args)
@@ -503,7 +565,7 @@ def sweep_records_error(monkeypatch, column, value):
                 cur = cur._replace(**{field: bad})
             return cur
 
-        monkeypatch.setattr(sweeps, "lg_curve", corrupt)
+        monkeypatch.setattr(sweeps, "_curve", corrupt)
     with pytest.raises(ValueError) as exc:
         sweep_records(thetas, gammas, ns, tau=math.pi, omega=1.0)
     return str(exc.value)

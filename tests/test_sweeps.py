@@ -75,6 +75,58 @@ def test_parallel_sweep_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "gammas",
+    [[0.0, 0.004, 0.009], [0.004, 0.0, 0.004], [0.0, -0.0]],
+    ids=["distinct", "repeated", "signed-zero"],
+)
+def test_the_battery_runs_once_per_gamma(monkeypatch, workers, gammas):
+    # eps_total does not depend on n, so every n block of a gamma shares one
+    # array; gammas that differ only in the sign of zero each get their own
+    thetas = np.linspace(0.0, math.pi, 17)
+    calls = []
+    real = _kernels.battery_eps
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "battery_eps", counted)
+    table = sweep_records(thetas, gammas, [0, 1, 5], math.pi, 1.0, workers=workers)
+    distinct = {g.hex() for g in map(float, gammas)}
+    assert calls == [len(thetas)] * len(distinct)
+    monkeypatch.setattr(_kernels, "battery_eps", real)
+    shared = {}
+    for b in table.blocks:
+        want = lg_curve(thetas, b.n, b.gamma, math.pi, 1.0)
+        for got, ref in zip(b.curve, want):
+            assert got.tobytes() == ref.tobytes()
+        assert shared.setdefault(b.gamma.hex(), b.curve.eps_total) is b.curve.eps_total
+    assert len(shared) == len(distinct)
+
+
+def test_a_corrupt_block_leaves_the_shared_eps_alone(monkeypatch):
+    # the per-block seam gets the shared eps_total; what one block makes of
+    # it must not reach the other blocks of its gamma
+    thetas = np.linspace(0.1, 3.0, 5)
+    clean = sweep_records(thetas, [0.004], [0, 1, 2], math.pi, 1.0)
+    real = sweeps._curve
+
+    def corrupt(*args):
+        cur = real(*args)
+        if args[1] == 1:
+            cur = cur._replace(eps_total=cur.eps_total + 1.0)
+        return cur
+
+    monkeypatch.setattr(sweeps, "_curve", corrupt)
+    table = sweep_records(thetas, [0.004], [0, 1, 2], math.pi, 1.0)
+    eps = [b.curve.eps_total for b in table.blocks]
+    want = clean.blocks[0].curve.eps_total
+    assert eps[0].tobytes() == eps[2].tobytes() == want.tobytes()
+    assert eps[1].tobytes() == (want + 1.0).tobytes()
+
+
 def test_sweep_worker_validation():
     with pytest.raises(ValueError, match="workers"):
         sweep_records(np.array([0.5]), [0.0], [1], math.pi, 1.0, workers=0)
