@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["protocol_lg", "battery_eps", "word_cutoffs", "sample_paths"]
+__all__ = ["protocol_lg", "battery_eps", "p_plus_table", "word_cutoffs", "sample_paths"]
 
 
 def _grid(thetas):
@@ -173,22 +173,30 @@ def word_cutoffs(p):
     return cut, always
 
 
+def p_plus_table(lin, aff, axes, r0):
+    """``p(+1)`` of each event after a +1 / -1 at the event before, shape (k, 2).
+
+    Event 0 starts from ``r0`` on both sides.
+    """
+    k = lin.shape[0]
+    # prev[j, 0] / prev[j, 1]: Bloch vector entering event j's gap after a
+    # +1 / -1 at event j - 1
+    prev = np.empty((k, 2, 3))
+    prev[0] = r0
+    prev[1:, 0] = axes[:-1]
+    prev[1:, 1] = -axes[:-1]
+    return _p_plus(lin[:, None], aff[:, None], axes[:, None], prev)
+
+
 def sample_paths(words, lin, aff, axes, r0, out):
     """Fill ``out`` with +1/-1 outcomes for pre-drawn Philox ``words``.
 
     ``words[s, j]`` is the raw uint64 that decides event ``j`` of shot ``s``:
     the outcome is +1 exactly when ``(words[s, j] >> 11) * 2**-53 < p(+1)``.
     """
-    k = words.shape[1]
-    # prev[j, 0] / prev[j, 1]: Bloch vector entering event j's gap after a
-    # +1 / -1 at event j - 1; event 0 starts from r0 on both sides
-    prev = np.empty((k, 2, 3))
-    prev[0] = r0
-    prev[1:, 0] = axes[:-1]
-    prev[1:, 1] = -axes[:-1]
-    cut, always = word_cutoffs(_p_plus(lin[:, None], aff[:, None], axes[:, None], prev))
+    cut, always = word_cutoffs(p_plus_table(lin, aff, axes, r0))
     pos = np.ones(words.shape[0], dtype=bool)
-    for j in range(k):
+    for j in range(words.shape[1]):
         hit = words[:, j] < np.where(pos, cut[j, 0], cut[j, 1])
         if always[j, 0]:
             hit |= pos

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,6 +88,13 @@ _USED_KEYS = {
 
 _ALL_KEYS = ("theta", "gamma", "n") + tuple(_BASE_DEFAULTS)
 
+# work limits, checked from the grid sizes before any grid is built: rows of
+# a table (theta x gamma x len(n) for fig2, fig3 and sweep; theta x gamma x 5
+# for adroitness), and shots sampled by adroitness (shots x theta x gamma x 8:
+# four experiments, each with the probe kept and dropped)
+MAX_ROWS = 10**7
+MAX_SAMPLED_SHOTS = 10**9
+
 
 class ConfigError(Exception):
     """Invalid configuration; rendered as one stderr line with exit code 2."""
@@ -116,7 +124,8 @@ def _parse_int(text: str, where: str, minimum: int | None = None) -> int:
     return v
 
 
-def _parse_range(text: str, where: str) -> tuple[float, ...]:
+def _parse_range(text: str, where: str) -> tuple[float, float, int]:
+    """``start:stop:steps``, checked but not yet expanded (see ``_linspace``)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{where}: expected start:stop:steps, got {text!r}")
@@ -129,7 +138,11 @@ def _parse_range(text: str, where: str) -> tuple[float, ...]:
         raise ConfigError(f"{where}: a single-step range needs start == stop, got {text!r}")
     if not math.isfinite(stop - start):
         raise ConfigError(f"{where}: range is too wide (stop - start overflows), got {text!r}")
-    return tuple(float(v) for v in np.linspace(start, stop, steps))
+    return start, stop, steps
+
+
+def _linspace(grid: tuple[float, float, int]) -> tuple[float, ...]:
+    return tuple(float(v) for v in np.linspace(*grid))
 
 
 def _parse_n_list(text: str, where: str) -> tuple[int, ...]:
@@ -167,6 +180,11 @@ class SweepConfig:
     def tau(self) -> float:
         """Measurement spacing: half a drive period times m."""
         return math.pi * self.m / self.omega
+
+
+def _check_work(where: str, amount: int, what: str, limit: int) -> None:
+    if amount > limit:
+        raise ConfigError(f"{where}: {amount} {what} exceed the limit of {limit}")
 
 
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
@@ -211,8 +229,14 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
     def get(key: str) -> tuple[str, str]:
         return merged[key]
 
-    thetas = _parse_range(*get("theta"))
-    gammas = _parse_range(*get("gamma"))
+    def named(keys) -> str:
+        """The flags or config lines that set ``keys``, or all sources if none did."""
+        sources = [merged[k][1] for k in keys]
+        chosen = [w for w in sources if not w.startswith(("default ", "forced "))]
+        return ", ".join(chosen or sources)
+
+    theta_grid = _parse_range(*get("theta"))
+    gamma_grid = _parse_range(*get("gamma"))
     ns = _parse_n_list(*get("n"))
     omega_text, omega_where = get("omega")
     omega = _parse_float(omega_text, omega_where)
@@ -242,9 +266,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
     fmt = _parse_choice(*get("format"), choices=("csv", "jsonl"))
     out = get("out")[0]
     workers = _parse_int(*get("workers"), minimum=1)
-    for g in gammas:
-        if g < 0:
-            raise ConfigError(f"{get('gamma')[1]}: gamma must be nonnegative, got {g}")
+    if gamma_grid[0] < 0:  # the grid's least point
+        raise ConfigError(f"{get('gamma')[1]}: gamma must be nonnegative, got {gamma_grid[0]}")
     if command == "fig3" and len(ns) != 1:
         raise ConfigError(f"{get('n')[1]}: fig3 evaluates exactly one n, got {len(ns)}")
     timing = [k for k in ("n", "m", "omega") if k in _USED_KEYS[command]]
@@ -255,8 +278,27 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
         except OverflowError:  # steps is too large for a float
             last = math.inf
         if not math.isfinite(last):
-            named = ", ".join(merged[k][1] for k in timing if merged[k][1] != f"default {k}")
-            raise ConfigError(f"{named}: the last event time {expr} overflows (tau = pi*m/omega)")
+            raise ConfigError(
+                f"{named(timing)}: the last event time {expr} overflows (tau = pi*m/omega)"
+            )
+    cells = theta_grid[2] * gamma_grid[2]
+    if command == "adroitness":
+        _check_work(named(("theta", "gamma")), cells * 5, "rows (theta x gamma x 5)", MAX_ROWS)
+        _check_work(
+            named(("shots", "theta", "gamma")),
+            shots * cells * 8,
+            "sampled shots (shots x theta x gamma x 8)",
+            MAX_SAMPLED_SHOTS,
+        )
+    elif command != "classic":
+        _check_work(
+            named(("theta", "gamma", "n")),
+            cells * len(ns),
+            "rows (theta x gamma x len(n))",
+            MAX_ROWS,
+        )
+    # classic writes one row and reads neither grid
+    thetas, gammas = ((), ()) if command == "classic" else map(_linspace, (theta_grid, gamma_grid))
 
     echo = [(k, merged[k][0]) for k in _USED_KEYS[command]]
     if forced_note is not None:
@@ -586,8 +628,24 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+# the variables OpenBLAS reads for its thread count when it loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+    """Run one command; ``argv`` None means run as the ``lgsim`` program.
+
+    As the program, it starts the BLAS of scipy, which loads with the first
+    gamma > 0 propagator, on one thread unless the user set a thread count:
+    each ``expm`` on a 4x4 generator wakes that BLAS's worker pool, whose
+    worker then spins on another core.  A caller passing ``argv`` keeps its
+    environment.
+    """
+    if argv is None:
+        if not any(os.environ.get(k) for k in _BLAS_THREAD_VARS):
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_attach_dash_values(argv))
     try:
         cfg = resolve_config(args.command, args)
         columns, blocks, summary = _COMMAND_BODIES[args.command](cfg)

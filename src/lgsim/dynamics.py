@@ -20,10 +20,12 @@ generator, computed with ``scipy.linalg.expm``; the closed-system case is
 special-cased to the exact rotation so that gamma = 0 reduces to the unitary
 channel with no roundoff from the exponential.  scipy is imported only when
 the first gamma > 0 propagator is built, so importing the package, every
-gamma = 0 command and parsing a table back never load it.  The dx/dt row
-above is cross-checked in the tests against a fine-step integration of the
-2x2 master equation itself, so a transcription mistake here cannot survive
-the suite.
+gamma = 0 command and parsing a table back never load it.  Each ``expm``
+call wakes the worker pool of the OpenBLAS that scipy bundles, so the
+``lgsim`` program starts that BLAS on one thread (see ``cli.main``).  The
+dx/dt row above is cross-checked in the tests against a fine-step
+integration of the 2x2 master equation itself, so a transcription mistake
+here cannot survive the suite.
 """
 
 from __future__ import annotations

@@ -228,6 +228,30 @@ def _philox_words(seed: int, block: int, shots: int, events: int) -> np.ndarray:
     return np.random.Philox(key=key).random_raw(shots * events).reshape(shots, events)
 
 
+def _compile(schedule: ExperimentSchedule, included: list[int]):
+    """The included events as the sampler walks them: ``(lin, aff, axes, r0)``.
+
+    Event ``k`` moves the Bloch vector by ``r -> aff[k] + lin[k] r`` and is
+    measured along ``axes[k]``; the walk starts from ``r0``.
+    """
+    spec = schedule.dynamics
+    k = len(included)
+    lin = np.empty((k, 3, 3))
+    aff = np.empty((k, 3))
+    axes = np.empty((k, 3))
+    t = 0.0
+    for col, idx in enumerate(included):
+        ev = schedule.events[idx]
+        ptm = np.eye(4) if ev.time == t else lindblad_propagator(spec, ev.time - t).ptm
+        t = ev.time
+        # normalized conditional states have Pauli coefficients (1/2, r/2),
+        # so on Bloch vectors the propagator acts as r -> ptm[1:,0] + M r
+        lin[col] = ptm[1:, 1:]
+        aff[col] = ptm[1:, 0]
+        axes[col] = ev.observable.bloch_axis
+    return lin, aff, axes, schedule.initial_state.bloch_vector
+
+
 def sample_trajectories(
     schedule: ExperimentSchedule,
     shots: int,
@@ -247,24 +271,8 @@ def sample_trajectories(
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
     seed = int(seed)
     included = _resolve_mask(schedule, mask)
-    spec = schedule.dynamics
-
+    lin, aff, axes, r0 = _compile(schedule, included)
     k = len(included)
-    lin = np.empty((k, 3, 3))
-    aff = np.empty((k, 3))
-    axes = np.empty((k, 3))
-    t = 0.0
-    for col, idx in enumerate(included):
-        ev = schedule.events[idx]
-        ptm = np.eye(4) if ev.time == t else lindblad_propagator(spec, ev.time - t).ptm
-        t = ev.time
-        # normalized conditional states have Pauli coefficients (1/2, r/2),
-        # so on Bloch vectors the propagator acts as r -> ptm[1:,0] + M r
-        lin[col] = ptm[1:, 1:]
-        aff[col] = ptm[1:, 0]
-        axes[col] = ev.observable.bloch_axis
-    r0 = schedule.initial_state.bloch_vector
-
     out = np.empty((shots, k), dtype=np.int8)
     for block, start in enumerate(range(0, shots, BLOCK_SHOTS)):
         size = min(BLOCK_SHOTS, shots - start)

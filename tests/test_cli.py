@@ -5,6 +5,9 @@ import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lgsim
 from lgsim import cli, sweeps
 from lgsim.cli import main, read_table, records_from_rows
 from lgsim.sweeps import SWEEP_COLUMNS, CurveArrays, SweepBlock, SweepTable, sweep_records
@@ -208,6 +212,77 @@ def test_overflowing_ranges_are_refused(tmp_path, capsys, command, key):
         assert f"--{key}: range is too wide (stop - start overflows)" in err
         err = expect_error(capsys, command, "--config", str(cfgfile))
         assert f"config line 1 ({key}): range is too wide" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "limit", "message"),
+    [
+        (
+            ("sweep", "--theta", "0:1:7", "--gamma", "0:0.01:3"),
+            ("MAX_ROWS", 20),
+            "--theta, --gamma: 21 rows (theta x gamma x len(n)) exceed the limit of 20",
+        ),
+        (  # fig2 forces gamma to 0:0:1 and defaults to four n
+            ("fig2", "--theta", "0:1:6", "--gamma", "0:1:9"),
+            ("MAX_ROWS", 23),
+            "--theta: 24 rows (theta x gamma x len(n)) exceed the limit of 23",
+        ),
+        (  # 201 default thetas x 3 n
+            ("sweep", "--n", "1,2,3"),
+            ("MAX_ROWS", 602),
+            "--n: 603 rows (theta x gamma x len(n)) exceed the limit of 602",
+        ),
+        (
+            ("fig3", "--theta", "0:1:4", "--gamma", "0:0.01:2"),
+            ("MAX_ROWS", 7),
+            "--theta, --gamma: 8 rows (theta x gamma x len(n)) exceed the limit of 7",
+        ),
+        (
+            ("adroitness", "--theta", "0:1:2", "--gamma", "0:0.01:3"),
+            ("MAX_ROWS", 29),
+            "--theta, --gamma: 30 rows (theta x gamma x 5) exceed the limit of 29",
+        ),
+        (
+            ("adroitness", "--theta", "0:1:2", "--shots", "5"),
+            ("MAX_SAMPLED_SHOTS", 239),
+            "--shots, --theta: 240 sampled shots (shots x theta x gamma x 8) "
+            "exceed the limit of 239",
+        ),
+    ],
+)
+def test_work_beyond_the_limits_is_refused_before_any_grid_is_built(
+    monkeypatch, capsys, tmp_path, argv, limit, message
+):
+    built = []
+    linspace = cli._linspace
+    monkeypatch.setattr(cli, "_linspace", lambda grid: built.append(grid) or linspace(grid))
+    name, value = limit
+    monkeypatch.setattr(cli, name, value)
+    assert expect_error(capsys, *argv) == f"lgsim: error: {message}"
+    assert built == []
+    # a config line is named as the flag is
+    flag, text = argv[1:3]
+    cfgfile = tmp_path / "grid.cfg"
+    cfgfile.write_text(f"{flag[2:]}={text}\n")
+    err = expect_error(capsys, argv[0], "--config", str(cfgfile), *argv[3:])
+    assert err == f"lgsim: error: {message.replace(flag, f'config line 1 ({flag[2:]})', 1)}"
+    assert built == []
+    # at the limit the command runs
+    monkeypatch.setattr(cli, name, value + 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(built) == 2
+
+
+def test_classic_builds_neither_grid(monkeypatch, capsys):
+    # classic writes one row whatever its (checked, unused) grids say
+    monkeypatch.setattr(cli, "_linspace", None)
+    monkeypatch.setattr(cli, "MAX_ROWS", 0)
+    monkeypatch.setattr(cli, "MAX_SAMPLED_SHOTS", 0)
+    code, _, err = run(capsys, "classic", "--theta", "0:1:50", "--shots", "9")
+    assert (code, err) == (0, "")
+    err = expect_error(capsys, "classic", "--gamma=-1:0:3")
+    assert err == "lgsim: error: --gamma: gamma must be nonnegative, got -1.0"
 
 
 @pytest.mark.parametrize("command", ["sweep", "adroitness"])
@@ -809,3 +884,72 @@ def test_adroitness_with_shots_is_seeded(capsys):
 )
 def test_adroitness_propagator_failures_are_one_line_errors(capsys, flag, message):
     assert expect_error(capsys, "adroitness", flag) == f"lgsim: error: {message}"
+
+
+# ---------------------------------------------------------------------------
+# the lgsim program: scipy's BLAS on one thread
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+PROGRAM = """
+import json, os, sys
+from lgsim.cli import main
+
+def threads():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
+before = threads()
+sys.argv = ["lgsim", "fig3", "--theta", "0:3.14:5", "--gamma", "0:0.02:3", "--out", sys.argv[1]]
+rc = main()
+print(json.dumps({
+    "rc": rc,
+    "scipy": "scipy.linalg" in sys.modules,
+    "threads": [before, threads()],
+    "env": {k: os.environ.get(k) for k in %r},
+}))
+""" % (BLAS_THREAD_VARS,)
+
+
+def run_program(tmp_path, preset):
+    """``main()`` as the program runs it, in a fresh interpreter whose only
+    BLAS thread variables are ``preset``."""
+    src = str(Path(lgsim.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROGRAM, str(tmp_path / "fig3.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["rc"] == 0 and got["scipy"]  # the command built damped propagators
+    return got
+
+
+@pytest.mark.parametrize("preset", [{}, dict.fromkeys(BLAS_THREAD_VARS, "")])
+def test_the_program_runs_scipy_blas_on_one_thread(tmp_path, preset):
+    # an empty value chooses nothing, so it is pinned as an unset one is
+    got = run_program(tmp_path, preset)
+    assert got["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), **preset, "OPENBLAS_NUM_THREADS": "1"}
+    before, after = got["threads"]
+    if before is None:
+        pytest.skip("no /proc/self/task to count this process's threads")
+    assert after == before  # loading scipy started no BLAS worker
+
+
+@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+def test_the_program_keeps_a_thread_count_the_user_set(tmp_path, var):
+    got = run_program(tmp_path, {var: "2"})
+    assert got["env"] == {k: "2" if k == var else None for k in BLAS_THREAD_VARS}
+
+
+def test_main_with_arguments_leaves_the_environment_alone(monkeypatch, capsys, tmp_path):
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    argv = ["fig3", "--theta", "0:3.14:5", "--gamma", "0:0.02:3", "--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 0
+    assert dict(os.environ) == before

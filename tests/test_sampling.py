@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from lgsim import _kernels, sampling
 from lgsim.dynamics import HamiltonianSpec, LindbladSpec
 from lgsim.protocol import (
     adroitness_experiments,
@@ -175,6 +176,57 @@ def test_seeded_records_are_pinned():
         hashlib.sha256(masked.outcomes.tobytes()).hexdigest()
         == "4c2a2b051b1bc04973ece019756b7c069ab2c770b10b5f465d5363328f424c59"
     )
+
+
+def sampler_joint(schedule, mask, first="Q1", second="Q3"):
+    """The sampler's exact joint law of two tagged events, with no draws.
+
+    After a collapse the outcomes form a two-state Markov chain: event k is
+    +1 with the probability its cut-off gives a uniform 64-bit word,
+    ``cut / 2**64`` (1 where ``always``), after a +1 / -1 at event k - 1.
+    The law is the product of those 2x2 transition matrices.
+    """
+    included = sampling._resolve_mask(schedule, mask)
+    lin, aff, axes, r0 = sampling._compile(schedule, included)
+    cut, always = _kernels.word_cutoffs(_kernels.p_plus_table(lin, aff, axes, r0))
+    p = np.where(always, 1.0, cut / 2.0**64)
+    steps = [np.array([[q[0], 1.0 - q[0]], [q[1], 1.0 - q[1]]]) for q in p]
+    tags = [schedule.events[i].tag for i in included]
+    a, b = tags.index(first), tags.index(second)
+    law = steps[0][0]  # event 0 starts from r0 after either "outcome"
+    for step in steps[1 : a + 1]:
+        law = law @ step
+    table = np.diag(law)
+    for step in steps[a + 1 : b + 1]:
+        table = table @ step
+    return table
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.004, 1.0])  # 1.0: critical damping at omega = 1
+def test_the_sampler_law_is_the_exact_joint_distribution(gamma):
+    spec = LindbladSpec(HamiltonianSpec(1.0), gamma)
+    for theta in (0.3, 0.75 * math.pi, 2.9):
+        for tau in (math.pi, 2.2):
+            for sch in adroitness_experiments(theta, tau, spec):
+                for keep in (True, False):
+                    got = sampler_joint(sch, (True, keep, True))
+                    want = joint_distribution(sch, "Q1", "Q3", include_intermediate=keep)
+                    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.004, 1.0])
+def test_the_sampler_law_holds_from_a_polarised_state_through_a_box(gamma):
+    # the battery starts maximally mixed, so r0 = 0 there; here the chain
+    # also runs through the box and the events before the first of the pair
+    rho0 = DensityOperator.from_bloch((0.3, -0.2, 0.5))
+    spec = LindbladSpec(HamiltonianSpec(1.0), gamma)
+    sch = build_protocol_schedule(0.7 * math.pi, 2, 2.2, spec, initial_state=rho0)
+    for first, second in (("Q1", "Q2"), ("Q2", "Q3"), ("Q1", "Q3")):
+        pair = [ev.tag in (first, second) for ev in sch.events]
+        for mask, between in ((None, True), (pair, False)):
+            got = sampler_joint(sch, mask, first, second)
+            want = joint_distribution(sch, first, second, include_intermediate=between)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_masked_sampling_drops_events():
