@@ -14,136 +14,108 @@ protocol   measurement schedules, exact correlators, adroitness battery
 sampling   outcome enumeration oracle and Monte Carlo trajectory sampler
 sweeps     grid evaluation, violation windows, noise cutoffs
 cli        command-line front end (``lgsim``)
+
+Importing the package loads nothing else: each name in ``__all__``, and each
+submodule, is imported on first use (PEP 562), so the ``lgsim`` program can
+choose its BLAS thread count before numpy loads (see ``_blas``).
 """
 
-from .qubit import (
-    ATOL,
-    CHOI_ATOL,
-    IDENTITY,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    Channel,
-    DensityOperator,
-    Observable,
-    anticommutator,
-    compose,
-    dephase_theta,
-    dephase_z,
-    expectation,
-    identity_channel,
-    measure_channel,
-    operators_close,
-    pauli,
-    sigma_theta,
-)
-from .dynamics import (
-    HamiltonianSpec,
-    LindbladSpec,
-    heisenberg_observable,
-    lindblad_propagator,
-    liouvillian,
-    unitary_propagator,
-)
-from .protocol import (
-    BATTERY_IDS,
-    AdroitnessReport,
-    CorrelatorSet,
-    ExperimentSchedule,
-    MeasurementEvent,
-    Verdict,
-    adroitness_experiments,
-    adroitness_grid,
-    adroitness_report,
-    build_protocol_schedule,
-    classic_lg,
-    correlator_exact,
-    epsilon_adroitness,
-    epsilon_total,
-    joint_distribution,
-    lg_quantity,
-    violation_verdict,
-)
-from .sampling import (
-    AdroitnessEstimate,
-    EstimateWithError,
-    OutcomeTrajectory,
-    TrajectoryRecords,
-    enumerate_outcomes,
-    estimate_adroitness,
-    estimate_correlator,
-    estimate_joint_distribution,
-    sample_trajectories,
-)
-from .sweeps import (
-    SweepRecord,
-    SweepTable,
-    ViolationWindow,
-    gamma_cutoff,
-    lg_curve,
-    sweep_records,
-    violation_window,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATOL",
-    "BATTERY_IDS",
-    "CHOI_ATOL",
-    "IDENTITY",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "AdroitnessEstimate",
-    "AdroitnessReport",
-    "Channel",
-    "CorrelatorSet",
-    "DensityOperator",
-    "EstimateWithError",
-    "ExperimentSchedule",
-    "HamiltonianSpec",
-    "LindbladSpec",
-    "MeasurementEvent",
-    "Observable",
-    "OutcomeTrajectory",
-    "SweepRecord",
-    "SweepTable",
-    "TrajectoryRecords",
-    "Verdict",
-    "ViolationWindow",
-    "adroitness_experiments",
-    "adroitness_grid",
-    "adroitness_report",
-    "anticommutator",
-    "build_protocol_schedule",
-    "classic_lg",
-    "compose",
-    "correlator_exact",
-    "dephase_theta",
-    "dephase_z",
-    "enumerate_outcomes",
-    "epsilon_adroitness",
-    "epsilon_total",
-    "estimate_adroitness",
-    "estimate_correlator",
-    "estimate_joint_distribution",
-    "expectation",
-    "gamma_cutoff",
-    "heisenberg_observable",
-    "identity_channel",
-    "joint_distribution",
-    "lg_curve",
-    "lg_quantity",
-    "lindblad_propagator",
-    "liouvillian",
-    "measure_channel",
-    "operators_close",
-    "pauli",
-    "sample_trajectories",
-    "sigma_theta",
-    "sweep_records",
-    "unitary_propagator",
-    "violation_verdict",
-    "violation_window",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "qubit": (
+            "ATOL",
+            "CHOI_ATOL",
+            "IDENTITY",
+            "SIGMA_X",
+            "SIGMA_Y",
+            "SIGMA_Z",
+            "Channel",
+            "DensityOperator",
+            "Observable",
+            "anticommutator",
+            "compose",
+            "dephase_theta",
+            "dephase_z",
+            "expectation",
+            "identity_channel",
+            "measure_channel",
+            "operators_close",
+            "pauli",
+            "sigma_theta",
+        ),
+        "dynamics": (
+            "HamiltonianSpec",
+            "LindbladSpec",
+            "heisenberg_observable",
+            "lindblad_propagator",
+            "liouvillian",
+            "unitary_propagator",
+        ),
+        "protocol": (
+            "BATTERY_IDS",
+            "AdroitnessReport",
+            "CorrelatorSet",
+            "ExperimentSchedule",
+            "MeasurementEvent",
+            "Verdict",
+            "adroitness_experiments",
+            "adroitness_grid",
+            "adroitness_report",
+            "build_protocol_schedule",
+            "classic_lg",
+            "correlator_exact",
+            "epsilon_adroitness",
+            "epsilon_total",
+            "joint_distribution",
+            "lg_quantity",
+            "violation_verdict",
+        ),
+        "sampling": (
+            "AdroitnessEstimate",
+            "EstimateWithError",
+            "OutcomeTrajectory",
+            "TrajectoryRecords",
+            "enumerate_outcomes",
+            "estimate_adroitness",
+            "estimate_correlator",
+            "estimate_joint_distribution",
+            "sample_trajectories",
+        ),
+        "sweeps": (
+            "SweepRecord",
+            "SweepTable",
+            "ViolationWindow",
+            "gamma_cutoff",
+            "lg_curve",
+            "sweep_records",
+            "violation_window",
+        ),
+    }.items()
+    for name in names
+}
+
+_SUBMODULES = ("qubit", "dynamics", "protocol", "sampling", "sweeps", "cli", "_kernels")
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule, or a submodule, on first use."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

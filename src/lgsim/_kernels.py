@@ -195,14 +195,24 @@ def sample_paths(words, lin, aff, axes, r0, out):
     the outcome is +1 exactly when ``(words[s, j] >> 11) * 2**-53 < p(+1)``.
     """
     cut, always = word_cutoffs(p_plus_table(lin, aff, axes, r0))
-    pos = np.ones(words.shape[0], dtype=bool)
-    for j in range(words.shape[1]):
-        hit = words[:, j] < np.where(pos, cut[j, 0], cut[j, 1])
+    # event 0 has one p(+1); after it, the shots that drew +1 compare against
+    # one scalar cut-off and the rest against the other, and each shot keeps
+    # its own side's hit: (pos & a) | (~pos & b), built in place
+    pos = words[:, 0] < cut[0, 0]
+    if always[0, 0]:
+        pos[:] = True
+    out[:, 0] = pos
+    for j in range(1, words.shape[1]):
+        a = words[:, j] < cut[j, 0]
+        b = words[:, j] < cut[j, 1]
         if always[j, 0]:
-            hit |= pos
+            a[:] = True
         if always[j, 1]:
-            hit |= ~pos
-        pos = hit
+            b[:] = True
+        a &= pos
+        pos = ~pos
+        pos &= b
+        pos |= a
         out[:, j] = pos
     out *= 2
     out -= 1

@@ -24,14 +24,22 @@ are %.17g, so ``read_table`` / ``records_from_rows`` parse a table back bit
 for bit, checking its columns as a sweep checks them on write.  JSONL floats
 are %r, which is the text ``json.dumps`` writes for a finite float (and every
 written float is checked to be finite).
+
+Run as the program (``python -m lgsim.cli``, or the console script through
+``lgsim.__main__``), the module pins the BLAS thread count before numpy
+loads (see ``_blas``); imported, it leaves the environment alone.
 """
 
 from __future__ import annotations
 
+from ._blas import pin_blas_threads  # imports no numpy
+
+if __name__ == "__main__":  # python -m lgsim.cli: pin BLAS before numpy loads
+    pin_blas_threads()
+
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,6 +102,23 @@ _ALL_KEYS = ("theta", "gamma", "n") + tuple(_BASE_DEFAULTS)
 # four experiments, each with the probe kept and dropped)
 MAX_ROWS = 10**7
 MAX_SAMPLED_SHOTS = 10**9
+# and steps of the protocol kernel's box loop, which a call at n runs 2n + 1
+# times over its thetas (see _box_work): at 30-55 ns a step on a 2-vCPU host,
+# the limit is about 20 s of kernel time (fig2, fig3 and a one-theta sweep at
+# the largest n it admits took 18.6, 7.7 and 17.6 s)
+MAX_BOX_STEPS = 5 * 10**8
+
+# the box loop's fixed cost per pass, in theta points (about 11 us against
+# about 37 ns a point)
+_BOX_PASS_POINTS = 300
+# points per pass the summary lines add for each n: fig2's violation window
+# (a 10001-point coarse grid, then at most 14 one-point bisection steps) and
+# fig3's two gamma cutoffs (at most 36 calls each on a 2001-point grid)
+_SUMMARY_BOX_POINTS = {
+    "fig2": 10001 + _BOX_PASS_POINTS + 14 * (1 + _BOX_PASS_POINTS),
+    "fig3": 2 * 36 * (2001 + _BOX_PASS_POINTS),
+    "sweep": 0,
+}
 
 
 class ConfigError(Exception):
@@ -185,6 +210,13 @@ class SweepConfig:
 def _check_work(where: str, amount: int, what: str, limit: int) -> None:
     if amount > limit:
         raise ConfigError(f"{where}: {amount} {what} exceed the limit of {limit}")
+
+
+def _box_work(command: str, thetas: int, gammas: int, ns) -> int:
+    """Theta points through the box loop, each pass charged its fixed cost:
+    sum over n of (2n + 1) x (gammas x (thetas + pass cost) + summary)."""
+    per_pass = gammas * (thetas + _BOX_PASS_POINTS) + _SUMMARY_BOX_POINTS[command]
+    return sum(2 * n + 1 for n in ns) * per_pass
 
 
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
@@ -296,6 +328,12 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
             cells * len(ns),
             "rows (theta x gamma x len(n))",
             MAX_ROWS,
+        )
+        _check_work(
+            named(("theta", "gamma", "n")),
+            _box_work(command, theta_grid[2], gamma_grid[2], ns),
+            "protocol kernel steps (sum over n of (2n+1) x points per pass)",
+            MAX_BOX_STEPS,
         )
     # classic writes one row and reads neither grid
     thetas, gammas = ((), ()) if command == "classic" else map(_linspace, (theta_grid, gamma_grid))
@@ -628,22 +666,17 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-# the variables OpenBLAS reads for its thread count when it loads
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command; ``argv`` None means run as the ``lgsim`` program.
 
-    As the program, it starts the BLAS of scipy, which loads with the first
-    gamma > 0 propagator, on one thread unless the user set a thread count:
-    each ``expm`` on a 4x4 generator wakes that BLAS's worker pool, whose
-    worker then spins on another core.  A caller passing ``argv`` keeps its
-    environment.
+    As the program, it starts BLAS on one thread unless the user set a
+    thread count (see ``_blas``).  numpy's BLAS has loaded by the time this
+    runs, so only scipy's, which loads with the first gamma > 0 propagator,
+    is pinned here; the program's entry points pin both before numpy loads.
+    A caller passing ``argv`` keeps its environment.
     """
     if argv is None:
-        if not any(os.environ.get(k) for k in _BLAS_THREAD_VARS):
-            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        pin_blas_threads()
         argv = sys.argv[1:]
     args = build_parser().parse_args(_attach_dash_values(argv))
     try:

@@ -214,6 +214,9 @@ def test_overflowing_ranges_are_refused(tmp_path, capsys, command, key):
         assert f"config line 1 ({key}): range is too wide" in err
 
 
+BOX_STEPS = "protocol kernel steps (sum over n of (2n+1) x points per pass)"
+
+
 @pytest.mark.parametrize(
     ("argv", "limit", "message"),
     [
@@ -248,6 +251,16 @@ def test_overflowing_ranges_are_refused(tmp_path, capsys, command, key):
             "--shots, --theta: 240 sampled shots (shots x theta x gamma x 8) "
             "exceed the limit of 239",
         ),
+        (  # 7 passes x (201 default thetas + 300 for a pass's fixed cost)
+            ("sweep", "--n", "3"),
+            ("MAX_BOX_STEPS", 3506),
+            f"--n: 3507 {BOX_STEPS} exceed the limit of 3506",
+        ),
+        (  # 5 passes x (21 x (3 + 300) for the table + 72 x (2001 + 300) for the cutoffs)
+            ("fig3", "--n", "2", "--theta", "0:1:3"),
+            ("MAX_BOX_STEPS", 860174),
+            f"--theta, --n: 860175 {BOX_STEPS} exceed the limit of 860174",
+        ),
     ],
 )
 def test_work_beyond_the_limits_is_refused_before_any_grid_is_built(
@@ -272,6 +285,82 @@ def test_work_beyond_the_limits_is_refused_before_any_grid_is_built(
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert len(built) == 2
+
+
+def resolve(*argv):
+    args = cli.build_parser().parse_args(list(argv))
+    return cli.resolve_config(args.command, args)
+
+
+# the largest n MAX_BOX_STEPS = 5e8 admits: the passes 2n + 1 times the points
+# per pass, which are 301 for sweep's one theta and one gamma, 201 + 300 for
+# its default grid, 501 + 10301 + 14 x 301 for fig2 and
+# 21 x 501 + 72 x 2301 for fig3
+@pytest.mark.parametrize(
+    ("argv", "largest_n", "where"),
+    [
+        (("sweep", "--theta", "0:0:1"), 830564, "--theta, --n"),
+        (("sweep",), 499001, "--n"),
+        (("fig2",), 16648, "--n"),
+        (("fig3",), 1418, "--n"),
+    ],
+)
+def test_the_box_work_limit_sits_between_two_values_of_n(argv, largest_n, where):
+    assert cli.MAX_BOX_STEPS == 5 * 10**8
+    assert resolve(*argv, "--n", str(largest_n)).ns == (largest_n,)
+    with pytest.raises(cli.ConfigError) as info:
+        resolve(*argv, "--n", str(largest_n + 1))
+    assert str(info.value).startswith(f"{where}: ")
+    assert str(info.value).endswith(f" {BOX_STEPS} exceed the limit of 500000000")
+
+
+PI_TEXT = "3.141592653589793"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *((command,) for command in ("fig2", "fig3", "adroitness", "classic", "sweep")),
+        # the benchmark's commands
+        ("fig3", "--format", "jsonl"),
+        ("sweep", "--theta", "0:3.14:2001", "--gamma", "0:0.02:41", "--n", "1,2,5"),
+        ("adroitness", "--shots", "100000", "--seed", "0"),
+        ("adroitness", "--theta", f"0:{PI_TEXT}:201", "--gamma", "0:0.004:11"),
+    ],
+)
+def test_default_and_benchmark_grids_are_within_every_limit(argv):
+    resolve(*argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fig2",),
+        ("fig2", "--criterion", "strict", "--n", "0,3"),
+        ("fig3",),
+        ("fig3", "--n", "0", "--m", "2"),
+        ("fig3", "--n", "4", "--omega", "1.3", "--gamma", "0:0.05:3"),
+        ("sweep", "--theta", "0:3:7", "--gamma", "0:0.01:3", "--n", "0,2,5"),
+    ],
+)
+def test_the_box_work_count_bounds_the_kernel_passes(monkeypatch, capsys, argv):
+    # each protocol_lg call at n makes 2n + 1 passes over its thetas
+    steps = []
+    protocol_lg = sweeps._kernels.protocol_lg
+    pass_points = cli._BOX_PASS_POINTS
+    monkeypatch.setattr(
+        sweeps._kernels,
+        "protocol_lg",
+        lambda thetas, n, *gaps: steps.append((2 * n + 1) * (len(thetas) + pass_points))
+        or protocol_lg(thetas, n, *gaps),
+    )
+    cfg = resolve(*argv)
+    counted = cli._box_work(cfg.command, len(cfg.thetas), len(cfg.gammas), cfg.ns)
+    assert run(capsys, *argv)[0] == 0
+    if cfg.command == "sweep":
+        assert sum(steps) == counted
+    else:
+        assert 0 < sum(steps) <= counted
 
 
 def test_classic_builds_neither_grid(monkeypatch, capsys):
@@ -910,14 +999,14 @@ print(json.dumps({
 """ % (BLAS_THREAD_VARS,)
 
 
-def run_program(tmp_path, preset):
+def run_program(tmp_path, preset, program=PROGRAM, *args):
     """``main()`` as the program runs it, in a fresh interpreter whose only
     BLAS thread variables are ``preset``."""
     src = str(Path(lgsim.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROGRAM, str(tmp_path / "fig3.csv")],
+        [sys.executable, "-c", program, str(tmp_path / "fig3.csv"), *args],
         env=env,
         capture_output=True,
         text=True,
@@ -943,6 +1032,51 @@ def test_the_program_runs_scipy_blas_on_one_thread(tmp_path, preset):
 @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
 def test_the_program_keeps_a_thread_count_the_user_set(tmp_path, var):
     got = run_program(tmp_path, {var: "2"})
+    assert got["env"] == {k: "2" if k == var else None for k in BLAS_THREAD_VARS}
+
+
+# the program's entry points, each run as it runs: the console script calls
+# lgsim.__main__:main, and python -m runs a module as __main__
+ENTRY_PROGRAM = """
+import json, os, runpy, sys
+out, entry = sys.argv[1:]
+sys.argv = ["lgsim", "fig3", "--theta", "0:3.14:5", "--gamma", "0:0.02:3", "--out", out]
+
+def run():
+    if entry == "lgsim.__main__:main":
+        from lgsim.__main__ import main
+        return main()
+    try:
+        runpy.run_module(entry, run_name="__main__")
+    except SystemExit as exc:
+        return exc.code
+
+rc = run()
+tasks = "/proc/self/task"
+print(json.dumps({
+    "rc": rc,
+    "scipy": "scipy.linalg" in sys.modules,
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    "env": {k: os.environ.get(k) for k in %r},
+}))
+""" % (BLAS_THREAD_VARS,)
+
+ENTRIES = ("lgsim.cli", "lgsim", "lgsim.__main__:main")
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_program_entry_runs_blas_on_one_thread(tmp_path, entry):
+    # pinned before numpy loads, so neither numpy's BLAS nor scipy's starts a worker
+    got = run_program(tmp_path, {}, ENTRY_PROGRAM, entry)
+    assert got["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), "OPENBLAS_NUM_THREADS": "1"}
+    if got["threads"] is None:
+        pytest.skip("no /proc/self/task to count this process's threads")
+    assert got["threads"] == 1
+
+
+@pytest.mark.parametrize(("entry", "var"), zip(ENTRIES, BLAS_THREAD_VARS))
+def test_every_program_entry_keeps_a_thread_count_the_user_set(tmp_path, entry, var):
+    got = run_program(tmp_path, {var: "2"}, ENTRY_PROGRAM, entry)
     assert got["env"] == {k: "2" if k == var else None for k in BLAS_THREAD_VARS}
 
 

@@ -162,6 +162,20 @@ def test_sampler_paths_repeat_a_certain_outcome():
     assert np.all(got * [1, 1, -1, -1] == got[:, :1]) and set(got[:, 0]) == {1, -1}
 
 
+@pytest.mark.parametrize("rz", [1.0, -1.0])
+def test_sampler_paths_start_from_a_certain_outcome(rz):
+    # r0 = +/- z measured along z: the first event's p(+1) is exactly 1 or 0,
+    # and a cut-off of 2**64 at the first event has no "after a -1" side
+    rng = np.random.default_rng(1)
+    words = rng.integers(0, 2**64, size=(512, 2), dtype=np.uint64)
+    words[:2, 0] = [0, 2**64 - 1]
+    lin = np.broadcast_to(np.eye(3), (2, 3, 3))
+    axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    got, expected = run_both(words, lin, np.zeros((2, 3)), axes, np.array([0.0, 0.0, rz]))
+    assert np.array_equal(got, expected)
+    assert np.all(got[:, 0] == rz) and set(got[:, 1]) == {1, -1}
+
+
 def word_below(w, p):
     # the comparison the cut-offs replace: numpy's uniform for w against p
     return ((w >> 11) * 2.0**-53) < p
