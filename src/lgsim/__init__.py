@@ -13,6 +13,7 @@ dynamics   closed- and open-system propagators for the driven qubit
 protocol   measurement schedules, exact correlators, adroitness battery
 sampling   outcome enumeration oracle and Monte Carlo trajectory sampler
 sweeps     grid evaluation, violation windows, noise cutoffs
+tables     the table format: one schema per command, writer and reader
 cli        command-line front end (``lgsim``)
 
 Importing the package loads nothing else: each name in ``__all__``, and each
@@ -100,7 +101,7 @@ _EXPORTS = {
     for name in names
 }
 
-_SUBMODULES = ("qubit", "dynamics", "protocol", "sampling", "sweeps", "cli", "_kernels")
+_SUBMODULES = ("qubit", "dynamics", "protocol", "sampling", "sweeps", "tables", "cli", "_kernels")
 
 __all__ = sorted(_EXPORTS)
 

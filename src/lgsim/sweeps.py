@@ -4,14 +4,13 @@ Everything here runs on the kernel layer, so a 10^4-point theta grid is one
 call, and a gamma bisection is a few dozen of them.  ``sweep_records``
 returns a columnar ``SweepTable``: one block of kernel arrays and verdicts
 per (n, gamma), checked as whole arrays, never one object per grid point.
-Parsing a table back runs the same column checks, and ``SweepRecord`` is a
-plain row that checked columns expand into, in both directions.  Row order
-is a pure function of the requested grids (n outermost, then gamma, then
-theta).  The battery reads theta, gamma and tau but never n, so its kernel
-runs once per distinct gamma and every n block of that gamma shares the one
-``eps_total`` array; the protocol kernel and the checks run per (n, gamma).
-Worker threads parallelise the battery and curve evaluations and never
-reorder rows.
+Parsing a table back (``tables.records_from_rows``) runs the same column
+checks, and ``SweepRecord`` is a plain row that checked columns expand
+into, in both directions.  Row order is a pure function of the requested
+grids (n outermost, then gamma, then theta).  The battery reads theta,
+gamma and tau but never n, so its kernel runs once per distinct gamma and
+every n block of that gamma shares the one ``eps_total`` array; the
+protocol kernel and the checks run per (n, gamma).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import contextlib
 import gc
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
@@ -32,7 +30,6 @@ from .dynamics import HamiltonianSpec, LindbladSpec, lindblad_propagator
 from .protocol import Verdict, _check_positive, violation_verdict
 
 __all__ = [
-    "SWEEP_COLUMNS",
     "CurveArrays",
     "SweepBlock",
     "SweepRecord",
@@ -43,18 +40,6 @@ __all__ = [
     "violation_window",
     "gamma_cutoff",
 ]
-
-SWEEP_COLUMNS = (
-    "theta",
-    "gamma",
-    "n",
-    "c12",
-    "c23",
-    "c13_prime",
-    "lg_quantity",
-    "eps_total",
-    "verdict",
-)
 
 _CRITERIA = ("lenient", "strict")
 
@@ -196,29 +181,6 @@ def _verdicts(cur: CurveArrays, verdict: np.ndarray | None = None) -> np.ndarray
     return computed
 
 
-@_gc_paused()
-def _records_from_cells(cells) -> list[SweepRecord]:
-    """Sweep records from a table's cells, one sequence per ``SWEEP_COLUMNS``.
-
-    ``float`` reads ``%.17g`` text back bit for bit.  The columns then pass
-    the checks ``sweep_records`` runs on write, and the verdicts must match.
-    """
-    theta, gamma, n, *numbers, verdict = cells
-    floats = []
-    for name, col in zip(("theta", "gamma", *SWEEP_COLUMNS[3:8]), (theta, gamma, *numbers)):
-        try:
-            floats.append(list(map(float, col)))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name}: {exc}") from None
-    theta, gamma, *numbers = floats
-    ns = _coordinates(np.array(theta), np.array(gamma), n)
-    verdicts = _verdicts(
-        CurveArrays(*(np.array(col, dtype=float) for col in numbers)),
-        np.fromiter(verdict, dtype=object, count=len(verdict)),
-    )
-    return _expand(theta, gamma, ns, numbers, verdicts.tolist())
-
-
 @dataclass(frozen=True)
 class ViolationWindow:
     """Contiguous theta interval where the chosen criterion is violated.
@@ -281,32 +243,16 @@ def sweep_records(
     ns: Iterable[int],
     tau: float,
     omega: float = 1.0,
-    workers: int = 1,
 ) -> SweepTable:
     """Evaluate the full (n, gamma, theta) grid into a checked ``SweepTable``."""
     thetas = np.array(thetas, dtype=float)
     gammas = [float(g) for g in gammas]
     ns = _coordinates(thetas, np.array(gammas), ns)
-    if workers != int(workers) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
-    workers = int(workers)
-
     # one battery per distinct gamma, told apart by bits: -0.0 and 0.0 get two
     distinct = {g.hex(): g for g in gammas}
+    totals = {key: _battery_total(thetas, g, tau, omega) for key, g in distinct.items()}
     tasks = [(n, g) for n in ns for g in gammas]
-
-    def battery(gamma: float) -> np.ndarray:
-        return _battery_total(thetas, gamma, tau, omega)
-
-    def curve(task: tuple[int, float]) -> CurveArrays:
-        n, gamma = task
-        return _curve(thetas, n, gamma, tau, omega, totals[gamma.hex()])
-
-    serial = workers == 1 or len(tasks) == 1
-    with contextlib.nullcontext() if serial else ThreadPoolExecutor(max_workers=workers) as pool:
-        run = map if serial else pool.map
-        totals = dict(zip(distinct, run(battery, distinct.values())))
-        curves = list(run(curve, tasks))
+    curves = [_curve(thetas, n, g, tau, omega, totals[g.hex()]) for n, g in tasks]
     blocks = tuple(SweepBlock(n, g, cur, _verdicts(cur)) for (n, g), cur in zip(tasks, curves))
     return SweepTable(thetas, blocks)
 

@@ -18,9 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lgsim
-from lgsim import cli, sweeps
+from lgsim import cli, sweeps, tables
 from lgsim.cli import main, read_table, records_from_rows
-from lgsim.sweeps import SWEEP_COLUMNS, CurveArrays, SweepBlock, SweepTable, sweep_records
+from lgsim.sweeps import CurveArrays, SweepBlock, SweepTable, sweep_records
+
+SWEEP = tables.SCHEMAS["sweep"]
 
 
 def f17(v):
@@ -170,7 +172,8 @@ def test_missing_config_file(tmp_path, capsys):
         ("--m", "0", "must be >= 1"),
         ("--criterion", "both", "must be one of lenient, strict"),
         ("--seed", "18446744073709551616", "seed must be below 2**64"),
-        ("--workers", "0", "must be >= 1"),
+        ("--workers", "0", "must be one of 1, got '0'"),
+        ("--workers", "2", "must be one of 1, got '2'"),
         ("--format", "xml", "must be one of csv, jsonl"),
         ("--n", " ", "need at least one n"),
     ],
@@ -312,6 +315,16 @@ def test_the_box_work_limit_sits_between_two_values_of_n(argv, largest_n, where)
         resolve(*argv, "--n", str(largest_n + 1))
     assert str(info.value).startswith(f"{where}: ")
     assert str(info.value).endswith(f" {BOX_STEPS} exceed the limit of 500000000")
+
+
+def test_the_row_limit_sits_at_the_slowest_table_per_row():
+    # adroitness, five rows per (theta, gamma), is the slowest table per row:
+    # its JSONL table at the limit took about 20 s on a 2-vCPU host
+    assert cli.MAX_ROWS == 10**6
+    assert len(resolve("adroitness", "--theta", "0:1:200000", "--gamma", "0:0:1").thetas) == 200000
+    with pytest.raises(cli.ConfigError) as info:
+        resolve("adroitness", "--theta", "0:1:66667")  # and the 3 default gammas
+    assert str(info.value) == "--theta: 1000005 rows (theta x gamma x 5) exceed the limit of 1000000"
 
 
 PI_TEXT = "3.141592653589793"
@@ -571,8 +584,8 @@ def test_random_tables_round_trip_bit_for_bit(table):
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("csv", "jsonl"):
             path = Path(tmp) / f"table.{fmt}"
-            blocks = cli._sweep_blocks(table, fmt)
-            lines = cli._table_lines(sweep_config(fmt), SWEEP_COLUMNS, blocks, [])
+            blocks = tables._sweep_blocks(table, fmt)
+            lines = tables._table_lines(sweep_config(fmt), SWEEP, blocks, [])
             path.write_text("\n".join(lines) + "\n")
             got = records_from_rows(read_table(path)[1])
             assert got == want
@@ -598,44 +611,46 @@ def oracle_lines(fmt, columns, rows):
 
 IDENT = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
 CELL_VALUES = {
-    "text": IDENT,
-    "float": any_float,
-    "int": st.integers(-(10**30), 10**30),
-    "none": st.none(),
+    "text": (str, IDENT),
+    "float": (float, any_float),
+    "int": (int, st.integers(-(10**30), 10**30)),
+    "none": (float, st.none()),  # a float column left empty
 }
 
 
 @st.composite
 def column_blocks(draw):
-    """Columns of one kind each; in each block a column is fixed, or varies by
-    row if it holds text or floats.  Also returns every row in full."""
+    """A schema with columns of one kind each; in each block a column is
+    fixed, or varies by row if it holds text or floats.  Also returns every
+    row in full."""
     columns = draw(st.lists(IDENT, min_size=1, max_size=6, unique=True))
     kinds = [draw(st.sampled_from(sorted(CELL_VALUES))) for _ in columns]
     blocks, rows = [], []
     for _ in range(draw(st.integers(1, 3))):
         size = draw(st.integers(1, 4))
-        cells, values = [], []
-        for kind in kinds:
+        fixed, varying, values = {}, [], []
+        for name, kind in zip(columns, kinds):
+            cells = CELL_VALUES[kind][1]
             if kind in ("text", "float") and draw(st.booleans()):
-                cells.append(str if kind == "text" else float)
-                values.append(draw(st.lists(CELL_VALUES[kind], min_size=size, max_size=size)))
+                varying.append(draw(st.lists(cells, min_size=size, max_size=size)))
+                values.append(varying[-1])
             else:
-                cells.append(draw(CELL_VALUES[kind]))
-                values.append([cells[-1]] * size)
-        varying = [v for c, v in zip(cells, values) if c is float or c is str]
-        blocks.append((tuple(cells), list(zip(*varying)) if varying else [()] * size))
+                fixed[name] = draw(cells)
+                values.append([fixed[name]] * size)
+        blocks.append((fixed, list(zip(*varying)) if varying else [()] * size))
         rows += zip(*values)
-    return columns, blocks, rows
+    schema = {name: CELL_VALUES[kind][0] for name, kind in zip(columns, kinds)}
+    return schema, blocks, rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(table=column_blocks())
 def test_block_renderer_writes_the_dict_row_bytes(table):
-    columns, blocks, rows = table
+    schema, blocks, rows = table
     for fmt in ("csv", "jsonl"):
-        lines = list(cli._table_lines(sweep_config(fmt), columns, blocks, []))
+        lines = list(tables._table_lines(sweep_config(fmt), schema, blocks, []))
         body = "\n".join(lines[-len(blocks) :])  # each block's rows come as one chunk
-        assert body == "\n".join(oracle_lines(fmt, columns, rows))
+        assert body == "\n".join(oracle_lines(fmt, list(schema), rows))
 
 
 small_float = st.one_of(
@@ -677,10 +692,10 @@ def test_sweep_writer_matches_the_dict_row_oracle(table):
     # theta and each eps_total array are formatted once and pasted into rows
     rows = [(*r[:-1], r.verdict.value) for r in table.records()]
     for fmt in ("csv", "jsonl"):
-        blocks = cli._sweep_blocks(table, fmt)
-        lines = list(cli._table_lines(sweep_config(fmt), SWEEP_COLUMNS, blocks, []))
+        blocks = tables._sweep_blocks(table, fmt)
+        lines = list(tables._table_lines(sweep_config(fmt), SWEEP, blocks, []))
         body = "\n".join(lines[-len(table.blocks) :])
-        assert body == "\n".join(oracle_lines(fmt, SWEEP_COLUMNS, rows))
+        assert body == "\n".join(oracle_lines(fmt, SWEEP, rows))
 
 
 SWEEP_THETAS = [0.1 + k * (2.9 / 6.0) for k in range(7)]  # SWEEP_ARGS' theta grid
@@ -904,9 +919,65 @@ def test_read_table_rejects_garbage(tmp_path):
     p.write_text("# lgsim sweep\n")
     with pytest.raises(ValueError, match="no header"):
         read_table(p)
-    p.write_text("a,b\n1,2,3\n")
-    with pytest.raises(ValueError, match="row has 3 cells"):
+    p.write_text("a,b\n1,2\n")  # no "# lgsim COMMAND" line, so no schema
+    with pytest.raises(ValueError, match="not an lgsim table \\(command None\\)"):
         read_table(p)
+    p.write_text("# lgsim nothing\nc12\n")
+    with pytest.raises(ValueError, match="not an lgsim table \\(command 'nothing'\\)"):
+        read_table(p)
+    p.write_text("# lgsim classic\nc12,c23,c13_prime,lg_quantity,verdict\n1,2,3\n")
+    with pytest.raises(ValueError, match="row has 3 cells, header has 5"):
+        read_table(p)
+    p.write_text('{"c12": 1}\n')
+    with pytest.raises(ValueError, match="the first line is not the meta object"):
+        read_table(p)
+
+
+COLUMN_CHANGES = {
+    "renamed": (lambda names: ["c24" if c == "c23" else c for c in names], "unknown column 'c24'"),
+    "missing": (lambda names: [c for c in names if c != "c23"], "no column 'c23'"),
+    "extra": (lambda names: [*names, "note"], "unknown column 'note'"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("change", sorted(COLUMN_CHANGES))
+def test_read_table_refuses_columns_that_differ_from_the_schema(tmp_path, capsys, fmt, change):
+    # a CSV header, or the keys of one JSONL row, renamed, cut short or extended
+    table = tmp_path / f"grid.{fmt}"
+    assert run(capsys, *SWEEP_ARGS, "--format", fmt, "--out", str(table))[0] == 0
+    rename, problem = COLUMN_CHANGES[change]
+    lines = table.read_text().splitlines()
+    if fmt == "csv":
+        header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        lines[header] = ",".join(rename(lines[header].split(",")))
+    else:
+        obj = json.loads(lines[1 + CORRUPT_ROW])
+        lines[1 + CORRUPT_ROW] = json.dumps({k: obj.get(k, 0.0) for k in rename(list(obj))})
+    table.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_table(table)
+    assert str(exc.value) == f"{table}: sweep table has {problem}; expected {','.join(SWEEP)}"
+
+
+def test_read_table_checks_csv_column_order_and_reads_jsonl_keys_in_any_order(tmp_path, capsys):
+    expected = ",".join(SWEEP)
+    for header, problem in (
+        (expected.replace("c12,c23", "c23,c12"), "column 'c23' where 'c12' belongs"),
+        (expected.replace("c12,", "c23,"), "column 'c23' more than once"),
+    ):
+        p = tmp_path / "grid.csv"
+        p.write_text(f"# lgsim fig2\n{header}\n")
+        with pytest.raises(ValueError) as exc:
+            read_table(p)
+        assert str(exc.value) == f"{p}: fig2 table has {problem}; expected {expected}"
+    table = tmp_path / "grid.jsonl"
+    assert run(capsys, *SWEEP_ARGS, "--format", "jsonl", "--out", str(table))[0] == 0
+    want = records_from_rows(read_table(table)[1])
+    lines = table.read_text().splitlines()
+    lines[1:] = [json.dumps(dict(reversed(json.loads(ln).items()))) for ln in lines[1:]]
+    table.write_text("\n".join(lines) + "\n")
+    assert records_from_rows(read_table(table)[1]) == want
 
 
 # ---------------------------------------------------------------------------
@@ -976,37 +1047,19 @@ def test_adroitness_propagator_failures_are_one_line_errors(capsys, flag, messag
 
 
 # ---------------------------------------------------------------------------
-# the lgsim program: scipy's BLAS on one thread
+# the lgsim program: BLAS on one thread
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-PROGRAM = """
-import json, os, sys
-from lgsim.cli import main
 
-def threads():
-    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-
-before = threads()
-sys.argv = ["lgsim", "fig3", "--theta", "0:3.14:5", "--gamma", "0:0.02:3", "--out", sys.argv[1]]
-rc = main()
-print(json.dumps({
-    "rc": rc,
-    "scipy": "scipy.linalg" in sys.modules,
-    "threads": [before, threads()],
-    "env": {k: os.environ.get(k) for k in %r},
-}))
-""" % (BLAS_THREAD_VARS,)
-
-
-def run_program(tmp_path, preset, program=PROGRAM, *args):
-    """``main()`` as the program runs it, in a fresh interpreter whose only
-    BLAS thread variables are ``preset``."""
+def run_program(tmp_path, preset, entry):
+    """``ENTRY_PROGRAM`` through ``entry``, in a fresh interpreter whose only
+    BLAS thread variables are ``preset``; it writes a damped fig3 table."""
     src = str(Path(lgsim.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", program, str(tmp_path / "fig3.csv"), *args],
+        [sys.executable, "-c", ENTRY_PROGRAM, str(tmp_path / "fig3.csv"), entry],
         env=env,
         capture_output=True,
         text=True,
@@ -1016,23 +1069,6 @@ def run_program(tmp_path, preset, program=PROGRAM, *args):
     got = json.loads(proc.stdout)
     assert got["rc"] == 0 and got["scipy"]  # the command built damped propagators
     return got
-
-
-@pytest.mark.parametrize("preset", [{}, dict.fromkeys(BLAS_THREAD_VARS, "")])
-def test_the_program_runs_scipy_blas_on_one_thread(tmp_path, preset):
-    # an empty value chooses nothing, so it is pinned as an unset one is
-    got = run_program(tmp_path, preset)
-    assert got["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), **preset, "OPENBLAS_NUM_THREADS": "1"}
-    before, after = got["threads"]
-    if before is None:
-        pytest.skip("no /proc/self/task to count this process's threads")
-    assert after == before  # loading scipy started no BLAS worker
-
-
-@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
-def test_the_program_keeps_a_thread_count_the_user_set(tmp_path, var):
-    got = run_program(tmp_path, {var: "2"})
-    assert got["env"] == {k: "2" if k == var else None for k in BLAS_THREAD_VARS}
 
 
 # the program's entry points, each run as it runs: the console script calls
@@ -1064,11 +1100,16 @@ print(json.dumps({
 ENTRIES = ("lgsim.cli", "lgsim", "lgsim.__main__:main")
 
 
-@pytest.mark.parametrize("entry", ENTRIES)
-def test_every_program_entry_runs_blas_on_one_thread(tmp_path, entry):
-    # pinned before numpy loads, so neither numpy's BLAS nor scipy's starts a worker
-    got = run_program(tmp_path, {}, ENTRY_PROGRAM, entry)
-    assert got["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), "OPENBLAS_NUM_THREADS": "1"}
+@pytest.mark.parametrize(
+    ("entry", "preset"),
+    [*((entry, {}) for entry in ENTRIES), ("lgsim.cli", dict.fromkeys(BLAS_THREAD_VARS, ""))],
+    ids=[*ENTRIES, "lgsim.cli-empty-values"],
+)
+def test_every_program_entry_runs_blas_on_one_thread(tmp_path, entry, preset):
+    # pinned before numpy loads, so neither numpy's BLAS nor scipy's starts a
+    # worker; an empty value chooses nothing, so it is pinned as an unset one is
+    got = run_program(tmp_path, preset, entry)
+    assert got["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), **preset, "OPENBLAS_NUM_THREADS": "1"}
     if got["threads"] is None:
         pytest.skip("no /proc/self/task to count this process's threads")
     assert got["threads"] == 1
@@ -1076,14 +1117,18 @@ def test_every_program_entry_runs_blas_on_one_thread(tmp_path, entry):
 
 @pytest.mark.parametrize(("entry", "var"), zip(ENTRIES, BLAS_THREAD_VARS))
 def test_every_program_entry_keeps_a_thread_count_the_user_set(tmp_path, entry, var):
-    got = run_program(tmp_path, {var: "2"}, ENTRY_PROGRAM, entry)
+    got = run_program(tmp_path, {var: "2"}, entry)
     assert got["env"] == {k: "2" if k == var else None for k in BLAS_THREAD_VARS}
 
 
 def test_main_with_arguments_leaves_the_environment_alone(monkeypatch, capsys, tmp_path):
+    # so does main() on sys.argv: only the program's entry points pin
     for var in BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     before = dict(os.environ)
     argv = ["fig3", "--theta", "0:3.14:5", "--gamma", "0:0.02:3", "--out", str(tmp_path / "f.csv")]
     assert main(argv) == 0
+    assert dict(os.environ) == before
+    monkeypatch.setattr(sys, "argv", ["lgsim", *argv])
+    assert main() == 0
     assert dict(os.environ) == before

@@ -11,7 +11,7 @@ import pytest
 
 import lgsim
 
-SUBMODULES = ("qubit", "dynamics", "protocol", "sampling", "sweeps", "cli", "_kernels")
+SUBMODULES = ("qubit", "dynamics", "protocol", "sampling", "sweeps", "tables", "cli", "_kernels")
 
 IMPORT_ONLY = """
 import json, sys

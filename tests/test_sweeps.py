@@ -15,12 +15,13 @@ from lgsim.protocol import (
     violation_verdict,
 )
 from lgsim.sweeps import (
-    SWEEP_COLUMNS,
+    SweepRecord,
     gamma_cutoff,
     lg_curve,
     sweep_records,
     violation_window,
 )
+from lgsim.tables import SCHEMAS
 
 
 def test_curve_matches_exact_engine():
@@ -53,7 +54,8 @@ def test_sweep_row_order_and_columns():
     assert len(rows) == 8
     key = [(r.n, r.gamma, r.theta) for r in rows]
     assert key == sorted(key)
-    assert set(SWEEP_COLUMNS) == {
+    # a record's fields are the sweep table's columns, in order
+    assert SweepRecord._fields == tuple(SCHEMAS["sweep"]) == (
         "theta",
         "gamma",
         "n",
@@ -63,27 +65,19 @@ def test_sweep_row_order_and_columns():
         "lg_quantity",
         "eps_total",
         "verdict",
-    }
+    )
 
 
-def test_parallel_sweep_matches_serial():
-    thetas = np.linspace(0.1, 3.0, 9)
-    kwargs = dict(gammas=[0.0, 0.004, 0.009], ns=[1, 2], tau=math.pi, omega=1.0)
-    serial = sweep_records(thetas, **kwargs).records()
-    parallel = sweep_records(thetas, workers=3, **kwargs).records()
-    assert len(serial) == 54
-    assert serial == parallel
-
-
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_blocks", [1, 2])
 @pytest.mark.parametrize(
     "gammas",
     [[0.0, 0.004, 0.009], [0.004, 0.0, 0.004], [0.0, -0.0]],
     ids=["distinct", "repeated", "signed-zero"],
 )
-def test_the_battery_runs_once_per_gamma(monkeypatch, workers, gammas):
+def test_the_battery_runs_once_per_gamma(monkeypatch, n_blocks, gammas):
     # eps_total does not depend on n, so every n block of a gamma shares one
-    # array; gammas that differ only in the sign of zero each get their own
+    # array, and one n block runs it as often; gammas that differ only in the
+    # sign of zero each get their own
     thetas = np.linspace(0.0, math.pi, 17)
     calls = []
     real = _kernels.battery_eps
@@ -93,7 +87,7 @@ def test_the_battery_runs_once_per_gamma(monkeypatch, workers, gammas):
         return real(*args)
 
     monkeypatch.setattr(_kernels, "battery_eps", counted)
-    table = sweep_records(thetas, gammas, [0, 1, 5], math.pi, 1.0, workers=workers)
+    table = sweep_records(thetas, gammas, [0, 5][:n_blocks], math.pi, 1.0)
     distinct = {g.hex() for g in map(float, gammas)}
     assert calls == [len(thetas)] * len(distinct)
     monkeypatch.setattr(_kernels, "battery_eps", real)
@@ -125,11 +119,6 @@ def test_a_corrupt_block_leaves_the_shared_eps_alone(monkeypatch):
     want = clean.blocks[0].curve.eps_total
     assert eps[0].tobytes() == eps[2].tobytes() == want.tobytes()
     assert eps[1].tobytes() == (want + 1.0).tobytes()
-
-
-def test_sweep_worker_validation():
-    with pytest.raises(ValueError, match="workers"):
-        sweep_records(np.array([0.5]), [0.0], [1], math.pi, 1.0, workers=0)
 
 
 def test_verdicts_in_swept_rows_are_consistent():
