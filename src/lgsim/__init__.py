@@ -16,107 +16,48 @@ sweeps     grid evaluation, violation windows, noise cutoffs
 tables     the table format: one schema per command, writer and reader
 cli        command-line front end (``lgsim``)
 
-Importing the package loads nothing else: each name in ``__all__``, and each
-submodule, is imported on first use (PEP 562), so the ``lgsim`` program can
-choose its BLAS thread count before numpy loads (see ``_blas``).
+The package exports every name that one of its first five modules lists in
+its ``__all__``; ``__all__`` here is their sorted union.  Importing the
+package loads nothing else: a name is looked up on first use (PEP 562) by
+importing those modules in dependency order up to the first that lists it,
+so the ``lgsim`` program can choose its BLAS thread count before numpy loads
+(see ``_blas``).  Listing ``__all__`` or ``dir()`` imports all five.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# public name -> the submodule that defines it
-_EXPORTS = {
-    name: module
-    for module, names in {
-        "qubit": (
-            "ATOL",
-            "CHOI_ATOL",
-            "IDENTITY",
-            "SIGMA_X",
-            "SIGMA_Y",
-            "SIGMA_Z",
-            "Channel",
-            "DensityOperator",
-            "Observable",
-            "anticommutator",
-            "compose",
-            "dephase_theta",
-            "dephase_z",
-            "expectation",
-            "identity_channel",
-            "measure_channel",
-            "operators_close",
-            "pauli",
-            "sigma_theta",
-        ),
-        "dynamics": (
-            "HamiltonianSpec",
-            "LindbladSpec",
-            "heisenberg_observable",
-            "lindblad_propagator",
-            "liouvillian",
-            "unitary_propagator",
-        ),
-        "protocol": (
-            "BATTERY_IDS",
-            "AdroitnessReport",
-            "CorrelatorSet",
-            "ExperimentSchedule",
-            "MeasurementEvent",
-            "Verdict",
-            "adroitness_experiments",
-            "adroitness_grid",
-            "adroitness_report",
-            "build_protocol_schedule",
-            "classic_lg",
-            "correlator_exact",
-            "epsilon_adroitness",
-            "epsilon_total",
-            "joint_distribution",
-            "lg_quantity",
-            "violation_verdict",
-        ),
-        "sampling": (
-            "AdroitnessEstimate",
-            "EstimateWithError",
-            "OutcomeTrajectory",
-            "TrajectoryRecords",
-            "enumerate_outcomes",
-            "estimate_adroitness",
-            "estimate_correlator",
-            "estimate_joint_distribution",
-            "sample_trajectories",
-        ),
-        "sweeps": (
-            "SweepRecord",
-            "SweepTable",
-            "ViolationWindow",
-            "gamma_cutoff",
-            "lg_curve",
-            "sweep_records",
-            "violation_window",
-        ),
-    }.items()
-    for name in names
-}
+# the modules whose __all__ the package exports, in dependency order
+_HOMES = ("qubit", "dynamics", "protocol", "sampling", "sweeps")
+_SUBMODULES = (*_HOMES, "tables", "cli", "_kernels")
 
-_SUBMODULES = ("qubit", "dynamics", "protocol", "sampling", "sweeps", "tables", "cli", "_kernels")
 
-__all__ = sorted(_EXPORTS)
+def _load(module: str):
+    return importlib.import_module(f".{module}", __name__)
+
+
+def _exports() -> list[str]:
+    """The sorted union of the home modules' ``__all__``."""
+    return sorted(name for home in _HOMES for name in _load(home).__all__)
 
 
 def __getattr__(name: str):
-    """Import a public name's submodule, or a submodule, on first use."""
-    if name in _EXPORTS:
-        value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
-    elif name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
-    else:
+    """Import a submodule, or a public name's home module, on first use."""
+    if name in _SUBMODULES:
+        value = _load(name)
+    elif name == "__all__":
+        value = _exports()
+    elif name.startswith("__"):  # a probe such as __wrapped__ loads nothing
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        home = next((m for m in map(_load, _HOMES) if name in m.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
     globals()[name] = value  # later lookups skip this function
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})
+    return sorted({*globals(), *_exports(), *_SUBMODULES})

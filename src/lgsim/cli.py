@@ -66,6 +66,13 @@ MAX_BOX_STEPS = 5 * 10**8
 # the box loop's fixed cost per pass, in theta points (about 11 us against
 # about 37 ns a point)
 _BOX_PASS_POINTS = 300
+# Gamma passes: each gamma's fixed cost, whatever the theta count, in passes
+# of about 0.3 ms: four for its propagators and battery, and one for each
+# (n, gamma) block of fig2, fig3 and sweep.  At the limit one-theta tables
+# took 18.5 s (fig3), 16.9 s (sweep, one n), 20.9 s (sweep, six n) and
+# 12.7 s (adroitness).
+MAX_GAMMA_PASSES = 6 * 10**4
+_GAMMA_PASSES = 4
 
 
 class ConfigError(Exception):
@@ -255,12 +262,17 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
         _check_work(named(("theta", "gamma")), cells * 5, "rows (theta x gamma x 5)", MAX_ROWS)
         what = "sampled shots (shots x theta x gamma x 8)"
         _check_work(named(("shots", "theta", "gamma")), shots * cells * 8, what, MAX_SAMPLED_SHOTS)
+        what = f"gamma passes (gamma x {_GAMMA_PASSES})"
+        _check_work(named(("gamma",)), gamma_grid[2] * _GAMMA_PASSES, what, MAX_GAMMA_PASSES)
     elif spec.summary_points is not None:
         where = named(("theta", "gamma", "n"))
         _check_work(where, cells * len(ns), "rows (theta x gamma x len(n))", MAX_ROWS)
         box = _box_work(command, theta_grid[2], gamma_grid[2], ns)
         what = "protocol kernel steps (sum over n of (2n+1) x points per pass)"
         _check_work(where, box, what, MAX_BOX_STEPS)
+        passes = gamma_grid[2] * (_GAMMA_PASSES + len(ns))
+        what = f"gamma passes (gamma x ({_GAMMA_PASSES} + len(n)))"
+        _check_work(named(("gamma", "n")), passes, what, MAX_GAMMA_PASSES)
     # classic writes one row and reads neither grid
     thetas, gammas = ((), ()) if command == "classic" else map(_linspace, (theta_grid, gamma_grid))
 

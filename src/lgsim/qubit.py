@@ -29,6 +29,28 @@ from functools import lru_cache
 
 import numpy as np
 
+__all__ = [
+    "ATOL",
+    "CHOI_ATOL",
+    "IDENTITY",
+    "SIGMA_X",
+    "SIGMA_Y",
+    "SIGMA_Z",
+    "Channel",
+    "DensityOperator",
+    "Observable",
+    "anticommutator",
+    "compose",
+    "dephase_theta",
+    "dephase_z",
+    "expectation",
+    "identity_channel",
+    "measure_channel",
+    "operators_close",
+    "pauli",
+    "sigma_theta",
+]
+
 ATOL = 1e-12
 CHOI_ATOL = 1e-10
 

@@ -264,6 +264,23 @@ def _margin_curve(thetas, n, gamma, tau, omega, criterion) -> np.ndarray:
     return _curve(thetas, n, gamma, tau, omega).lg
 
 
+def _bisect(lo: float, hi: float, width: float, below) -> tuple[float, tuple[float, float]]:
+    """Halve the bracket ``(lo, hi)`` of an edge until it is at most ``width``
+    wide; ``below(mid)`` is true when the edge lies at or below ``mid``.  A
+    bracket one float wide ends the search even when ``width`` asks for less.
+    Returns the last bracket's midpoint and the bracket.
+    """
+    while hi - lo > width:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), (lo, hi)
+
+
 def violation_window(
     n: int,
     gamma: float,
@@ -295,24 +312,16 @@ def violation_window(
     if first == 0:
         raise ValueError("violation extends to theta=0; no onset to bracket")
 
-    def bisect(lo: float, hi: float, violated_hi: bool) -> tuple[float, tuple[float, float]]:
-        # invariant: margin < 0 holds at hi if violated_hi, else at lo, and not at the other end
-        while hi - lo > refine:
-            mid = lo + 0.5 * (hi - lo)
-            if not lo < mid < hi:
-                break
-            margin_mid = _margin_curve(np.array([mid]), n, gamma, tau, omega, criterion)[0]
-            if (margin_mid < 0.0) == violated_hi:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi), (lo, hi)
+    def violated(theta: float) -> bool:
+        return _margin_curve(np.array([theta]), n, gamma, tau, omega, criterion)[0] < 0.0
 
-    lo_edge, lo_bracket = bisect(float(grid[first - 1]), float(grid[first]), True)
+    lo_edge, lo_bracket = _bisect(float(grid[first - 1]), float(grid[first]), refine, violated)
     if last == len(grid) - 1:
         hi_edge, hi_bracket = float(grid[-1]), (float(grid[-1]), float(grid[-1]))
     else:
-        hi_edge, hi_bracket = bisect(float(grid[last]), float(grid[last + 1]), False)
+        hi_edge, hi_bracket = _bisect(
+            float(grid[last]), float(grid[last + 1]), refine, lambda theta: not violated(theta)
+        )
     return ViolationWindow(
         lo=lo_edge, hi=hi_edge, lo_bracket=lo_bracket, hi_bracket=hi_bracket, criterion=criterion
     )
@@ -344,18 +353,9 @@ def gamma_cutoff(
 
     if worst(0.0) >= 0.0:
         raise ValueError(f"no violation at gamma=0 for n={n}; cutoff undefined")
-    lo = 0.0
     hi = gamma_hi
     while worst(hi) < 0.0:
         hi *= 2.0
         if hi > 1.0:
             raise ValueError("violation window persists past gamma=1; no cutoff found")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if worst(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(0.0, hi, tol, lambda gamma: not worst(gamma) < 0.0)[0]

@@ -1,10 +1,11 @@
 """The table format: one schema per command, the writer and the reader.
 
 A schema maps each column name to its type, in column order, and both
-directions use it.  A CSV table is ``#`` comment lines (``# lgsim
-COMMAND``, then one ``# config key=value`` per resolved key, then the
-summary lines), a header and one line per row.  A JSONL table is one
-``{"meta": ...}`` object holding the same, then one object per row.
+directions use it; a sweep table's schema is ``SweepRecord``'s fields.  A
+CSV table is ``#`` comment lines (``# lgsim COMMAND``, then one ``# config
+key=value`` per resolved key, then the summary lines), a header and one
+line per row.  A JSONL table is one ``{"meta": ...}`` object holding the
+same, then one object per row.
 
 The writer takes column blocks: each block becomes one %-template, with its
 fixed cells written in once, and each row is that template applied to the
@@ -24,26 +25,18 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
+from .protocol import Verdict
 from .sweeps import CurveArrays, SweepRecord, SweepTable, _coordinates, _expand, _gc_paused
 from .sweeps import _verdicts
 
 __all__ = ["SCHEMAS", "read_table", "records_from_rows"]
 
-_SWEEP = {
-    "theta": float,
-    "gamma": float,
-    "n": int,
-    "c12": float,
-    "c23": float,
-    "c13_prime": float,
-    "lg_quantity": float,
-    "eps_total": float,
-    "verdict": str,
-}
+# a sweep table's columns are SweepRecord's fields; a verdict is written as text
+_SWEEP = {k: str if t is Verdict else t for k, t in get_type_hints(SweepRecord).items()}
 
 # column name -> type, in column order, for each command's table
 SCHEMAS = {

@@ -264,6 +264,26 @@ BOX_STEPS = "protocol kernel steps (sum over n of (2n+1) x points per pass)"
             ("MAX_BOX_STEPS", 860174),
             f"--theta, --n: 860175 {BOX_STEPS} exceed the limit of 860174",
         ),
+        (  # 3 gammas x (4 + one n)
+            ("sweep", "--gamma", "0:0.01:3", "--theta", "0:1:2"),
+            ("MAX_GAMMA_PASSES", 14),
+            "--gamma: 15 gamma passes (gamma x (4 + len(n))) exceed the limit of 14",
+        ),
+        (  # 2 gammas x (4 + three n)
+            ("sweep", "--n", "0,1,2", "--gamma", "0:0.01:2", "--theta", "0:1:2"),
+            ("MAX_GAMMA_PASSES", 13),
+            "--gamma, --n: 14 gamma passes (gamma x (4 + len(n))) exceed the limit of 13",
+        ),
+        (
+            ("fig3", "--gamma", "0:0.01:2", "--theta", "0:1:3"),
+            ("MAX_GAMMA_PASSES", 9),
+            "--gamma: 10 gamma passes (gamma x (4 + len(n))) exceed the limit of 9",
+        ),
+        (  # adroitness has no n blocks
+            ("adroitness", "--gamma", "0:0.01:3", "--theta", "0:1:2"),
+            ("MAX_GAMMA_PASSES", 11),
+            "--gamma: 12 gamma passes (gamma x 4) exceed the limit of 11",
+        ),
     ],
 )
 def test_work_beyond_the_limits_is_refused_before_any_grid_is_built(
@@ -325,6 +345,34 @@ def test_the_row_limit_sits_at_the_slowest_table_per_row():
     with pytest.raises(cli.ConfigError) as info:
         resolve("adroitness", "--theta", "0:1:66667")  # and the 3 default gammas
     assert str(info.value) == "--theta: 1000005 rows (theta x gamma x 5) exceed the limit of 1000000"
+
+
+GAMMA_PASSES = "gamma passes (gamma x (4 + len(n)))"
+
+
+def test_the_gamma_pass_limit_sits_at_the_slowest_work_per_gamma():
+    # a one-theta fig3 at the limit (12,000 gammas of five passes) took about
+    # 19 s on a 2-vCPU host; the theta count does not enter
+    assert cli.MAX_GAMMA_PASSES == 6 * 10**4
+    one_n = f"--gamma: 60005 {GAMMA_PASSES}"
+    for largest, beyond, message in (
+        (("fig3", "--gamma", "0:1:12000"), ("--gamma", "0:1:12001"), one_n),
+        (("sweep", "--gamma", "0:1:12000"), ("--gamma", "0:1:12001"), one_n),
+        (
+            ("sweep", "--gamma", "0:1:6000", "--n", "1,2,3,4,5,6"),
+            ("--n", "1,2,3,4,5,6,7"),
+            f"--gamma, --n: 66000 {GAMMA_PASSES}",
+        ),
+        (
+            ("adroitness", "--gamma", "0:1:15000"),
+            ("--gamma", "0:1:15001"),
+            "--gamma: 60004 gamma passes (gamma x 4)",
+        ),
+    ):
+        assert resolve(*largest, "--theta", "0:0:1").gammas[-1] == 1.0
+        with pytest.raises(cli.ConfigError) as info:
+            resolve(*largest, *beyond, "--theta", "0:0:1")
+        assert str(info.value) == f"{message} exceed the limit of 60000"
 
 
 PI_TEXT = "3.141592653589793"

@@ -99,6 +99,52 @@ def test_batched_battery_matches_every_engine(case):
     assert np.max(np.abs(grid - _kernels.battery_eps(thetas, gap, gap2))) <= 1e-12
 
 
+# exactly zero in every propagator of the paper's family: each gap is
+# unital, and the x component (the drive axis) is decoupled from y and z
+STRUCTURAL_ZEROS = ((1, 2, 3, 0, 0, 0, 1, 1, 2, 3), (0, 0, 0, 1, 2, 3, 2, 3, 1, 1))
+
+
+def closed_forms(thetas, n, gap, gap2, gap13):
+    """``protocol_lg`` and ``battery_eps`` in closed form.
+
+    Each projection maps one axis onto a scalar times the other, so the
+    box's period map has rank one and n enters only as a power: with
+    c = cos(theta), c12 = (G33 c)^(2n+2), c23 = G33 c and c13' = G13_33 c.
+    Experiment (q1, probe p, q3) of the battery gives
+    |(q3.G p)(p.G q1) - q3.G2 q1|, where theta.G theta = G33 + (G11 - G33)
+    sin(theta)^2 and z.G theta = theta.G z = G33 c.
+    """
+    for g in (gap, gap2, gap13):
+        assert g[0, 0] == 1.0 and not g[STRUCTURAL_ZEROS].any()
+    c = np.cos(thetas)
+    s2 = np.sin(thetas) ** 2
+
+    def dot(g, u, v):  # u.G v for the axes "t" (theta) and "z"
+        if u != v:
+            return g[3, 3] * c
+        return g[3, 3] + (g[1, 1] - g[3, 3]) * s2 if u == "t" else np.full_like(c, g[3, 3])
+
+    correlators = ((gap[3, 3] * c) ** (2 * n + 2), gap[3, 3] * c, gap13[3, 3] * c)
+    battery = [
+        np.abs(dot(gap, q3, p) * dot(gap, p, q1) - dot(gap2, q3, q1))
+        for q1, p, q3 in ("ttz", "tzz", "zzt", "ztt")  # experiments a-d
+    ]
+    return correlators, np.stack(battery, axis=1)
+
+
+@given(battery_cases(), st.integers(min_value=0, max_value=50))
+@settings(max_examples=40, deadline=None)
+def test_the_kernels_match_their_closed_forms(case, n):
+    thetas, tau, drawn = case
+    thetas = np.array(thetas)
+    for spec in (drawn, LindbladSpec(HamiltonianSpec(1.0), 1.0)):  # and critical damping
+        gap, gap2, gap13 = (lindblad_propagator(spec, k * tau).ptm for k in (1, 2, 2 * n + 3))
+        correlators, battery = closed_forms(thetas, n, gap, gap2, gap13)
+        for got, want in zip(_kernels.protocol_lg(thetas, n, gap, gap13), correlators):
+            assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.max(np.abs(_kernels.battery_eps(thetas, gap, gap2) - battery)) <= 1e-14
+
+
 def reference_paths(u, lin, aff, axes, r0, out):
     # the per-shot recurrence: evolve each shot's Bloch vector through the
     # gap, compare p(+1) against the uniform, collapse onto +/- the axis

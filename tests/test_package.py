@@ -12,6 +12,7 @@ import pytest
 import lgsim
 
 SUBMODULES = ("qubit", "dynamics", "protocol", "sampling", "sweeps", "tables", "cli", "_kernels")
+HOMES = SUBMODULES[:5]  # the modules whose __all__ the package exports, in dependency order
 
 IMPORT_ONLY = """
 import json, sys
@@ -30,6 +31,61 @@ def test_import_lgsim_loads_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"import lgsim": ["lgsim"], "numpy after a name": True}
+
+
+# what a fresh interpreter has loaded after each step: a dunder probe loads
+# nothing, and a name loads the home modules up to its own (with their imports)
+LOADS = """
+import json, sys
+import lgsim
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("lgsim"))
+steps = [[hasattr(lgsim, p) for p in ("__wrapped__", "__signature__", "__test__")], loaded()]
+from lgsim import Channel
+steps.append(loaded())
+from lgsim import EVENT_TAGS
+steps.append(loaded())
+from lgsim import BLOCK_SHOTS, SweepBlock
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_a_name_loads_its_home_modules_and_a_dunder_probe_loads_nothing():
+    src = str(Path(lgsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    probes, bare, qubit, protocol, sweeps = json.loads(proc.stdout)
+    assert probes == [False, False, False]
+    assert bare == ["lgsim"]
+    assert [m for m in qubit if m.startswith("lgsim")] == ["lgsim", "lgsim.qubit"]
+    assert "numpy" in qubit
+    assert [m for m in protocol if m.startswith("lgsim")] == [
+        "lgsim",
+        "lgsim.dynamics",
+        "lgsim.protocol",
+        "lgsim.qubit",
+    ]
+    assert {m for m in sweeps if m.startswith("lgsim")} == {
+        "lgsim",
+        *(f"lgsim.{m}" for m in (*HOMES, "_kernels")),
+    }
+
+
+def test_the_package_exports_each_home_modules_all_once():
+    declared = [
+        (name, module)
+        for module in map(importlib.import_module, (f"lgsim.{m}" for m in HOMES))
+        for name in module.__all__
+    ]
+    names = [name for name, _ in declared]
+    assert len(set(names)) == len(names)  # no name declared by two modules
+    assert lgsim.__all__ == sorted(names)
+    for name, module in declared:
+        assert getattr(lgsim, name) is getattr(module, name)
 
 
 @pytest.mark.parametrize("name", lgsim.__all__)

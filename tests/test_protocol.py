@@ -416,10 +416,11 @@ def test_grid_matches_the_walker_on_dense_maps(seed, thetas, tau):
 
 
 @st.composite
-def random_schedules(draw):
+def random_schedules(draw, dynamics=st.just(NOISY)):
     """2-8 events at strictly increasing times (the first may sit at 0), axes
     anywhere on the sphere, +/- I events between the tagged pair, and a
-    random input state.  The pair is tagged Q1 and Q3."""
+    random input state, under dynamics drawn from ``dynamics``.  The pair is
+    tagged Q1 and Q3."""
     size = draw(st.integers(min_value=2, max_value=8))
     i, j = sorted(draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True)))
     t = draw(st.sampled_from([0.0, 0.3]))
@@ -438,7 +439,7 @@ def random_schedules(draw):
         t += draw(st.floats(min_value=0.05, max_value=3.0))
     r = np.array([draw(st.floats(min_value=-1.0, max_value=1.0)) for _ in range(3)])
     r *= draw(st.floats(min_value=0.0, max_value=1.0)) / max(1.0, float(np.linalg.norm(r)))
-    return ExperimentSchedule(tuple(events), NOISY, DensityOperator.from_bloch(r))
+    return ExperimentSchedule(tuple(events), draw(dynamics), DensityOperator.from_bloch(r))
 
 
 @given(random_schedules(), st.integers(min_value=0, max_value=2**32 - 1))

@@ -6,11 +6,14 @@ branching on 2x2 matrices versus transfer-matrix algebra on Pauli
 coefficients) and must agree to near machine precision.
 """
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgsim import _kernels, sampling
 from lgsim.dynamics import HamiltonianSpec, LindbladSpec
@@ -22,7 +25,7 @@ from lgsim.protocol import (
     joint_distribution,
     lg_quantity,
 )
-from lgsim.qubit import DensityOperator
+from lgsim.qubit import ATOL, DensityOperator
 from lgsim.sampling import (
     BLOCK_SHOTS,
     EstimateWithError,
@@ -37,8 +40,11 @@ from lgsim.sampling import (
     sample_trajectories,
 )
 
+from test_protocol import random_schedules
+
 IDEAL = LindbladSpec(HamiltonianSpec(1.0))
 NOISY = LindbladSpec(HamiltonianSpec(1.0), 0.004)
+CRITICAL = LindbladSpec(HamiltonianSpec(1.0), 1.0)  # critical damping at omega = 1
 
 
 def protocol(theta=0.75 * math.pi, n=1, tau=math.pi, spec=NOISY):
@@ -227,6 +233,37 @@ def test_the_sampler_law_holds_from_a_polarised_state_through_a_box(gamma):
             got = sampler_joint(sch, mask, first, second)
             want = joint_distribution(sch, first, second, include_intermediate=between)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+SHOTS = 4000
+
+
+@given(
+    random_schedules(st.floats(0.0, 2.0).map(lambda g: LindbladSpec(HamiltonianSpec(1.0), g))),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_enumeration_and_the_sampler_match_the_walker_on_random_schedules(drawn, seed):
+    # kept: every event acts (the sampler, which measures only traceless
+    # observables, drops the +/- I events, whose channel is the identity);
+    # removed: the pair alone
+    for sch in (drawn, dataclasses.replace(drawn, dynamics=CRITICAL)):
+        i, j = sch.index_of("Q1"), sch.index_of("Q3")
+        traceless = [abs(ev.observable.coefficients[0]) <= ATOL for ev in sch.events]
+        pair = [k in (i, j) for k in range(len(sch.events))]
+        for between, mask, tree, at in (
+            (True, traceless, enumerate_outcomes(sch), (i, j)),
+            (False, pair, enumerate_outcomes(sch, mask=pair), (0, 1)),
+        ):
+            want = joint_distribution(sch, include_intermediate=between)
+            for got in (enumerated_joint(tree, *at), sampler_joint(sch, mask)):
+                assert np.max(np.abs(got - want)) <= 1e-12
+                assert abs(got.sum() - 1.0) <= 1e-12
+            assert abs(want.sum() - 1.0) <= 1e-12
+            # seeded frequencies within 5 standard errors of the exact law
+            freq = estimate_joint_distribution(sample_trajectories(sch, SHOTS, seed, mask=mask))
+            se = np.sqrt(np.clip(want, 0.0, 1.0) * np.clip(1.0 - want, 0.0, 1.0) / SHOTS)
+            assert np.all(np.abs(freq - want) <= 5.0 * se)
 
 
 def test_masked_sampling_drops_events():

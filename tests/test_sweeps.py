@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgsim import _kernels, sweeps
 from lgsim.dynamics import HamiltonianSpec, LindbladSpec
@@ -197,6 +199,23 @@ def test_window_validation():
     for refine in (0.0, -1e-6, math.nan, math.inf):
         with pytest.raises(ValueError, match="refine must be positive and finite"):
             violation_window(1, 0.0, math.pi, 1.0, refine=refine)
+
+
+@given(
+    st.integers(min_value=0, max_value=20),
+    st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=2.0)),  # 1: critical at omega 1
+    st.sampled_from([0.7, 1.0, 1.3]),
+    st.one_of(st.integers(min_value=1, max_value=4), st.floats(min_value=0.05, max_value=8.0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_lenient_violation_set_is_one_theta_interval(n, gamma, omega, m):
+    # lg = 1 + (G33 c)^(2n+2) + (G33 + G13_33) c is convex in c = cos(theta),
+    # so lg < 0 on one interval of c, and of theta in [0, pi]; a window's two
+    # bisected edges assume it.  A float m stands for a free spacing.
+    tau = math.pi * m / omega if isinstance(m, int) else m
+    lg = lg_curve(np.linspace(0.0, math.pi, 2001), n, gamma, tau, omega).lg
+    violated = np.flatnonzero(lg < 0.0)
+    assert violated.size == 0 or violated[-1] - violated[0] + 1 == violated.size
 
 
 def test_window_bisection_stops_at_one_float():
