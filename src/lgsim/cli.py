@@ -1,4 +1,4 @@
-"""Command-line front end: arguments, configuration, limits and command bodies.
+"""Command-line front end: arguments, configuration, work budget and command bodies.
 
 ``_COMMANDS`` holds each command's body (its docstring is the help), its own
 defaults, the keys its table echoes and its work estimate.  Flags override a
@@ -18,6 +18,7 @@ if __name__ == "__main__":  # python -m lgsim.cli: pin BLAS before numpy loads
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,27 +53,20 @@ _KEYS = {
     "workers": ("1", "must be 1: grids are evaluated on one thread"),
 }
 
-# work limits, checked from the grid sizes before any grid is built, each
-# about 20 s on a 2-vCPU host.  Rows of a table: theta x gamma x len(n) for
-# fig2, fig3 and sweep, theta x gamma x 5 for adroitness, whose JSONL table is
-# the slowest per row (19.7 s at the limit).  Shots sampled by adroitness:
-# shots x theta x gamma x 8 (four experiments, with the probe kept and dropped).
-MAX_ROWS = 10**6
-MAX_SAMPLED_SHOTS = 10**9
-# Steps of the protocol kernel's box loop, which a call at n runs 2n + 1 times
-# over its thetas (see _box_work), at 30-55 ns a step: fig2, fig3 and a
-# one-theta sweep at the largest n it admits took 18.6, 7.7 and 17.6 s.
-MAX_BOX_STEPS = 5 * 10**8
-# the box loop's fixed cost per pass, in theta points (about 11 us against
-# about 37 ns a point)
-_BOX_PASS_POINTS = 300
-# Gamma passes: each gamma's fixed cost, whatever the theta count, in passes
-# of about 0.3 ms: four for its propagators and battery, and one for each
-# (n, gamma) block of fig2, fig3 and sweep.  At the limit one-theta tables
-# took 18.5 s (fig3), 16.9 s (sweep, one n), 20.9 s (sweep, six n) and
-# 12.7 s (adroitness).
-MAX_GAMMA_PASSES = 6 * 10**4
-_GAMMA_PASSES = 4
+# The work budget: a run's time, estimated from the grid sizes before any grid
+# is built (see _work) and checked once.  Each unit costs the budget over what
+# its own limit once was, in integer nanoseconds so that no boundary rests on
+# float rounding; the README says where each cost was measured.
+_BUDGET_NS = 20 * 10**9
+_UNIT_NS = {
+    "rows": 20_000,  # 10^6 adroitness rows as JSONL, the slowest per row, took 19.7 s
+    "box steps": 40,  # a step of the protocol kernel's box loop takes 30-55 ns
+    "gamma passes": 333_333,  # a gamma's fixed cost, whatever the theta count
+    "sampled shots": 20,
+    "sampled cells": 3_300_000,  # eight sample_trajectories calls and their schedules
+}
+_BOX_PASS_POINTS = 300  # a box-loop pass's fixed cost in steps (about 11 us)
+_GAMMA_PASSES = 4  # a gamma's passes for its propagators and battery, before its n blocks
 
 
 class ConfigError(Exception):
@@ -156,16 +150,26 @@ class SweepConfig:
         return math.pi * self.m / self.omega
 
 
-def _check_work(where: str, amount: int, what: str, limit: int) -> None:
-    if amount > limit:
-        raise ConfigError(f"{where}: {amount} {what} exceed the limit of {limit}")
+def _work(command: str, thetas: int, gammas: int, ns, shots: int) -> dict[str, int]:
+    """How many of each ``_UNIT_NS`` unit ``command`` runs on its grid sizes."""
+    cells = thetas * gammas
+    if command == "adroitness":  # 5 rows a cell, sampled by 4 experiments with and without probe
+        sampled = {"sampled shots": shots * cells * 8, "sampled cells": cells if shots else 0}
+        return {"rows": cells * 5, "gamma passes": gammas * _GAMMA_PASSES, **sampled}
+    summary = _COMMANDS[command].summary_points
+    if summary is None:  # classic writes one row
+        return {}
+    per_pass = gammas * (thetas + _BOX_PASS_POINTS) + summary  # a call at n makes 2n + 1 passes
+    return {
+        "rows": cells * len(ns),
+        "box steps": sum(2 * n + 1 for n in ns) * per_pass,
+        "gamma passes": gammas * (_GAMMA_PASSES + len(ns)),
+    }
 
 
-def _box_work(command: str, thetas: int, gammas: int, ns) -> int:
-    """Theta points through the box loop, each pass charged its fixed cost:
-    sum over n of (2n + 1) x (gammas x (thetas + pass cost) + summary)."""
-    per_pass = gammas * (thetas + _BOX_PASS_POINTS) + _COMMANDS[command].summary_points
-    return sum(2 * n + 1 for n in ns) * per_pass
+def _seconds(nanoseconds: int) -> str:
+    tenths = (nanoseconds + 5 * 10**7) // 10**8  # exact for any int, unlike a float quotient
+    return f"{tenths // 10}.{tenths % 10} s"
 
 
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
@@ -257,22 +261,13 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
             raise ConfigError(
                 f"{named(timing)}: the last event time {expr} overflows (tau = pi*m/omega)"
             )
-    cells = theta_grid[2] * gamma_grid[2]
-    if command == "adroitness":
-        _check_work(named(("theta", "gamma")), cells * 5, "rows (theta x gamma x 5)", MAX_ROWS)
-        what = "sampled shots (shots x theta x gamma x 8)"
-        _check_work(named(("shots", "theta", "gamma")), shots * cells * 8, what, MAX_SAMPLED_SHOTS)
-        what = f"gamma passes (gamma x {_GAMMA_PASSES})"
-        _check_work(named(("gamma",)), gamma_grid[2] * _GAMMA_PASSES, what, MAX_GAMMA_PASSES)
-    elif spec.summary_points is not None:
-        where = named(("theta", "gamma", "n"))
-        _check_work(where, cells * len(ns), "rows (theta x gamma x len(n))", MAX_ROWS)
-        box = _box_work(command, theta_grid[2], gamma_grid[2], ns)
-        what = "protocol kernel steps (sum over n of (2n+1) x points per pass)"
-        _check_work(where, box, what, MAX_BOX_STEPS)
-        passes = gamma_grid[2] * (_GAMMA_PASSES + len(ns))
-        what = f"gamma passes (gamma x ({_GAMMA_PASSES} + len(n)))"
-        _check_work(named(("gamma", "n")), passes, what, MAX_GAMMA_PASSES)
+    work = _work(command, theta_grid[2], gamma_grid[2], ns, shots).items()
+    charge = {unit: count * _UNIT_NS[unit] for unit, count in work}
+    if sum(charge.values()) > _BUDGET_NS:
+        where = named([k for k in ("shots", "theta", "gamma", "n") if k in spec.keys])
+        terms = ", ".join(f"{unit} {_seconds(cost)}" for unit, cost in charge.items() if cost)
+        total, budget = _seconds(sum(charge.values())), _BUDGET_NS // 10**9
+        raise ConfigError(f"{where}: {total} of work ({terms}) exceeds the {budget} s budget")
     # classic writes one row and reads neither grid
     thetas, gammas = ((), ()) if command == "classic" else map(_linspace, (theta_grid, gamma_grid))
 
@@ -384,16 +379,17 @@ class _Command(NamedTuple):
     body: Callable  # SweepConfig -> (blocks, summary lines); its docstring is the help
     defaults: dict[str, str]  # the command's own, over _KEYS'
     keys: tuple[str, ...]  # the resolved keys it consumes, echoed in its table
-    # box points per pass its summary adds, per n (see _box_work); None: no box loop
+    # box points per pass its summary adds, per n (see _work); None: no box loop
     summary_points: int | None
 
 
 _SWEEP_KEYS = ("theta", "gamma", "n", "omega", "m", "criterion", "workers", "format", "out")
 _ADROIT_KEYS = ("theta", "gamma", "omega", "m", "shots", "seed", "format", "out")
 # fig2's violation window (a 10001-point grid, then at most 14 one-point
-# bisection steps) and fig3's two gamma cutoffs (<= 36 calls each on 2001 points)
+# bisection steps) and fig3's two gamma cutoffs (<= 37 calls each on 2001
+# points: gamma=0, six bracket tops up to gamma=1 and 30 bisection steps)
 _WINDOW_POINTS = 10001 + _BOX_PASS_POINTS + 14 * (1 + _BOX_PASS_POINTS)
-_CUTOFF_POINTS = 2 * 36 * (2001 + _BOX_PASS_POINTS)
+_CUTOFF_POINTS = 2 * 37 * (2001 + _BOX_PASS_POINTS)
 
 _COMMANDS = {
     "fig2": _Command(_cmd_fig2, {"n": "1,2,5,10"}, _SWEEP_KEYS, _WINDOW_POINTS),
@@ -454,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"lgsim: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout's reader left early: its flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -229,10 +229,13 @@ def sigma_theta(theta: float) -> Observable:
 
 # J[2a+i, 2b+k] = sum_lm c_ab[m] S[l, m] B_l[i, k] with c_ab the Pauli
 # coefficients of the matrix unit E_ab: the (ab, ik) entries of
-# _CHOI_IN @ S.T @ _CHOI_OUT.  Each entry of either product sums exactly two
-# nonzero terms, the same two sums as mapping each E_ab and expanding the
-# image in the basis, so J is bit-identical to that construction.  A flat
-# 16x16 product would add four terms in a row and round differently.
+# (S @ c_ab for each ab) @ _CHOI_OUT.  The first factor is the images' Pauli
+# coefficients, taken by the same matrix-vector products as mapping each E_ab
+# (one 4x4 product rounds the inexact halvings of subnormal entries
+# differently); each entry of the second sums exactly two nonzero, exact
+# terms, as expanding an image in the basis does.  So J is bit-identical to
+# that construction.  A flat 16x16 product would add four terms in a row and
+# round differently.
 _CHOI_IN = np.array([pauli_coefficients(e) for e in np.eye(4).reshape(4, 2, 2)])
 _CHOI_OUT = np.array(_BASIS).reshape(4, 4)
 for _m in (_CHOI_IN, _CHOI_OUT):
@@ -241,7 +244,7 @@ for _m in (_CHOI_IN, _CHOI_OUT):
 
 def _choi_matrix(ptm: np.ndarray) -> np.ndarray:
     """Choi matrix ``sum_ab E_ab (x) S(E_ab)`` of the map with transfer matrix ``S``."""
-    j = _CHOI_IN @ ptm.T @ _CHOI_OUT
+    j = np.array([ptm @ c for c in _CHOI_IN]) @ _CHOI_OUT
     return j.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 

@@ -338,10 +338,12 @@ def gamma_cutoff(
 ) -> float:
     """Smallest dephasing rate that closes the violation window.
 
-    Bisects on the worst-case (minimum over theta) criterion margin.  Raises
-    ``ValueError`` if there is no violation at gamma=0 (nothing to close) or
-    if the window survives past gamma=1.  A bracket one float wide ends the
-    bisection even when ``tol`` asks for less.
+    Bisects on the worst-case (minimum over theta) criterion margin.  The
+    bracket's top starts at ``gamma_hi`` and doubles while the window stays
+    open, but is capped at gamma=1 (a ``gamma_hi`` above 1 is tried alone).
+    Raises ``ValueError`` if there is no violation at gamma=0 (nothing to
+    close) or if the window is still open at the top.  A bracket one float
+    wide ends the bisection even when ``tol`` asks for less.
     """
     criterion = _check_criterion(criterion)
     gamma_hi = _check_positive(gamma_hi, "gamma_hi")
@@ -355,7 +357,7 @@ def gamma_cutoff(
         raise ValueError(f"no violation at gamma=0 for n={n}; cutoff undefined")
     hi = gamma_hi
     while worst(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1.0:
-            raise ValueError("violation window persists past gamma=1; no cutoff found")
+        if hi >= 1.0:
+            raise ValueError(f"violation window persists at gamma={hi:g}; no cutoff found")
+        hi = min(2.0 * hi, 1.0)
     return _bisect(0.0, hi, tol, lambda gamma: not worst(gamma) < 0.0)[0]

@@ -9,12 +9,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lgsim
@@ -217,72 +218,76 @@ def test_overflowing_ranges_are_refused(tmp_path, capsys, command, key):
         assert f"config line 1 ({key}): range is too wide" in err
 
 
-BOX_STEPS = "protocol kernel steps (sum over n of (2n+1) x points per pass)"
-
-
+# the parametrized refusals each charge one unit a second and the others
+# nothing, so that a message counts that unit's work exactly
 @pytest.mark.parametrize(
     ("argv", "limit", "message"),
     [
         (
             ("sweep", "--theta", "0:1:7", "--gamma", "0:0.01:3"),
-            ("MAX_ROWS", 20),
-            "--theta, --gamma: 21 rows (theta x gamma x len(n)) exceed the limit of 20",
+            ("rows", 20),
+            "--theta, --gamma: 21.0 s of work (rows 21.0 s) exceeds the 20 s budget",
         ),
         (  # fig2 forces gamma to 0:0:1 and defaults to four n
             ("fig2", "--theta", "0:1:6", "--gamma", "0:1:9"),
-            ("MAX_ROWS", 23),
-            "--theta: 24 rows (theta x gamma x len(n)) exceed the limit of 23",
+            ("rows", 23),
+            "--theta: 24.0 s of work (rows 24.0 s) exceeds the 23 s budget",
         ),
         (  # 201 default thetas x 3 n
             ("sweep", "--n", "1,2,3"),
-            ("MAX_ROWS", 602),
-            "--n: 603 rows (theta x gamma x len(n)) exceed the limit of 602",
+            ("rows", 602),
+            "--n: 603.0 s of work (rows 603.0 s) exceeds the 602 s budget",
         ),
         (
             ("fig3", "--theta", "0:1:4", "--gamma", "0:0.01:2"),
-            ("MAX_ROWS", 7),
-            "--theta, --gamma: 8 rows (theta x gamma x len(n)) exceed the limit of 7",
+            ("rows", 7),
+            "--theta, --gamma: 8.0 s of work (rows 8.0 s) exceeds the 7 s budget",
         ),
         (
             ("adroitness", "--theta", "0:1:2", "--gamma", "0:0.01:3"),
-            ("MAX_ROWS", 29),
-            "--theta, --gamma: 30 rows (theta x gamma x 5) exceed the limit of 29",
+            ("rows", 29),
+            "--theta, --gamma: 30.0 s of work (rows 30.0 s) exceeds the 29 s budget",
         ),
-        (
+        (  # shots x theta x 3 default gammas x 8
             ("adroitness", "--theta", "0:1:2", "--shots", "5"),
-            ("MAX_SAMPLED_SHOTS", 239),
-            "--shots, --theta: 240 sampled shots (shots x theta x gamma x 8) "
-            "exceed the limit of 239",
+            ("sampled shots", 239),
+            "--shots, --theta: 240.0 s of work (sampled shots 240.0 s) exceeds the 239 s budget",
         ),
         (  # 7 passes x (201 default thetas + 300 for a pass's fixed cost)
             ("sweep", "--n", "3"),
-            ("MAX_BOX_STEPS", 3506),
-            f"--n: 3507 {BOX_STEPS} exceed the limit of 3506",
+            ("box steps", 3506),
+            "--n: 3507.0 s of work (box steps 3507.0 s) exceeds the 3506 s budget",
         ),
-        (  # 5 passes x (21 x (3 + 300) for the table + 72 x (2001 + 300) for the cutoffs)
+        (  # 5 passes x (21 x (3 + 300) for the table + 74 x (2001 + 300) for the cutoffs)
             ("fig3", "--n", "2", "--theta", "0:1:3"),
-            ("MAX_BOX_STEPS", 860174),
-            f"--theta, --n: 860175 {BOX_STEPS} exceed the limit of 860174",
+            ("box steps", 883184),
+            "--theta, --n: 883185.0 s of work (box steps 883185.0 s) "
+            "exceeds the 883184 s budget",
         ),
         (  # 3 gammas x (4 + one n)
-            ("sweep", "--gamma", "0:0.01:3", "--theta", "0:1:2"),
-            ("MAX_GAMMA_PASSES", 14),
-            "--gamma: 15 gamma passes (gamma x (4 + len(n))) exceed the limit of 14",
+            ("sweep", "--gamma", "0:0.01:3"),
+            ("gamma passes", 14),
+            "--gamma: 15.0 s of work (gamma passes 15.0 s) exceeds the 14 s budget",
         ),
         (  # 2 gammas x (4 + three n)
-            ("sweep", "--n", "0,1,2", "--gamma", "0:0.01:2", "--theta", "0:1:2"),
-            ("MAX_GAMMA_PASSES", 13),
-            "--gamma, --n: 14 gamma passes (gamma x (4 + len(n))) exceed the limit of 13",
+            ("sweep", "--n", "0,1,2", "--gamma", "0:0.01:2"),
+            ("gamma passes", 13),
+            "--gamma, --n: 14.0 s of work (gamma passes 14.0 s) exceeds the 13 s budget",
         ),
         (
-            ("fig3", "--gamma", "0:0.01:2", "--theta", "0:1:3"),
-            ("MAX_GAMMA_PASSES", 9),
-            "--gamma: 10 gamma passes (gamma x (4 + len(n))) exceed the limit of 9",
+            ("fig3", "--gamma", "0:0.01:2"),
+            ("gamma passes", 9),
+            "--gamma: 10.0 s of work (gamma passes 10.0 s) exceeds the 9 s budget",
         ),
         (  # adroitness has no n blocks
-            ("adroitness", "--gamma", "0:0.01:3", "--theta", "0:1:2"),
-            ("MAX_GAMMA_PASSES", 11),
-            "--gamma: 12 gamma passes (gamma x 4) exceed the limit of 11",
+            ("adroitness", "--gamma", "0:0.01:3"),
+            ("gamma passes", 11),
+            "--gamma: 12.0 s of work (gamma passes 12.0 s) exceeds the 11 s budget",
+        ),
+        (  # 2 thetas x 3 default gammas, whatever the shots
+            ("adroitness", "--theta", "0:1:2", "--shots", "5"),
+            ("sampled cells", 5),
+            "--shots, --theta: 6.0 s of work (sampled cells 6.0 s) exceeds the 5 s budget",
         ),
     ],
 )
@@ -292,8 +297,9 @@ def test_work_beyond_the_limits_is_refused_before_any_grid_is_built(
     built = []
     linspace = cli._linspace
     monkeypatch.setattr(cli, "_linspace", lambda grid: built.append(grid) or linspace(grid))
-    name, value = limit
-    monkeypatch.setattr(cli, name, value)
+    unit, seconds = limit
+    monkeypatch.setattr(cli, "_UNIT_NS", {u: 10**9 * (u == unit) for u in cli._UNIT_NS})
+    monkeypatch.setattr(cli, "_BUDGET_NS", seconds * 10**9)
     assert expect_error(capsys, *argv) == f"lgsim: error: {message}"
     assert built == []
     # a config line is named as the flag is
@@ -303,8 +309,8 @@ def test_work_beyond_the_limits_is_refused_before_any_grid_is_built(
     err = expect_error(capsys, argv[0], "--config", str(cfgfile), *argv[3:])
     assert err == f"lgsim: error: {message.replace(flag, f'config line 1 ({flag[2:]})', 1)}"
     assert built == []
-    # at the limit the command runs
-    monkeypatch.setattr(cli, name, value + 1)
+    # within the budget the command runs
+    monkeypatch.setattr(cli, "_BUDGET_NS", (seconds + 1) * 10**9)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert len(built) == 2
@@ -315,64 +321,168 @@ def resolve(*argv):
     return cli.resolve_config(args.command, args)
 
 
-# the largest n MAX_BOX_STEPS = 5e8 admits: the passes 2n + 1 times the points
-# per pass, which are 301 for sweep's one theta and one gamma, 201 + 300 for
-# its default grid, 501 + 10301 + 14 x 301 for fig2 and
-# 21 x 501 + 72 x 2301 for fig3
+BUDGET = "exceeds the 20 s budget"
+
+
+# the largest n the budget admits: the box steps (the passes 2n + 1 times the
+# points per pass, which are 301 for sweep's one theta and one gamma, 201 + 300
+# for its default grid, 501 + 10301 + 14 x 301 for fig2 and 21 x 501 +
+# 74 x 2301 for fig3) at 40 ns each, plus the rows and gamma passes
 @pytest.mark.parametrize(
-    ("argv", "largest_n", "where"),
+    ("argv", "largest_n", "refusal"),
     [
-        (("sweep", "--theta", "0:0:1"), 830564, "--theta, --n"),
-        (("sweep",), 499001, "--n"),
-        (("fig2",), 16648, "--n"),
-        (("fig3",), 1418, "--n"),
+        (("sweep", "--theta", "0:0:1"), 830494, ("--theta, --n", "rows 0.0 s, box steps 20.0 s")),
+        (("sweep",), 498859, ("--n", "rows 0.0 s, box steps 20.0 s")),
+        (("fig2",), 16643, ("--n", "rows 0.0 s, box steps 20.0 s")),
+        (("fig3",), 1374, ("--n", "rows 0.1 s, box steps 19.9 s")),
     ],
 )
-def test_the_box_work_limit_sits_between_two_values_of_n(argv, largest_n, where):
-    assert cli.MAX_BOX_STEPS == 5 * 10**8
+def test_the_box_work_limit_sits_between_two_values_of_n(argv, largest_n, refusal):
+    assert (cli._BUDGET_NS, cli._UNIT_NS["box steps"]) == (20 * 10**9, 40)
     assert resolve(*argv, "--n", str(largest_n)).ns == (largest_n,)
     with pytest.raises(cli.ConfigError) as info:
         resolve(*argv, "--n", str(largest_n + 1))
-    assert str(info.value).startswith(f"{where}: ")
-    assert str(info.value).endswith(f" {BOX_STEPS} exceed the limit of 500000000")
+    where, terms = refusal
+    assert str(info.value) == f"{where}: 20.0 s of work ({terms}, gamma passes 0.0 s) {BUDGET}"
 
 
 def test_the_row_limit_sits_at_the_slowest_table_per_row():
     # adroitness, five rows per (theta, gamma), is the slowest table per row:
-    # its JSONL table at the limit took about 20 s on a 2-vCPU host
-    assert cli.MAX_ROWS == 10**6
-    assert len(resolve("adroitness", "--theta", "0:1:200000", "--gamma", "0:0:1").thetas) == 200000
-    with pytest.raises(cli.ConfigError) as info:
-        resolve("adroitness", "--theta", "0:1:66667")  # and the 3 default gammas
-    assert str(info.value) == "--theta: 1000005 rows (theta x gamma x 5) exceed the limit of 1000000"
-
-
-GAMMA_PASSES = "gamma passes (gamma x (4 + len(n)))"
+    # its JSONL table of 10^6 rows took about 20 s on a 2-vCPU host
+    assert (cli._BUDGET_NS, cli._UNIT_NS["rows"]) == (20 * 10**9, 20_000)
+    assert len(resolve("adroitness", "--theta", "0:1:199986", "--gamma", "0:0:1").thetas) == 199986
+    for argv, where in (
+        (("--theta", "0:1:199987", "--gamma", "0:0:1"), "--theta, --gamma"),
+        (("--theta", "0:1:66667"), "--theta"),  # and the 3 default gammas
+    ):
+        with pytest.raises(cli.ConfigError) as info:
+            resolve("adroitness", *argv)
+        terms = "rows 20.0 s, gamma passes 0.0 s"
+        assert str(info.value) == f"{where}: 20.0 s of work ({terms}) {BUDGET}"
 
 
 def test_the_gamma_pass_limit_sits_at_the_slowest_work_per_gamma():
-    # a one-theta fig3 at the limit (12,000 gammas of five passes) took about
-    # 19 s on a 2-vCPU host; the theta count does not enter
-    assert cli.MAX_GAMMA_PASSES == 6 * 10**4
-    one_n = f"--gamma: 60005 {GAMMA_PASSES}"
+    # a one-theta fig3 of 12,000 gammas (five passes each) took about 19 s on
+    # a 2-vCPU host; the theta count does not enter the passes
+    assert (cli._BUDGET_NS, cli._UNIT_NS["gamma passes"]) == (20 * 10**9, 333_333)
+    one_n = "--theta, --gamma: 20.0 s of work (rows 0.2 s, box steps 0.4 s, gamma passes 19.3 s)"
     for largest, beyond, message in (
-        (("fig3", "--gamma", "0:1:12000"), ("--gamma", "0:1:12001"), one_n),
-        (("sweep", "--gamma", "0:1:12000"), ("--gamma", "0:1:12001"), one_n),
+        (("fig3", "--gamma", "0:1:11597"), ("--gamma", "0:1:11598"), one_n),
+        (("sweep", "--gamma", "0:1:11609"), ("--gamma", "0:1:11610"), one_n),
         (
-            ("sweep", "--gamma", "0:1:6000", "--n", "1,2,3,4,5,6"),
+            ("sweep", "--gamma", "0:1:4961", "--n", "1,2,3,4,5,6"),
             ("--n", "1,2,3,4,5,6,7"),
-            f"--gamma, --n: 66000 {GAMMA_PASSES}",
+            "--theta, --gamma, --n: 22.6 s of work "
+            "(rows 0.7 s, box steps 3.8 s, gamma passes 18.2 s)",
         ),
         (
-            ("adroitness", "--gamma", "0:1:15000"),
-            ("--gamma", "0:1:15001"),
-            "--gamma: 60004 gamma passes (gamma x 4)",
+            ("adroitness", "--gamma", "0:1:13953"),
+            ("--gamma", "0:1:13954"),
+            "--theta, --gamma: 20.0 s of work (rows 1.4 s, gamma passes 18.6 s)",
         ),
     ):
         assert resolve(*largest, "--theta", "0:0:1").gammas[-1] == 1.0
         with pytest.raises(cli.ConfigError) as info:
             resolve(*largest, *beyond, "--theta", "0:0:1")
-        assert str(info.value) == f"{message} exceed the limit of 60000"
+        assert str(info.value) == f"{message} {BUDGET}"
+
+
+def retired_limits_refuse(command, thetas, gammas, ns, shots):
+    """The four work limits the budget replaced, as ``resolve_config`` checked
+    them: 10^6 rows, 10^9 sampled shots, 5 x 10^8 protocol kernel steps and
+    6 x 10^4 gamma passes (the oracle for the budget)."""
+    cells = thetas * gammas
+    if command == "adroitness":
+        return cells * 5 > 10**6 or shots * cells * 8 > 10**9 or gammas * 4 > 6 * 10**4
+    if command == "classic":
+        return False
+    summary = {"fig2": 10001 + 300 + 14 * 301, "fig3": 2 * 36 * 2301, "sweep": 0}[command]
+    box = sum(2 * n + 1 for n in ns) * (gammas * (thetas + 300) + summary)
+    return cells * len(ns) > 10**6 or box > 5 * 10**8 or gammas * (4 + len(ns)) > 6 * 10**4
+
+
+@functools.cache
+def parser():
+    return cli.build_parser()
+
+
+def budget_refuses(command, thetas, gammas, ns, shots):
+    argv = [command, "--n", ",".join(map(str, ns)), "--shots", str(shots)]
+    for key, steps in (("theta", thetas), ("gamma", gammas)):
+        argv += [f"--{key}", f"0:{int(steps > 1)}:{steps}"]
+    try:
+        cli.resolve_config(command, parser().parse_args(argv))
+    except cli.ConfigError as exc:
+        assert str(exc).endswith(BUDGET)
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["fig2", "fig3", "sweep", "adroitness", "classic"]),
+    thetas=st.one_of(st.integers(1, 300), st.integers(1, 3 * 10**6)),
+    gammas=st.one_of(st.integers(1, 30), st.integers(1, 3 * 10**4)),
+    ns=st.lists(st.one_of(st.integers(0, 30), st.integers(0, 10**6)), min_size=1, max_size=20),
+    shots=st.one_of(st.just(0), st.integers(1, 10**4), st.integers(1, 10**9)),
+)
+# each retired limit's first refused value
+@example("adroitness", 200001, 1, [1], 0)
+@example("adroitness", 1, 1, [1], 125000001)
+@example("adroitness", 1, 15001, [1], 0)
+@example("sweep", 10**6 + 1, 1, [0], 0)
+@example("sweep", 1, 1, [830565], 0)
+@example("fig3", 201, 21, [1419], 0)
+@example("fig2", 201, 1, [16649], 0)
+@example("sweep", 1, 12001, [1], 0)
+def test_the_budget_refuses_all_the_retired_limits_refused(command, thetas, gammas, ns, shots):
+    if command == "fig3":
+        ns = ns[:1]
+    if command == "fig2":  # which fixes gamma=0
+        gammas = 1
+    with unittest.mock.patch.object(cli, "_linspace", lambda grid: ()):
+        refused = budget_refuses(command, thetas, gammas, ns, shots)
+    assert refused or not retired_limits_refuse(command, thetas, gammas, ns, shots)
+
+
+TWENTY_N = ",".join(map(str, range(1, 21)))
+
+
+# inputs within every retired limit whose costs added up: the sweep took
+# 30.9 s, and the sampled cells would have run for about 10 min
+@pytest.mark.parametrize(
+    ("argv", "sizes"),
+    [
+        (
+            ("sweep", "--theta", "0:0:1", "--gamma", "0:1:2500", "--n", TWENTY_N),
+            ("sweep", 1, 2500, range(1, 21), 0),
+        ),
+        (
+            ("adroitness", "--theta", "0:3.14:200000", "--gamma", "0:0:1", "--shots", "1"),
+            ("adroitness", 200000, 1, (), 1),
+        ),
+    ],
+)
+def test_work_the_retired_limits_added_up_is_refused(monkeypatch, capsys, argv, sizes):
+    assert not retired_limits_refuse(*sizes)
+    monkeypatch.setattr(cli, "_linspace", None)
+    assert expect_error(capsys, *argv).endswith(BUDGET)
+
+
+def test_each_charged_sampled_cell_runs_eight_sample_trajectories(monkeypatch, capsys):
+    calls = []
+    sample = cli.sample_trajectories
+    monkeypatch.setattr(
+        cli, "sample_trajectories", lambda *a, **k: calls.append(a) or sample(*a, **k)
+    )
+    for shots, cells in ((0, 0), (5, 6)):
+        argv = ("adroitness", "--theta", "0:1:3", "--gamma", "0:0.01:2", "--shots", str(shots))
+        cfg = resolve(*argv)
+        work = cli._work(cfg.command, len(cfg.thetas), len(cfg.gammas), cfg.ns, cfg.shots)
+        assert work["sampled cells"] == cells
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 8 * cells
 
 
 PI_TEXT = "3.141592653589793"
@@ -402,6 +512,7 @@ def test_default_and_benchmark_grids_are_within_every_limit(argv):
         ("fig3", "--n", "0", "--m", "2"),
         ("fig3", "--n", "4", "--omega", "1.3", "--gamma", "0:0.05:3"),
         ("sweep", "--theta", "0:3:7", "--gamma", "0:0.01:3", "--n", "0,2,5"),
+        ("fig3", "--omega", "80"),  # the lenient cutoff's bracket reaches gamma=1
     ],
 )
 def test_the_box_work_count_bounds_the_kernel_passes(monkeypatch, capsys, argv):
@@ -416,7 +527,8 @@ def test_the_box_work_count_bounds_the_kernel_passes(monkeypatch, capsys, argv):
         or protocol_lg(thetas, n, *gaps),
     )
     cfg = resolve(*argv)
-    counted = cli._box_work(cfg.command, len(cfg.thetas), len(cfg.gammas), cfg.ns)
+    work = cli._work(cfg.command, len(cfg.thetas), len(cfg.gammas), cfg.ns, cfg.shots)
+    counted = work["box steps"]
     assert run(capsys, *argv)[0] == 0
     if cfg.command == "sweep":
         assert sum(steps) == counted
@@ -427,8 +539,7 @@ def test_the_box_work_count_bounds_the_kernel_passes(monkeypatch, capsys, argv):
 def test_classic_builds_neither_grid(monkeypatch, capsys):
     # classic writes one row whatever its (checked, unused) grids say
     monkeypatch.setattr(cli, "_linspace", None)
-    monkeypatch.setattr(cli, "MAX_ROWS", 0)
-    monkeypatch.setattr(cli, "MAX_SAMPLED_SHOTS", 0)
+    monkeypatch.setattr(cli, "_BUDGET_NS", 0)
     code, _, err = run(capsys, "classic", "--theta", "0:1:50", "--shots", "9")
     assert (code, err) == (0, "")
     err = expect_error(capsys, "classic", "--gamma=-1:0:3")
@@ -1167,6 +1278,19 @@ def test_every_program_entry_runs_blas_on_one_thread(tmp_path, entry, preset):
 def test_every_program_entry_keeps_a_thread_count_the_user_set(tmp_path, entry, var):
     got = run_program(tmp_path, {var: "2"}, entry)
     assert got["env"] == {k: "2" if k == var else None for k in BLAS_THREAD_VARS}
+
+
+def test_a_reader_that_leaves_early_ends_the_program_quietly():
+    # as `lgsim sweep ... | head -1` does: the table is far larger than a pipe
+    # holds, so a write meets the closed pipe; nothing reaches stderr
+    src = str(Path(lgsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "lgsim.cli", "sweep", "--theta", "0:3:20000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"# lgsim sweep\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_main_with_arguments_leaves_the_environment_alone(monkeypatch, capsys, tmp_path):

@@ -265,6 +265,26 @@ def test_gamma_cutoff_undefined_for_the_control():
         gamma_cutoff(n=0, tau=math.pi, omega=1.0, criterion="lenient")
 
 
+def test_gamma_cutoff_tries_gamma_one_before_it_gives_up(monkeypatch):
+    # the doubling bracket stops at gamma=1: at omega=80 the lenient window
+    # closes between its last two tops, 0.8 and 1
+    tried = []
+    margin_curve = sweeps._margin_curve
+    monkeypatch.setattr(
+        sweeps,
+        "_margin_curve",
+        lambda grid, n, gamma, *rest: tried.append(gamma) or margin_curve(grid, n, gamma, *rest),
+    )
+    tops = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0]
+    cut = gamma_cutoff(n=1, tau=math.pi / 80.0, omega=80.0)
+    assert 0.8 < cut < 1.0 and cut == pytest.approx(0.8955, abs=1e-4)
+    assert tried[:7] == tops and len(tried) == 7 + 30  # 30 halvings reach tol=1e-9
+    tried.clear()
+    with pytest.raises(ValueError, match="violation window persists at gamma=1;"):
+        gamma_cutoff(n=1, tau=math.pi / 120.0, omega=120.0)
+    assert tried == tops
+
+
 # ---------------------------------------------------------------------------
 # the lenient margin skips the battery
 
