@@ -3,7 +3,9 @@
 ``_COMMANDS`` holds each command's body (its docstring is the help), its own
 defaults, the keys its table echoes and its work estimate.  Flags override a
 ``--config`` file of ``key=value`` lines, which overrides the defaults.  A
-body returns column blocks and summary lines; ``tables`` owns the format.
+body does the work that its input can make fail, then returns its column
+blocks, each made only as ``tables`` writes it, and summary lines;
+``tables`` owns the format.
 Run as the program (``python -m lgsim.cli``, or the console script through
 ``lgsim.__main__``), the module pins BLAS to one thread before numpy loads
 (see ``_blas``); imported, it leaves the environment alone.
@@ -30,7 +32,7 @@ from . import __version__
 from .dynamics import HamiltonianSpec, LindbladSpec
 from .protocol import BATTERY_IDS, adroitness_experiments, adroitness_grid, classic_lg
 from .sampling import estimate_adroitness, sample_trajectories
-from .sweeps import gamma_cutoff, sweep_records, violation_window
+from .sweeps import gamma_cutoff, sweep_blocks, violation_window
 from .tables import _emit, _sweep_blocks, read_table, records_from_rows
 
 __all__ = ["ConfigError", "SweepConfig", "main", "read_table", "records_from_rows"]
@@ -279,12 +281,14 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
 
 # ---------------------------------------------------------------------------
 # command bodies: each returns (blocks, summary_lines), the blocks as
-# ``tables`` takes them: each block's fixed cells, and the rows' varying values
+# ``tables`` takes them: each block's fixed cells, and the rows' varying
+# values.  Before it returns, a body has built every propagator its table
+# needs, so an input the dynamics refuse fails before any row is written.
 
 
 def _sweep(cfg: SweepConfig):
-    table = sweep_records(cfg.thetas, cfg.gammas, cfg.ns, tau=cfg.tau, omega=cfg.omega)
-    return _sweep_blocks(table, cfg.format)
+    thetas, blocks = sweep_blocks(cfg.thetas, cfg.gammas, cfg.ns, tau=cfg.tau, omega=cfg.omega)
+    return _sweep_blocks(thetas, blocks, cfg.format)
 
 
 def _cmd_fig2(cfg: SweepConfig):
@@ -337,25 +341,33 @@ _MC_NOTE = (
 def _cmd_adroitness(cfg: SweepConfig):
     """probe battery epsilons, exact and optionally sampled"""
     # one block per gamma: experiments a-d, then their total, for each theta;
-    # without shots both Monte Carlo cells are empty
+    # without shots both Monte Carlo cells are empty.  Every gamma's exact
+    # grid is computed here, where a propagator that fails raises.
     no_mc = {} if cfg.shots else {"epsilon_mc": None, "epsilon_mc_se": None}
-    blocks = []
-    cell = 0
-    for gamma in cfg.gammas:
-        spec = LindbladSpec(HamiltonianSpec(cfg.omega), gamma)
-        grid = adroitness_grid(cfg.thetas, cfg.tau, spec).tolist()
-        rows = []
-        for theta, eps in zip(cfg.thetas, grid):
-            mc = [()] * 5
-            if cfg.shots:
-                schedules = adroitness_experiments(theta, cfg.tau, spec)
-                mc = [_sampled_epsilon(cfg, s, cell + k) for k, s in enumerate(schedules)]
-                mc_eps, mc_se = zip(*mc)
-                mc.append((sum(mc_eps), float(np.sqrt(np.sum(np.square(mc_se))))))
-            rows += [(eid, theta, e, *m) for eid, e, m in zip(_ADROIT_IDS, [*eps, sum(eps)], mc)]
-            cell += 4
-        blocks.append(({"gamma": gamma, "tau": cfg.tau, "omega": cfg.omega, **no_mc}, rows))
+    specs = [LindbladSpec(HamiltonianSpec(cfg.omega), gamma) for gamma in cfg.gammas]
+    grids = [adroitness_grid(cfg.thetas, cfg.tau, spec) for spec in specs]
+    blocks = (
+        (
+            {"gamma": gamma, "tau": cfg.tau, "omega": cfg.omega, **no_mc},
+            _adroitness_rows(cfg, spec, grid, 4 * k * len(cfg.thetas)),
+        )
+        for k, (gamma, spec, grid) in enumerate(zip(cfg.gammas, specs, grids))
+    )
     return blocks, [_MC_NOTE] if cfg.shots else []
+
+
+def _adroitness_rows(cfg: SweepConfig, spec, grid: np.ndarray, cell: int):
+    """One gamma's rows, each theta's made, and sampled, as the table reaches
+    it; ``cell`` numbers the first theta's first sampled experiment."""
+    for theta, eps in zip(cfg.thetas, map(np.ndarray.tolist, grid)):
+        mc = [()] * 5
+        if cfg.shots:
+            schedules = adroitness_experiments(theta, cfg.tau, spec)
+            mc = [_sampled_epsilon(cfg, s, cell + k) for k, s in enumerate(schedules)]
+            mc_eps, mc_se = zip(*mc)
+            mc.append((sum(mc_eps), float(np.sqrt(np.sum(np.square(mc_se))))))
+        yield from [(eid, theta, e, *m) for eid, e, m in zip(_ADROIT_IDS, [*eps, sum(eps)], mc)]
+        cell += 4
 
 
 def _cmd_classic(cfg: SweepConfig):

@@ -1,16 +1,18 @@
 """Grid evaluation over protocol parameters, violation windows, noise cutoffs.
 
 Everything here runs on the kernel layer, so a 10^4-point theta grid is one
-call, and a gamma bisection is a few dozen of them.  ``sweep_records``
-returns a columnar ``SweepTable``: one block of kernel arrays and verdicts
-per (n, gamma), checked as whole arrays, never one object per grid point.
-Parsing a table back (``tables.records_from_rows``) runs the same column
-checks, and ``SweepRecord`` is a plain row that checked columns expand
-into, in both directions.  Row order is a pure function of the requested
-grids (n outermost, then gamma, then theta).  The battery reads theta,
-gamma and tau but never n, so its kernel runs once per distinct gamma and
-every n block of that gamma shares the one ``eps_total`` array; the
-protocol kernel and the checks run per (n, gamma).
+call, and a gamma bisection is a few dozen of them.  ``sweep_blocks``
+evaluates a grid one block of kernel arrays and verdicts per (n, gamma),
+each block computed only when its reader asks for it and checked as whole
+arrays, never one object per grid point; ``sweep_records`` collects those
+blocks into a columnar ``SweepTable``.  Parsing a table back
+(``tables.records_from_rows``) runs the same column checks, and
+``SweepRecord`` is a plain row that checked columns expand into, in both
+directions.  Row order is a pure function of the requested grids (n
+outermost, then gamma, then theta).  The battery reads theta, gamma and
+tau but never n, so its kernel runs once per distinct gamma and every n
+block of that gamma shares the one ``eps_total`` array; the protocol
+kernel and the checks run per (n, gamma).
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import gc
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, islice, repeat, starmap
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "SweepTable",
     "ViolationWindow",
     "lg_curve",
+    "sweep_blocks",
     "sweep_records",
     "violation_window",
     "gamma_cutoff",
@@ -212,21 +215,24 @@ def _spec_and_gap(gamma, tau, omega):
     return spec, tau, lindblad_propagator(spec, tau).ptm
 
 
-def _battery_total(thetas, gamma, tau, omega) -> np.ndarray:
+def _battery_total(thetas, spec, tau, gap) -> np.ndarray:
     """The battery's ``eps_total`` over theta; it does not depend on n."""
-    spec, tau, gap = _spec_and_gap(gamma, tau, omega)
     gap2 = lindblad_propagator(spec, 2.0 * tau).ptm
     return _kernels.battery_eps(thetas, gap, gap2).sum(axis=1)
 
 
-def _curve(thetas, n, gamma, tau, omega, eps_total=None) -> CurveArrays:
-    """The protocol kernel's curve at (n, gamma), carrying ``eps_total`` as given.
+def _box_gap(spec, tau, n) -> np.ndarray:
+    """The transfer matrix of the ``(2n + 3) tau`` gap that spans the box."""
+    return lindblad_propagator(spec, (2 * int(n) + 3) * tau).ptm
+
+
+def _curve(thetas, n, gap, gap13, eps_total=None) -> CurveArrays:
+    """The protocol kernel's curve at n on the gap propagators ``gap`` (tau)
+    and ``gap13`` (the box), carrying ``eps_total`` as given.
 
     Without the battery's arrays ``eps_total`` is None: the lenient margin
     never reads it, so it skips that kernel and the ``2 tau`` propagator.
     """
-    spec, tau, gap = _spec_and_gap(gamma, tau, omega)
-    gap13 = lindblad_propagator(spec, (2 * int(n) + 3) * tau).ptm
     c12, c23, c13p = _kernels.protocol_lg(thetas, n, gap, gap13)
     lg = 1.0 + c12 + c23 + c13p
     return CurveArrays(c12=c12, c23=c23, c13_prime=c13p, lg=lg, eps_total=eps_total)
@@ -234,7 +240,46 @@ def _curve(thetas, n, gamma, tau, omega, eps_total=None) -> CurveArrays:
 
 def lg_curve(thetas, n: int, gamma: float, tau: float, omega: float = 1.0) -> CurveArrays:
     """Correlators, lg, and battery total for every theta in one kernel pass."""
-    return _curve(thetas, n, gamma, tau, omega, _battery_total(thetas, gamma, tau, omega))
+    spec, tau, gap = _spec_and_gap(gamma, tau, omega)
+    eps_total = _battery_total(thetas, spec, tau, gap)
+    return _curve(thetas, n, gap, _box_gap(spec, tau, n), eps_total)
+
+
+def sweep_blocks(
+    thetas,
+    gammas: Sequence[float],
+    ns: Iterable[int],
+    tau: float,
+    omega: float = 1.0,
+) -> tuple[np.ndarray, Iterator[SweepBlock]]:
+    """The (n, gamma, theta) grid as its theta array and an iterator of checked
+    blocks, n outermost, each block computed when the iterator reaches it.
+
+    What the inputs can break fails before this returns: the coordinates are
+    checked, every propagator is built (each distinct gamma's battery, then
+    each block's box gap, in block order) and the first block is computed.
+    """
+    thetas = np.array(thetas, dtype=float)
+    gammas = [float(g) for g in gammas]
+    ns = _coordinates(thetas, np.array(gammas), ns)
+    # one battery per distinct gamma, told apart by bits: -0.0 and 0.0 get two
+    batteries = {}
+    for g in gammas:
+        if g.hex() not in batteries:
+            spec, tau_g, gap = _spec_and_gap(g, tau, omega)
+            batteries[g.hex()] = spec, tau_g, gap, _battery_total(thetas, spec, tau_g, gap)
+    tasks = []
+    for n in ns:
+        for g in gammas:
+            spec, tau_g, gap, eps_total = batteries[g.hex()]
+            tasks.append((n, g, gap, _box_gap(spec, tau_g, n), eps_total))
+
+    def block(n, g, gap, gap13, eps_total) -> SweepBlock:
+        cur = _curve(thetas, n, gap, gap13, eps_total)
+        return SweepBlock(n, g, cur, _verdicts(cur))
+
+    blocks = starmap(block, tasks)
+    return thetas, chain(list(islice(blocks, 1)), blocks)
 
 
 def sweep_records(
@@ -245,23 +290,16 @@ def sweep_records(
     omega: float = 1.0,
 ) -> SweepTable:
     """Evaluate the full (n, gamma, theta) grid into a checked ``SweepTable``."""
-    thetas = np.array(thetas, dtype=float)
-    gammas = [float(g) for g in gammas]
-    ns = _coordinates(thetas, np.array(gammas), ns)
-    # one battery per distinct gamma, told apart by bits: -0.0 and 0.0 get two
-    distinct = {g.hex(): g for g in gammas}
-    totals = {key: _battery_total(thetas, g, tau, omega) for key, g in distinct.items()}
-    tasks = [(n, g) for n in ns for g in gammas]
-    curves = [_curve(thetas, n, g, tau, omega, totals[g.hex()]) for n, g in tasks]
-    blocks = tuple(SweepBlock(n, g, cur, _verdicts(cur)) for (n, g), cur in zip(tasks, curves))
-    return SweepTable(thetas, blocks)
+    thetas, blocks = sweep_blocks(thetas, gammas, ns, tau, omega)
+    return SweepTable(thetas, tuple(blocks))
 
 
 def _margin_curve(thetas, n, gamma, tau, omega, criterion) -> np.ndarray:
     if criterion == "strict":
         cur = lg_curve(thetas, n, gamma, tau, omega)
         return cur.lg + cur.eps_total
-    return _curve(thetas, n, gamma, tau, omega).lg
+    spec, tau, gap = _spec_and_gap(gamma, tau, omega)
+    return _curve(thetas, n, gap, _box_gap(spec, tau, n)).lg
 
 
 def _bisect(lo: float, hi: float, width: float, below) -> tuple[float, tuple[float, float]]:

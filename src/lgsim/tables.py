@@ -9,11 +9,15 @@ same, then one object per row.
 
 The writer takes column blocks: each block becomes one %-template, with its
 fixed cells written in once, and each row is that template applied to the
-row's varying values.  A sweep's repeated columns are formatted once too:
-theta once per table, and each ``eps_total`` array, which the n blocks of
-one gamma share, once.  CSV floats are %.17g, so a float reads back bit for
-bit.  JSONL floats are %r, which is the text ``json.dumps`` writes for a
-finite float (and every written float is checked to be finite).
+row's varying values.  It pulls each block from its iterable just before
+writing it, and renders a block ``_CHUNK_ROWS`` rows at a time, so a table
+is held one block and one chunk at a time.  A sweep's repeated columns are
+formatted once too: theta once per table, and each ``eps_total`` array,
+which the n blocks of one gamma share, once.  CSV floats are %.17g, so a
+float reads back bit for bit.  JSONL floats are %r, which is the text
+``json.dumps`` writes for a finite float (and every written float is
+checked to be finite).  An ``--out`` file is written beside its target and
+renamed over it only once the whole table is written.
 
 ``read_table`` refuses a table whose columns differ from its command's
 schema, and ``records_from_rows`` checks a sweep's parsed columns as
@@ -22,15 +26,19 @@ schema, and ``records_from_rows`` checks a sweep's parsed columns as
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
 import sys
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, get_type_hints
 
 import numpy as np
 
 from .protocol import Verdict
-from .sweeps import CurveArrays, SweepRecord, SweepTable, _coordinates, _expand, _gc_paused
+from .sweeps import CurveArrays, SweepRecord, _coordinates, _expand, _gc_paused
 from .sweeps import _verdicts
 
 __all__ = ["SCHEMAS", "read_table", "records_from_rows"]
@@ -72,6 +80,9 @@ SCHEMAS = {
 
 _TEXT = object()
 
+# the rows of a block rendered into one string at a time
+_CHUNK_ROWS = 8192
+
 # each type's %-conversion, and the text of None; "%.17g" % x is
 # format(x, ".17g"), and "%r" % x is what json.dumps writes for a finite float
 _CONVERSIONS = {
@@ -94,7 +105,9 @@ def _row_template(fmt: str, schema: dict, fixed: dict) -> str:
 
 
 def _table_lines(cfg, schema: dict, blocks, summary) -> Iterator[str]:
-    """The table's lines without newlines; the rows of a block come as one chunk."""
+    """The table's lines without newlines; a block's rows come ``_CHUNK_ROWS``
+    to a string, and each block is drawn from ``blocks`` only when its rows
+    are due."""
     if cfg.format == "csv":
         yield f"# lgsim {cfg.command}"
         yield from (f"# config {k}={v}" for k, v in cfg.echo)
@@ -104,43 +117,114 @@ def _table_lines(cfg, schema: dict, blocks, summary) -> Iterator[str]:
         meta = {"command": cfg.command, "config": dict(cfg.echo), "summary": list(summary)}
         yield json.dumps({"meta": meta}, sort_keys=True)
     for fixed, rows in blocks:
-        yield "\n".join(map(_row_template(cfg.format, schema, fixed).__mod__, rows))
+        render = _row_template(cfg.format, schema, fixed).__mod__
+        rows = iter(rows)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            yield "\n".join(map(render, chunk))
+
+
+@contextlib.contextmanager
+def _out_file(target: str):
+    """``target`` opened for writing a table.
+
+    A regular file or a missing path is written to a new file beside it,
+    which replaces it only when the table is complete and is removed on any
+    failure, so the target never holds part of a table.  The new file is
+    created as ``open(target, "w")`` would create it (its mode follows the
+    umask, or copies an existing target's).  Anything else, such as a FIFO
+    or a device, is written in place.
+    """
+    try:
+        mode = os.stat(target).st_mode
+    except OSError:  # missing, or unreachable: creating the new file will say why
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    path = os.path.realpath(target)  # a symlink's file is replaced, not the link
+    head, tail = os.path.split(path)
+    part = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.part")
+    fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        if mode is not None:
+            os.fchmod(fd, stat.S_IMODE(mode))
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        os.unlink(part)
+        raise
 
 
 def _emit(cfg, blocks, summary) -> None:
-    """Write ``cfg.command``'s table to ``cfg.out``, or to stdout if it is empty."""
+    """Write ``cfg.command``'s table to ``cfg.out``, or to stdout if it is empty.
+
+    A block that raises ends the table: stdout keeps the whole rows written
+    before it, and ``cfg.out`` is left as it was.
+    """
     lines = _table_lines(cfg, SCHEMAS[cfg.command], blocks, summary)
-    chunks = (line + "\n" for line in lines)
+    chunks = map("%s\n".__mod__, lines)  # holds no line once it is written
     if not cfg.out:
         sys.stdout.writelines(chunks)
         return
     try:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with _out_file(cfg.out) as fh:
             fh.writelines(chunks)
     except OSError as exc:
+        if exc.filename is not None:  # name the target, not the file beside it
+            exc = OSError(exc.errno, exc.strerror, cfg.out)
         raise ValueError(f"--out: cannot write {cfg.out}: {exc}") from None
 
 
-def _sweep_blocks(table: SweepTable, fmt: str):
-    """One block per (n, gamma), turned into row tuples only as it is written.
+def _chunk_texts(conv: str, values: np.ndarray) -> list[str]:
+    """``values`` in the float conversion ``conv``, one joined string per chunk of rows."""
+    return [
+        "\n".join([conv % v for v in values[i : i + _CHUNK_ROWS].tolist()])
+        for i in range(0, len(values), _CHUNK_ROWS)
+    ]
+
+
+def _block_rows(theta_text: list[str], cols, eps_text: list[str], verdict: np.ndarray):
+    """A sweep block's row tuples, each chunk's made as the writer reaches it."""
+    return chain.from_iterable(
+        zip(
+            theta_chunk.split("\n"),
+            *(col[i : i + _CHUNK_ROWS].tolist() for col in cols),
+            eps_chunk.split("\n"),
+            verdict[i : i + _CHUNK_ROWS].tolist(),
+        )
+        for i, theta_chunk, eps_chunk in zip(
+            range(0, len(verdict), _CHUNK_ROWS), theta_text, eps_text
+        )
+    )
+
+
+def _sweep_blocks(thetas: np.ndarray, blocks, fmt: str):
+    """One table block per ``SweepBlock`` of ``blocks``, which is iterated only
+    as the table is written.
 
     Columns that repeat across blocks are formatted once: theta once per
     table, and each ``eps_total`` array once per array object (the n blocks
     of one gamma share one).  The cache is keyed by identity, never by value:
     gamma does not determine eps in a table built by a caller, and equal
-    arrays can differ in the sign of a zero, which the text shows.  Each
-    array's text is kept as one joined string and split per block.
+    arrays can differ in the sign of a zero, which the text shows.  It holds
+    each array it has seen, so no later array can take over its identity.
+    Each column's text is kept as one joined string per chunk of rows, and
+    split as that chunk is written.
     """
     conv = _CONVERSIONS[fmt][float]
-    thetas = [conv % v for v in table.thetas.tolist()]
-    eps_texts: dict[int, str] = {}  # id of an eps_total array -> its rows' text
-    for b in table.blocks:
+    theta_text = _chunk_texts(conv, thetas)
+    eps_texts: dict[int, tuple[np.ndarray, list[str]]] = {}  # id -> (array, its text)
+
+    def table_block(b):
         *cols, eps = b.curve
-        text = eps_texts.get(id(eps))
-        if text is None:
-            text = eps_texts[id(eps)] = "\n".join([conv % v for v in eps.tolist()])
-        rows = zip(thetas, *(col.tolist() for col in cols), text.split("\n"), b.verdict.tolist())
-        yield {"theta": _TEXT, "gamma": b.gamma, "n": b.n, "eps_total": _TEXT}, rows
+        if id(eps) not in eps_texts:
+            eps_texts[id(eps)] = eps, _chunk_texts(conv, eps)
+        rows = _block_rows(theta_text, cols, eps_texts[id(eps)][1], b.verdict)
+        return {"theta": _TEXT, "gamma": b.gamma, "n": b.n, "eps_total": _TEXT}, rows
+
+    return map(table_block, blocks)  # keeps no block once its rows are written
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 import unittest.mock
 import warnings
 from pathlib import Path
@@ -613,6 +616,111 @@ def test_unwritable_out_is_a_one_line_error(tmp_path, capsys):
     assert f"--out: cannot write {tmp_path}" in err
 
 
+def corrupt_n1_blocks(monkeypatch):
+    """Give every block of n = 1 a NaN lg; in SWEEP_ARGS' four 7-row blocks,
+    (n, gamma) = (0, 0), (0, 0.01), (1, 0), (1, 0.01), the third fails first."""
+    real = sweeps._curve
+
+    def corrupt(thetas, n, *args):
+        cur = real(thetas, n, *args)
+        return cur._replace(lg=np.full_like(cur.lg, math.nan)) if n == 1 else cur
+
+    monkeypatch.setattr(sweeps, "_curve", corrupt)
+
+
+def out_echo(table, target):
+    """A CSV table's stdout bytes as ``--out target`` writes them."""
+    return table.replace("\n# config out=\n", f"\n# config out={target}\n", 1)
+
+
+def test_a_block_that_fails_on_stdout_leaves_the_whole_rows_before_it(monkeypatch, capsys):
+    # SWEEP_ARGS has four 7-row blocks; the third fails after two were written
+    _, table, _ = run(capsys, *SWEEP_ARGS)
+    corrupt_n1_blocks(monkeypatch)
+    code, out, err = run(capsys, *SWEEP_ARGS)
+    assert code == 2
+    assert err.startswith("lgsim: error: lg must be finite") and err.count("\n") == 1
+    lines = table.splitlines(keepends=True)
+    header = lines.index(",".join(SWEEP) + "\n")
+    assert out == "".join(lines[: header + 1 + 2 * 7])
+
+
+def test_a_failed_out_table_leaves_no_file(monkeypatch, capsys, tmp_path):
+    corrupt_n1_blocks(monkeypatch)
+    target = tmp_path / "grid.csv"
+    assert expect_error(capsys, *SWEEP_ARGS, "--out", str(target)).startswith(
+        "lgsim: error: lg must be finite"
+    )
+    assert list(tmp_path.iterdir()) == []
+    target.write_bytes(b"an earlier table\n")
+    expect_error(capsys, *SWEEP_ARGS, "--out", str(target))
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == b"an earlier table\n"
+
+
+def test_an_out_file_replaces_its_target_only_when_whole(capsys, tmp_path):
+    _, table, _ = run(capsys, *SWEEP_ARGS)
+    target = tmp_path / "grid.csv"
+    target.write_bytes(b"an earlier table that is longer than the new one\n" * 100)
+    target.chmod(0o640)
+    assert run(capsys, *SWEEP_ARGS, "--out", str(target)) == (0, "", "")
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == out_echo(table, target)
+    assert target.stat().st_mode & 0o777 == 0o640
+    fresh = tmp_path / "fresh.csv"
+    umask = os.umask(0o022)
+    try:
+        assert run(capsys, *SWEEP_ARGS, "--out", str(fresh))[0] == 0
+    finally:
+        os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o644  # as open(path, "w") creates it
+
+
+def test_a_fifo_out_is_written_in_place(capsys, tmp_path):
+    _, table, _ = run(capsys, "fig2")
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    try:
+        code = main(["fig2", "--out", str(fifo)])
+    finally:
+        reader.join(timeout=10)
+    assert code == 0 and got == [out_echo(table, fifo)]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_an_out_error_names_the_target_not_the_file_beside_it(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    err = expect_error(capsys, "sweep", "--theta", "0:1:2", "--out", str(target))
+    assert err == (
+        f"lgsim: error: --out: cannot write {target}: "
+        f"[Errno 2] No such file or directory: '{target}'"
+    )
+
+
+def test_a_sweep_holds_one_block_at_a_time(tmp_path):
+    # eight n blocks of 1001 rows peak no higher than one does, give or take
+    # a block: a block's five columns are 40 kB, and a table that kept all
+    # eight would hold 280 kB more
+    def argv(ns):
+        return ["sweep", "--theta", "0:3.14:1001", "--n", ns, "--out", str(tmp_path / "t")]
+
+    def peak(ns):
+        tracemalloc.start()
+        try:
+            assert main(argv(ns)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert main(argv("1,2,3,4,5,6,7,8")) == 0  # the propagators are cached from here on
+    block = 5 * 8 * 1001
+    assert peak("1,2,3,4,5,6,7,8") - peak("1") < block
+
+
 @pytest.mark.parametrize(
     ("column", "value", "fragment"),
     [
@@ -743,7 +851,7 @@ def test_random_tables_round_trip_bit_for_bit(table):
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("csv", "jsonl"):
             path = Path(tmp) / f"table.{fmt}"
-            blocks = tables._sweep_blocks(table, fmt)
+            blocks = tables._sweep_blocks(table.thetas, table.blocks, fmt)
             lines = tables._table_lines(sweep_config(fmt), SWEEP, blocks, [])
             path.write_text("\n".join(lines) + "\n")
             got = records_from_rows(read_table(path)[1])
@@ -802,13 +910,30 @@ def column_blocks(draw):
     return schema, blocks, rows
 
 
+CHUNKS = st.sampled_from([1, 2, 7, 8192])  # rows the writer renders into one string
+
+
+def table_body(fmt, schema, make_blocks, sizes, chunk):
+    """The row lines that ``_table_lines`` writes, joined, for the blocks of
+    ``make_blocks(fmt)`` (``sizes`` rows each) made and written with
+    ``_CHUNK_ROWS = chunk``; checks that each block's rows come ``chunk`` to
+    a line."""
+    with unittest.mock.patch.object(tables, "_CHUNK_ROWS", chunk):
+        lines = list(tables._table_lines(sweep_config(fmt), schema, make_blocks(fmt), []))
+    body = lines[len(list(tables._table_lines(sweep_config(fmt), schema, [], []))) :]
+    assert [line.count("\n") + 1 for line in body] == [
+        min(chunk, size - start) for size in sizes for start in range(0, size, chunk)
+    ]
+    return "\n".join(body)
+
+
 @settings(max_examples=200, deadline=None)
-@given(table=column_blocks())
-def test_block_renderer_writes_the_dict_row_bytes(table):
+@given(table=column_blocks(), chunk=CHUNKS)
+def test_block_renderer_writes_the_dict_row_bytes(table, chunk):
     schema, blocks, rows = table
+    sizes = [len(block_rows) for _, block_rows in blocks]
     for fmt in ("csv", "jsonl"):
-        lines = list(tables._table_lines(sweep_config(fmt), schema, blocks, []))
-        body = "\n".join(lines[-len(blocks) :])  # each block's rows come as one chunk
+        body = table_body(fmt, schema, lambda fmt: blocks, sizes, chunk)
         assert body == "\n".join(oracle_lines(fmt, list(schema), rows))
 
 
@@ -846,14 +971,14 @@ def shared_eps_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=shared_eps_tables())
-def test_sweep_writer_matches_the_dict_row_oracle(table):
+@given(table=shared_eps_tables(), chunk=CHUNKS)
+def test_sweep_writer_matches_the_dict_row_oracle(table, chunk):
     # theta and each eps_total array are formatted once and pasted into rows
     rows = [(*r[:-1], r.verdict.value) for r in table.records()]
+    make_blocks = functools.partial(tables._sweep_blocks, table.thetas, table.blocks)
+    sizes = [len(table.thetas)] * len(table.blocks)
     for fmt in ("csv", "jsonl"):
-        blocks = tables._sweep_blocks(table, fmt)
-        lines = list(tables._table_lines(sweep_config(fmt), SWEEP, blocks, []))
-        body = "\n".join(lines[-len(table.blocks) :])
+        body = table_body(fmt, SWEEP, make_blocks, sizes, chunk)
         assert body == "\n".join(oracle_lines(fmt, SWEEP, rows))
 
 
@@ -1203,6 +1328,16 @@ def test_adroitness_with_shots_is_seeded(capsys):
 )
 def test_adroitness_propagator_failures_are_one_line_errors(capsys, flag, message):
     assert expect_error(capsys, "adroitness", flag) == f"lgsim: error: {message}"
+
+
+def test_a_later_blocks_propagator_failure_writes_nothing(capsys):
+    # the second block's 5*tau propagator fails; every propagator is built
+    # before the header goes out
+    err = expect_error(capsys, "sweep", "--theta", "1:1:1", "--gamma", "0:1e37:2", "--n", "1")
+    assert err == (
+        "lgsim: error: propagator for gamma=1e+37, omega=1.0, t=15.707963267948966 failed "
+        "CPTP validation: transfer matrix contains non-finite entries"
+    )
 
 
 # ---------------------------------------------------------------------------
