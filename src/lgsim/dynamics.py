@@ -36,14 +36,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qubit import IDENTITY, SIGMA_X, Channel, Observable
+from .qubit import Channel
 
 __all__ = [
     "HamiltonianSpec",
     "LindbladSpec",
     "liouvillian",
     "unitary_propagator",
-    "heisenberg_observable",
     "lindblad_propagator",
 ]
 
@@ -123,19 +122,6 @@ def unitary_propagator(hamiltonian: HamiltonianSpec, t: float) -> Channel:
     """Closed-system channel ``rho -> U rho U^dagger`` for duration ``t >= 0``."""
     t = _check_duration(t)
     return Channel(_rotation_ptm(hamiltonian.rotation_rate * t))
-
-
-def heisenberg_observable(hamiltonian: HamiltonianSpec, q: Observable, t: float) -> Observable:
-    """Observable evolved to time ``t``: ``U^dagger Q U`` (adjoint of the state map).
-
-    Measuring ``q`` after evolving for ``t`` is equivalent to measuring the
-    returned observable on the initial state.  For the sx drive this sends
-    sz to ``sin(W t) sy + cos(W t) sz`` with ``W`` the Bloch rotation rate.
-    """
-    t = _check_duration(t)
-    angle = hamiltonian.omega * (0.5 if hamiltonian.half else 1.0) * t
-    u = math.cos(angle) * IDENTITY - 1j * math.sin(angle) * SIGMA_X  # exp(-i angle sx)
-    return Observable(u.conj().T @ q.matrix @ u, label=f"{q.label}@t={t:.12g}")
 
 
 @lru_cache(maxsize=16384)

@@ -12,8 +12,7 @@ Complete positivity is checked through the Choi matrix
 ``J(S) = sum_ab E_ab (x) S(E_ab)`` over the matrix units ``E_ab``; a map is CP
 iff ``J`` is positive semidefinite.  ``J`` is linear in the transfer matrix, so
 it is one constant contraction: the transfer matrix between two constant 4x4
-matrices built once from the basis.  Kraus operators are recovered from the
-eigendecomposition of ``J`` when needed.
+matrices built once from the basis.
 
 Tolerances: exact-path equality checks use the absolute tolerance ``ATOL``
 (1e-12); Choi eigenvalue positivity uses the looser ``CHOI_ATOL`` (1e-10)
@@ -39,13 +38,6 @@ __all__ = [
     "Channel",
     "DensityOperator",
     "Observable",
-    "anticommutator",
-    "compose",
-    "dephase_theta",
-    "dephase_z",
-    "expectation",
-    "identity_channel",
-    "measure_channel",
     "operators_close",
     "pauli",
     "sigma_theta",
@@ -99,13 +91,6 @@ def operators_close(a, b, atol: float = ATOL) -> bool:
     return bool(np.max(np.abs(_as_operator(a) - _as_operator(b))) <= atol)
 
 
-def anticommutator(a, b) -> np.ndarray:
-    """``{a, b} = a @ b + b @ a``."""
-    a = _as_operator(a, "a")
-    b = _as_operator(b, "b")
-    return a @ b + b @ a
-
-
 def is_hermitian(op, atol: float = ATOL) -> bool:
     arr = _as_operator(op)
     return bool(np.max(np.abs(arr - arr.conj().T)) <= atol)
@@ -156,10 +141,6 @@ class DensityOperator:
     @property
     def bloch_vector(self) -> np.ndarray:
         return 2.0 * self.coefficients[1:]
-
-    @property
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,32 +255,9 @@ class Channel:
         p.setflags(write=False)
         object.__setattr__(self, "ptm", p)
 
-    @classmethod
-    def identity(cls) -> "Channel":
-        return cls(np.eye(4))
-
-    @classmethod
-    def from_kraus(cls, operators) -> "Channel":
-        """Channel ``X -> sum_k K X K^dagger`` from a Kraus family."""
-        ops = [_as_operator(k, "Kraus operator") for k in operators]
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        ptm = np.zeros((4, 4), dtype=complex)
-        for j in range(4):
-            mapped = np.zeros((2, 2), dtype=complex)
-            for k in ops:
-                mapped += k @ _BASIS[j] @ k.conj().T
-            ptm[:, j] = pauli_coefficients(mapped)
-        if np.max(np.abs(ptm.imag)) > ATOL:
-            raise ValueError("Kraus family does not define a real transfer matrix")
-        return cls(ptm.real)
-
     def __call__(self, op) -> np.ndarray:
         """Apply to a 2x2 operator (by linearity, need not be a state)."""
         return operator_from_coefficients(self.ptm @ pauli_coefficients(op))
-
-    def apply_to_state(self, rho: DensityOperator) -> DensityOperator:
-        return DensityOperator(self(rho.matrix))
 
     def __matmul__(self, other: "Channel") -> "Channel":
         """Composition ``self after other`` (matches matrix-product order)."""
@@ -307,65 +265,5 @@ class Channel:
             return NotImplemented
         return Channel(self.ptm @ other.ptm)
 
-    @property
-    def is_unital(self) -> bool:
-        return bool(np.max(np.abs(self.ptm[:, 0] - np.array([1.0, 0.0, 0.0, 0.0]))) <= ATOL)
-
     def choi_matrix(self) -> np.ndarray:
         return _choi_matrix(self.ptm)
-
-    def kraus_operators(self, atol: float = CHOI_ATOL) -> list[np.ndarray]:
-        """A Kraus family from the Choi eigendecomposition.
-
-        Eigenvalues within ``atol`` of zero are dropped; the family satisfies
-        ``sum K^dagger K = I`` and reproduces the channel's action.
-        """
-        eigs, vecs = np.linalg.eigh(self.choi_matrix())
-        ops = []
-        for lam, v in zip(eigs, vecs.T):
-            if lam > atol:
-                # Choi convention J = sum_ab E_ab (x) S(E_ab): column vector
-                # blocks index the input, so the operator is the transposed
-                # 2x2 reshape of the eigenvector.
-                ops.append(math.sqrt(lam) * v.reshape(2, 2).T)
-        return ops
-
-
-def identity_channel() -> Channel:
-    return Channel.identity()
-
-
-def compose(first: Channel, then: Channel) -> Channel:
-    """Apply ``first``, then ``then``; equals ``then @ first``."""
-    return then @ first
-
-
-def measure_channel(q: Observable) -> Channel:
-    """Unconditioned measurement of ``q``: ``X -> P+ X P+ + P- X P-``.
-
-    Built from the Lueders projectors; equal to complete dephasing along the
-    measurement axis.
-    """
-    return Channel.from_kraus([q.projector(+1), q.projector(-1)])
-
-
-def dephase_z() -> Channel:
-    """Complete dephasing in the sz eigenbasis (kills sx and sy parts)."""
-    return measure_channel(pauli("z"))
-
-
-def dephase_theta(theta: float) -> Channel:
-    """Complete dephasing in the ``sigma_theta(theta)`` eigenbasis."""
-    return measure_channel(sigma_theta(theta))
-
-
-def expectation(q: Observable, rho: DensityOperator) -> float:
-    """``Tr(Q rho)`` as a real number.
-
-    Raises ``ValueError`` if the trace has an imaginary part above 1e-10,
-    which would indicate non-Hermitian inputs slipped past validation.
-    """
-    val = np.trace(q.matrix @ rho.matrix)
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"expectation value has imaginary part {val.imag:.3g}")
-    return float(val.real)

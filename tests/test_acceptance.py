@@ -27,7 +27,6 @@ from lgsim.protocol import (
     epsilon_adroitness,
     lg_quantity,
 )
-from lgsim.qubit import dephase_theta
 from lgsim.sampling import (
     enumerate_outcomes,
     enumerated_correlator,
@@ -36,6 +35,7 @@ from lgsim.sampling import (
     sample_trajectories,
 )
 from lgsim.sweeps import gamma_cutoff, lg_curve, violation_window
+from oracles import dephase_theta
 
 IDEAL = LindbladSpec(HamiltonianSpec(1.0))
 

@@ -750,7 +750,7 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
-    assert out.startswith("lgsim ")
+    assert out == f"lgsim {lgsim.__version__}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1346,21 +1346,26 @@ def test_a_later_blocks_propagator_failure_writes_nothing(capsys):
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def run_program(tmp_path, preset, entry):
-    """``ENTRY_PROGRAM`` through ``entry``, in a fresh interpreter whose only
-    BLAS thread variables are ``preset``; it writes a damped fig3 table."""
+def start_program(tmp_path, preset, entry):
+    """Start ``ENTRY_PROGRAM`` through ``entry``, in a fresh interpreter whose
+    only BLAS thread variables are ``preset``; it writes a damped fig3 table."""
     src = str(Path(lgsim.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
+    return subprocess.Popen(
         [sys.executable, "-c", ENTRY_PROGRAM, str(tmp_path / "fig3.csv"), entry],
         env=env,
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+
+
+def finish_program(proc):
+    """Wait for a ``start_program`` interpreter and read what it reports."""
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    got = json.loads(out)
     assert got["rc"] == 0 and got["scipy"]  # the command built damped propagators
     return got
 
@@ -1392,17 +1397,35 @@ print(json.dumps({
 """ % (BLAS_THREAD_VARS,)
 
 ENTRIES = ("lgsim.cli", "lgsim", "lgsim.__main__:main")
+ONE_THREAD = [
+    *((entry, {}) for entry in ENTRIES),
+    ("lgsim.cli", dict.fromkeys(BLAS_THREAD_VARS, "")),
+]
+USER_SET = [(entry, {var: "2"}) for entry, var in zip(ENTRIES, BLAS_THREAD_VARS)]
 
 
-@pytest.mark.parametrize(
-    ("entry", "preset"),
-    [*((entry, {}) for entry in ENTRIES), ("lgsim.cli", dict.fromkeys(BLAS_THREAD_VARS, ""))],
-    ids=[*ENTRIES, "lgsim.cli-empty-values"],
-)
-def test_every_program_entry_runs_blas_on_one_thread(tmp_path, entry, preset):
+@pytest.fixture(scope="module")
+def programs(tmp_path_factory):
+    """Every case's interpreter, started at once; a case waits for its own.
+
+    Each case needs a fresh interpreter, as OpenBLAS reads its thread count
+    when it loads, but none needs another's to have finished.
+    """
+    procs = {
+        (entry, *preset.items()): start_program(tmp_path_factory.mktemp("program"), preset, entry)
+        for entry, preset in [*ONE_THREAD, *USER_SET]
+    }
+    yield lambda entry, preset: finish_program(procs[(entry, *preset.items())])
+    for proc in procs.values():
+        with proc:  # closes its pipes and reaps it
+            proc.kill()  # a no-op once it has exited
+
+
+@pytest.mark.parametrize(("entry", "preset"), ONE_THREAD, ids=[*ENTRIES, "lgsim.cli-empty-values"])
+def test_every_program_entry_runs_blas_on_one_thread(programs, entry, preset):
     # pinned before numpy loads, so neither numpy's BLAS nor scipy's starts a
     # worker; an empty value chooses nothing, so it is pinned as an unset one is
-    got = run_program(tmp_path, preset, entry)
+    got = programs(entry, preset)
     assert got["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), **preset, "OPENBLAS_NUM_THREADS": "1"}
     if got["threads"] is None:
         pytest.skip("no /proc/self/task to count this process's threads")
@@ -1410,8 +1433,8 @@ def test_every_program_entry_runs_blas_on_one_thread(tmp_path, entry, preset):
 
 
 @pytest.mark.parametrize(("entry", "var"), zip(ENTRIES, BLAS_THREAD_VARS))
-def test_every_program_entry_keeps_a_thread_count_the_user_set(tmp_path, entry, var):
-    got = run_program(tmp_path, {var: "2"}, entry)
+def test_every_program_entry_keeps_a_thread_count_the_user_set(programs, entry, var):
+    got = programs(entry, {var: "2"})
     assert got["env"] == {k: "2" if k == var else None for k in BLAS_THREAD_VARS}
 
 

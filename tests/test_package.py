@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import lgsim
+import oracles
 
 SUBMODULES = ("qubit", "dynamics", "protocol", "sampling", "sweeps", "tables", "cli", "_kernels")
 HOMES = SUBMODULES[:5]  # the modules whose __all__ the package exports, in dependency order
@@ -86,6 +87,48 @@ def test_the_package_exports_each_home_modules_all_once():
     assert lgsim.__all__ == sorted(names)
     for name, module in declared:
         assert getattr(lgsim, name) is getattr(module, name)
+
+
+# the public API, pinned: the engines, the program's types and the table API
+EXPORTS = [
+    "ATOL", "AdroitnessEstimate", "AdroitnessReport", "BATTERY_IDS", "BLOCK_SHOTS",
+    "CHOI_ATOL", "Channel", "CorrelatorSet", "CurveArrays", "DensityOperator", "EVENT_TAGS",
+    "EstimateWithError", "ExperimentSchedule", "HamiltonianSpec", "IDENTITY",
+    "LindbladSpec", "MeasurementEvent", "Observable", "OutcomeTrajectory", "SIGMA_X",
+    "SIGMA_Y", "SIGMA_Z", "SweepBlock", "SweepRecord", "SweepTable", "TrajectoryRecords",
+    "Verdict", "ViolationWindow", "adroitness_experiments", "adroitness_grid",
+    "adroitness_report", "build_protocol_schedule", "classic_lg", "correlator_exact",
+    "enumerate_outcomes", "enumerated_correlator", "enumerated_joint", "epsilon_adroitness",
+    "epsilon_total", "estimate_adroitness", "estimate_correlator",
+    "estimate_joint_distribution", "gamma_cutoff", "joint_distribution", "lg_curve",
+    "lg_quantity", "lindblad_propagator", "liouvillian", "operators_close", "pauli",
+    "sample_trajectories", "sigma_theta", "sweep_blocks", "sweep_records",
+    "unitary_propagator", "violation_verdict", "violation_window",
+]  # fmt: skip
+
+# names lgsim exported up to 0.1.0 that only tests called: they live in tests/oracles.py
+MOVED = {
+    "anticommutator": "qubit",
+    "compose": "qubit",
+    "dephase_theta": "qubit",
+    "dephase_z": "qubit",
+    "expectation": "qubit",
+    "identity_channel": "qubit",
+    "measure_channel": "qubit",
+    "heisenberg_observable": "dynamics",
+}
+
+
+def test_the_package_exports_exactly_the_pinned_names():
+    assert len(EXPORTS) == 57
+    assert lgsim.__all__ == EXPORTS
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_a_moved_name_is_gone(name):
+    assert not hasattr(lgsim, name)
+    assert not hasattr(importlib.import_module(f"lgsim.{MOVED[name]}"), name)
+    assert callable(getattr(oracles, name))
 
 
 @pytest.mark.parametrize("name", lgsim.__all__)
