@@ -24,7 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["protocol_lg", "battery_eps", "p_plus_table", "word_cutoffs", "sample_paths"]
+__all__ = [
+    "protocol_lg",
+    "battery_eps",
+    "p_plus_table",
+    "word_cutoffs",
+    "outcome_columns",
+    "sample_paths",
+]
 
 
 def _grid(thetas):
@@ -174,18 +181,48 @@ def word_cutoffs(p):
 
 
 def p_plus_table(lin, aff, axes, r0):
-    """``p(+1)`` of each event after a +1 / -1 at the event before, shape (k, 2).
+    """``p(+1)`` of each event after a +1 / -1 at the event before, shape (..., k, 2).
 
-    Event 0 starts from ``r0`` on both sides.
+    Event 0 starts from ``r0`` on both sides.  ``axes`` is (k, 3), or has
+    leading axes of runs that share ``lin``, ``aff`` and ``r0``.
     """
-    k = lin.shape[0]
-    # prev[j, 0] / prev[j, 1]: Bloch vector entering event j's gap after a
-    # +1 / -1 at event j - 1
-    prev = np.empty((k, 2, 3))
-    prev[0] = r0
-    prev[1:, 0] = axes[:-1]
-    prev[1:, 1] = -axes[:-1]
-    return _p_plus(lin[:, None], aff[:, None], axes[:, None], prev)
+    # prev[..., j, 0] / prev[..., j, 1]: Bloch vector entering event j's gap
+    # after a +1 / -1 at event j - 1
+    prev = np.empty(axes.shape[:-1] + (2, 3))
+    prev[..., 0, :, :] = r0
+    prev[..., 1:, 0, :] = axes[..., :-1, :]
+    prev[..., 1:, 1, :] = -axes[..., :-1, :]
+    return _p_plus(lin[:, None], aff[:, None], axes[..., None, :], prev)
+
+
+def _hits(words, cut, always):
+    """Which ``words`` decide +1: below ``cut``, or any word where ``always``."""
+    hit = words < cut
+    if always.any():
+        hit |= always
+    return hit
+
+
+def outcome_columns(words, cut, always):
+    """Yield, event by event, which rows of ``words`` give +1 (a bool per row).
+
+    ``cut[j, side]`` and ``always[j, side]`` are ``word_cutoffs`` of event
+    ``j`` after a +1 (side 0) or -1 (side 1) at the event before: scalars,
+    or one entry per row when the rows belong to runs with their own
+    cut-offs.  Event 0 reads side 0.  Each yielded array is new.
+    """
+    # after event 0, each row compares against both sides' cut-offs and keeps
+    # its own side's hit: (pos & a) | (~pos & b), built in place
+    pos = _hits(words[:, 0], cut[0, 0], always[0, 0])
+    yield pos
+    for j in range(1, words.shape[1]):
+        a = _hits(words[:, j], cut[j, 0], always[j, 0])
+        b = _hits(words[:, j], cut[j, 1], always[j, 1])
+        a &= pos
+        pos = ~pos
+        pos &= b
+        pos |= a
+        yield pos
 
 
 def sample_paths(words, lin, aff, axes, r0, out):
@@ -195,24 +232,7 @@ def sample_paths(words, lin, aff, axes, r0, out):
     the outcome is +1 exactly when ``(words[s, j] >> 11) * 2**-53 < p(+1)``.
     """
     cut, always = word_cutoffs(p_plus_table(lin, aff, axes, r0))
-    # event 0 has one p(+1); after it, the shots that drew +1 compare against
-    # one scalar cut-off and the rest against the other, and each shot keeps
-    # its own side's hit: (pos & a) | (~pos & b), built in place
-    pos = words[:, 0] < cut[0, 0]
-    if always[0, 0]:
-        pos[:] = True
-    out[:, 0] = pos
-    for j in range(1, words.shape[1]):
-        a = words[:, j] < cut[j, 0]
-        b = words[:, j] < cut[j, 1]
-        if always[j, 0]:
-            a[:] = True
-        if always[j, 1]:
-            b[:] = True
-        a &= pos
-        pos = ~pos
-        pos &= b
-        pos |= a
+    for j, pos in enumerate(outcome_columns(words, cut, always)):
         out[:, j] = pos
     out *= 2
     out -= 1

@@ -19,6 +19,7 @@ if __name__ == "__main__":  # python -m lgsim.cli: pin BLAS before numpy loads
     pin_blas_threads()
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import HamiltonianSpec, LindbladSpec
-from .protocol import BATTERY_IDS, adroitness_experiments, adroitness_grid, classic_lg
-from .sampling import estimate_adroitness, sample_trajectories
+from .protocol import BATTERY_IDS, adroitness_grid, classic_lg
+from .sampling import sample_battery
 from .sweeps import gamma_cutoff, sweep_blocks, violation_window
 from .tables import _emit, _sweep_blocks, read_table, records_from_rows
 
@@ -64,8 +65,8 @@ _UNIT_NS = {
     "rows": 20_000,  # 10^6 adroitness rows as JSONL, the slowest per row, took 19.7 s
     "box steps": 40,  # a step of the protocol kernel's box loop takes 30-55 ns
     "gamma passes": 333_333,  # a gamma's fixed cost, whatever the theta count
-    "sampled shots": 20,
-    "sampled cells": 3_300_000,  # eight sample_trajectories calls and their schedules
+    "sampled shots": 27,  # a shot of sample_battery's walk takes 25-27 ns
+    "sampled cells": 300_000,  # a cell's eight run seeds, Philox keys and cut-offs
 }
 _BOX_PASS_POINTS = 300  # a box-loop pass's fixed cost in steps (about 11 us)
 _GAMMA_PASSES = 4  # a gamma's passes for its propagators and battery, before its n blocks
@@ -322,15 +323,6 @@ def _cell_seed(base: int, cell: int, side: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sampled_epsilon(cfg: SweepConfig, sched, cell: int) -> tuple[float, float]:
-    keep = sample_trajectories(sched, cfg.shots, _cell_seed(cfg.seed, cell, 0))
-    drop = sample_trajectories(
-        sched, cfg.shots, _cell_seed(cfg.seed, cell, 1), mask=(True, False, True)
-    )
-    est = estimate_adroitness(keep, drop)
-    return est.epsilon, float(np.sqrt((est.cell_standard_errors**2).sum()))
-
-
 _ADROIT_IDS = (*BATTERY_IDS, "total")
 _MC_NOTE = (
     "epsilon_mc is biased upward near zero (absolute differences of noisy cells); "
@@ -357,17 +349,26 @@ def _cmd_adroitness(cfg: SweepConfig):
 
 
 def _adroitness_rows(cfg: SweepConfig, spec, grid: np.ndarray, cell: int):
-    """One gamma's rows, each theta's made, and sampled, as the table reaches
-    it; ``cell`` numbers the first theta's first sampled experiment."""
-    for theta, eps in zip(cfg.thetas, map(np.ndarray.tolist, grid)):
-        mc = [()] * 5
-        if cfg.shots:
-            schedules = adroitness_experiments(theta, cfg.tau, spec)
-            mc = [_sampled_epsilon(cfg, s, cell + k) for k, s in enumerate(schedules)]
-            mc_eps, mc_se = zip(*mc)
-            mc.append((sum(mc_eps), float(np.sqrt(np.sum(np.square(mc_se))))))
-        yield from [(eid, theta, e, *m) for eid, e, m in zip(_ADROIT_IDS, [*eps, sum(eps)], mc)]
-        cell += 4
+    """One gamma's rows, sampled when the table reaches them and then made
+    theta by theta; ``cell`` numbers the first theta's first experiment."""
+    mc = itertools.repeat([()] * 5)
+    if cfg.shots:
+        seeds = [
+            [[_cell_seed(cfg.seed, cell + 4 * b + e, side) for side in (0, 1)] for e in range(4)]
+            for b in range(len(cfg.thetas))
+        ]
+        est = sample_battery(cfg.thetas, cfg.tau, spec, cfg.shots, seeds)
+        # an experiment's SE is its cells' SEs in quadrature; the total row
+        # adds the experiments left to right, as sum() does, and their SEs
+        # in quadrature
+        mc_eps = est.epsilon
+        mc_se = np.sqrt(np.square(est.cell_standard_errors).reshape(-1, 4, 4).sum(axis=-1))
+        total = mc_eps[:, 0] + mc_eps[:, 1] + mc_eps[:, 2] + mc_eps[:, 3]
+        mc_eps = np.column_stack((mc_eps, total))
+        mc_se = np.column_stack((mc_se, np.sqrt(np.square(mc_se).sum(axis=1))))
+        mc = np.stack((mc_eps, mc_se), axis=-1).tolist()
+    for theta, eps, m in zip(cfg.thetas, map(np.ndarray.tolist, grid), mc):
+        yield from [(eid, theta, e, *c) for eid, e, c in zip(_ADROIT_IDS, [*eps, sum(eps)], m)]
 
 
 def _cmd_classic(cfg: SweepConfig):

@@ -441,6 +441,31 @@ def epsilon_adroitness(schedule: ExperimentSchedule) -> float:
     return float(np.abs(with_probe - without).sum())
 
 
+def _battery_axes(thetas, tau: float, dynamics: LindbladSpec):
+    """The battery over a theta grid, checked: ``(thetas, times, (z, tilted))``.
+
+    ``times`` are the events' ``tau, 2*tau, 3*tau``; ``z`` and ``tilted`` are
+    the (B, 3) measurement axes of ``adroitness_experiments``, row ``b`` of
+    ``tilted`` being ``sigma_theta(thetas[b])``'s axis.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise ValueError(f"theta grid must be one dimensional, got shape {thetas.shape}")
+    tau = _check_positive(tau, "tau")
+    times = (tau, 2.0 * tau, 3.0 * tau)
+    if not math.isfinite(times[2]):
+        raise ValueError(f"event time must be nonnegative and finite, got {times[2]}")
+    if not isinstance(dynamics, LindbladSpec):
+        raise ValueError("dynamics must be a LindbladSpec")
+    tilted = np.zeros((thetas.shape[0], 3))
+    for b, theta in enumerate(thetas.tolist()):
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        tilted[b, 0] = math.sin(theta)
+        tilted[b, 2] = math.cos(theta)
+    return thetas, times, (np.broadcast_to(pauli("z").bloch_axis, tilted.shape), tilted)
+
+
 def adroitness_grid(thetas, tau: float, dynamics: LindbladSpec) -> np.ndarray:
     """Per-experiment adroitness of the battery over a theta grid, shape (B, 4).
 
@@ -453,23 +478,8 @@ def adroitness_grid(thetas, tau: float, dynamics: LindbladSpec) -> np.ndarray:
     outside [0, 2] raises ``AdroitnessReport``'s, each for the first failing
     cell in grid order.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1:
-        raise ValueError(f"theta grid must be one dimensional, got shape {thetas.shape}")
-    tau = _check_positive(tau, "tau")
-    times = (tau, 2.0 * tau, 3.0 * tau)
-    if not math.isfinite(times[2]):
-        raise ValueError(f"event time must be nonnegative and finite, got {times[2]}")
-    if not isinstance(dynamics, LindbladSpec):
-        raise ValueError("dynamics must be a LindbladSpec")
+    thetas, times, pair = _battery_axes(thetas, tau, dynamics)
     size = thetas.shape[0]
-    tilted = np.zeros((size, 3))
-    for b, theta in enumerate(thetas.tolist()):
-        if not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta}")
-        tilted[b, 0] = math.sin(theta)
-        tilted[b, 2] = math.cos(theta)
-    pair = (np.broadcast_to(pauli("z").bloch_axis, tilted.shape), tilted)
     rho0 = DensityOperator.maximally_mixed().coefficients
 
     tables = np.empty((size, 4, 2, 4))  # per experiment: probe kept/removed, (s1, s3)
@@ -487,7 +497,7 @@ def adroitness_grid(thetas, tau: float, dynamics: LindbladSpec) -> np.ndarray:
         b = int(np.argmax(bad))
         for total in totals[b].ravel():
             _check_normalised(total)
-        _report(thetas[b], tau, dynamics, eps[b])
+        _report(thetas[b], times[0], dynamics, eps[b])
         raise AssertionError("unreachable: a flagged cell fails one of the checks")
     return eps
 

@@ -24,7 +24,20 @@ word lies below the event's cut-off, which is exactly when the uniform
 below ``p(+1)``; no doubles are drawn.  The stream for any shot therefore
 depends only on ``(seed, shot index)``, never on how the work is executed,
 and identical ``(schedule, mask, shots, seed)`` inputs give bit-identical
-records.
+records.  One Philox per run is re-keyed through its state at each block: the
+same words as ``Philox(key=(s, j))``, without the OS entropy that
+constructor draws and discards.
+
+``sample_trajectories`` samples one schedule into records; it is the
+per-schedule entry point and the oracle of ``sample_battery``, which samples
+the whole adroitness battery over a theta grid (``lgsim adroitness
+--shots``).  The battery sampler compiles every (theta, experiment, probe
+kept or removed) run at once, draws each run's words from the stream
+``sample_trajectories`` would, and walks the runs' shots ``_CHUNK_ROWS``
+rows at a time, keeping only the Q1/Q3 counts that the joint tables need.
+It holds one chunk of words and builds no records, so its memory does not
+grow with the shot count, and its estimates equal ``estimate_adroitness``
+on the per-schedule records bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +49,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .dynamics import lindblad_propagator
-from .protocol import ExperimentSchedule
+from .dynamics import LindbladSpec, lindblad_propagator
+from .protocol import _BATTERY_LAYOUT, ExperimentSchedule, _battery_axes
+from .qubit import DensityOperator
 
 __all__ = [
     "BLOCK_SHOTS",
@@ -45,10 +59,12 @@ __all__ = [
     "TrajectoryRecords",
     "EstimateWithError",
     "AdroitnessEstimate",
+    "BatteryEstimate",
     "enumerate_outcomes",
     "enumerated_correlator",
     "enumerated_joint",
     "sample_trajectories",
+    "sample_battery",
     "estimate_correlator",
     "estimate_joint_distribution",
     "estimate_adroitness",
@@ -58,6 +74,7 @@ BLOCK_SHOTS = 1 << 16
 _PRUNE_TOL = 1e-14
 _MAX_ENUM_EVENTS = 20
 _PROB_TOL = 1e-10
+_CHUNK_ROWS = 1 << 13  # shot rows sample_battery walks at once
 
 
 @dataclass(frozen=True)
@@ -154,6 +171,23 @@ class AdroitnessEstimate:
     samples_without: int
 
 
+@dataclass(frozen=True, eq=False)
+class BatteryEstimate:
+    """Monte Carlo adroitness of the battery over a theta grid (``sample_battery``).
+
+    Entry ``[b, e]`` holds experiment ``e`` at theta ``b``: ``epsilon`` is
+    (B, 4), and ``p_with``, ``p_without`` and ``cell_standard_errors`` are
+    (B, 4, 2, 2), each as ``AdroitnessEstimate`` defines it.  Both runs of
+    every experiment draw ``shots`` shots.
+    """
+
+    epsilon: np.ndarray
+    p_with: np.ndarray
+    p_without: np.ndarray
+    cell_standard_errors: np.ndarray
+    shots: int
+
+
 def _resolve_mask(schedule: ExperimentSchedule, mask: Sequence[bool] | None) -> list[int]:
     if mask is None:
         return list(range(len(schedule.events)))
@@ -223,9 +257,40 @@ def enumerated_joint(trajectories: Sequence[OutcomeTrajectory], a: int, b: int) 
     return table
 
 
-def _philox_words(seed: int, block: int, shots: int, events: int) -> np.ndarray:
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Philox(key=key).random_raw(shots * events).reshape(shots, events)
+def _philox() -> np.random.Philox:
+    """A Philox for ``_rekey``; a fixed seed spares the OS entropy a keyless one draws."""
+    return np.random.Philox(0)
+
+
+def _rekey(bitgen: np.random.Philox, seed, block: int) -> np.random.Philox:
+    """``bitgen`` keyed ``(seed, block)`` at counter 0: the stream of
+    ``Philox(key=(seed, block))``, which would draw OS entropy for a seed it
+    then ignores."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, block], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen
+
+
+def _gaps(dynamics: LindbladSpec, times) -> tuple[np.ndarray, np.ndarray]:
+    """``(lin, aff)`` of events at ``times``: the gap before event ``k``, from
+    the event before it or from time 0, maps ``r -> aff[k] + lin[k] r``."""
+    lin = np.empty((len(times), 3, 3))
+    aff = np.empty((len(times), 3))
+    t = 0.0
+    for col, time in enumerate(times):
+        ptm = np.eye(4) if time == t else lindblad_propagator(dynamics, time - t).ptm
+        t = time
+        # normalized conditional states have Pauli coefficients (1/2, r/2),
+        # so on Bloch vectors the propagator acts as r -> ptm[1:,0] + M r
+        lin[col] = ptm[1:, 1:]
+        aff[col] = ptm[1:, 0]
+    return lin, aff
 
 
 def _compile(schedule: ExperimentSchedule, included: list[int]):
@@ -234,22 +299,22 @@ def _compile(schedule: ExperimentSchedule, included: list[int]):
     Event ``k`` moves the Bloch vector by ``r -> aff[k] + lin[k] r`` and is
     measured along ``axes[k]``; the walk starts from ``r0``.
     """
-    spec = schedule.dynamics
-    k = len(included)
-    lin = np.empty((k, 3, 3))
-    aff = np.empty((k, 3))
-    axes = np.empty((k, 3))
-    t = 0.0
-    for col, idx in enumerate(included):
-        ev = schedule.events[idx]
-        ptm = np.eye(4) if ev.time == t else lindblad_propagator(spec, ev.time - t).ptm
-        t = ev.time
-        # normalized conditional states have Pauli coefficients (1/2, r/2),
-        # so on Bloch vectors the propagator acts as r -> ptm[1:,0] + M r
-        lin[col] = ptm[1:, 1:]
-        aff[col] = ptm[1:, 0]
-        axes[col] = ev.observable.bloch_axis
+    events = [schedule.events[idx] for idx in included]
+    lin, aff = _gaps(schedule.dynamics, [ev.time for ev in events])
+    axes = np.array([ev.observable.bloch_axis for ev in events])
     return lin, aff, axes, schedule.initial_state.bloch_vector
+
+
+def _check_shots(shots) -> int:
+    if shots != int(shots) or shots < 1:
+        raise ValueError(f"shots must be a positive integer, got {shots}")
+    return int(shots)
+
+
+def _check_seed(seed) -> int:
+    if seed != int(seed) or not (0 <= int(seed) < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    return int(seed)
 
 
 def sample_trajectories(
@@ -263,20 +328,18 @@ def sample_trajectories(
     Every included observable must be traceless (have a measurement axis).
     Excluded events are removed from the run entirely, matching the exact
     engine's primed semantics: one propagator bridges each removed stretch.
+    This is the per-schedule sampler and the oracle of ``sample_battery``.
     """
-    if shots != int(shots) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots}")
-    shots = int(shots)
-    if seed != int(seed) or not (0 <= int(seed) < 2**64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-    seed = int(seed)
+    shots = _check_shots(shots)
+    seed = _check_seed(seed)
     included = _resolve_mask(schedule, mask)
     lin, aff, axes, r0 = _compile(schedule, included)
     k = len(included)
     out = np.empty((shots, k), dtype=np.int8)
+    bitgen = _philox()
     for block, start in enumerate(range(0, shots, BLOCK_SHOTS)):
         size = min(BLOCK_SHOTS, shots - start)
-        words = _philox_words(seed, block, size, k)
+        words = _rekey(bitgen, seed, block).random_raw(size * k).reshape(size, k)
         _kernels.sample_paths(words, lin, aff, axes, r0, out[start : start + size])
 
     full_mask = [False] * len(schedule.events)
@@ -289,6 +352,98 @@ def sample_trajectories(
         mask=tuple(full_mask),
         seed=seed,
     )
+
+
+def sample_battery(
+    thetas, tau: float, dynamics: LindbladSpec, shots: int, seeds
+) -> BatteryEstimate:
+    """Monte Carlo adroitness of the four-experiment battery over a theta grid.
+
+    Experiment ``e`` at ``thetas[b]`` is ``adroitness_experiments(thetas[b],
+    tau, dynamics)[e]``, sampled for ``shots`` shots with the probe (seed
+    ``seeds[b][e][0]``) and without it (mask ``(True, False, True)``, seed
+    ``seeds[b][e][1]``).  Entry ``[b, e]`` of the result is what
+    ``estimate_adroitness`` gives on those two ``sample_trajectories`` runs,
+    bit for bit, but no records are built: the runs are compiled together,
+    their shots walked ``_CHUNK_ROWS`` rows at a time, and only the Q1/Q3
+    counts kept, so memory does not grow with ``shots``.
+    """
+    _, times, (z, tilted) = _battery_axes(thetas, tau, dynamics)
+    shots = _check_shots(shots)
+    size = tilted.shape[0]
+    keys = np.asarray(seeds, dtype=object)  # exact for any Python int
+    if keys.shape != (size, 4, 2):
+        raise ValueError(f"seeds must have shape ({size}, 4, 2), got {keys.shape}")
+    keys = np.array([_check_seed(s) for s in keys.flat], dtype=np.uint64).reshape(size, 4, 2)
+    pair = np.stack((z, tilted), axis=1)  # (B, 2, 3): the axes that _BATTERY_LAYOUT picks
+    r0 = DensityOperator.maximally_mixed().bloch_vector
+    counts = np.empty((size, 4, 2, 3), dtype=np.int64)
+    step = _CHUNK_ROWS // 4  # thetas compiled at once: _CHUNK_ROWS runs a side
+    for side, events in enumerate(((0, 1, 2), (0, 2))):  # with the probe, without it
+        lin, aff = _gaps(dynamics, [times[i] for i in events])
+        layout = np.array(_BATTERY_LAYOUT)[:, events]
+        for lo in range(0, size, step):
+            axes = pair[lo : lo + step][:, layout]  # (b, 4, events, 3)
+            cut, always = _kernels.word_cutoffs(_kernels.p_plus_table(lin, aff, axes, r0))
+            runs = (-1, len(events), 2)
+            run_keys = keys[lo : lo + step, :, side].ravel()
+            found = _count_runs(run_keys, cut.reshape(runs), always.reshape(runs), shots)
+            counts[lo : lo + step, :, side] = found.reshape(-1, 4, 3)
+    n1, n3, n13 = np.moveaxis(counts, -1, 0)  # each (B, 4, side)
+    cells = np.stack((n13, n1 - n13, n3 - n13, shots - n1 - n3 + n13), axis=-1)
+    tables = cells.reshape(size, 4, 2, 2, 2).astype(np.float64) / shots
+    pw, pn = tables[:, :, 0], tables[:, :, 1]
+    return BatteryEstimate(
+        epsilon=np.abs(pw - pn).reshape(size, 4, 4).sum(axis=-1),
+        p_with=pw,
+        p_without=pn,
+        cell_standard_errors=np.sqrt(pw * (1.0 - pw) / shots + pn * (1.0 - pn) / shots),
+        shots=shots,
+    )
+
+
+def _count_runs(keys: np.ndarray, cut: np.ndarray, always: np.ndarray, shots: int) -> np.ndarray:
+    """The +1 counts ``(Q1, Q3, both)`` of runs that share an event count, (R, 3).
+
+    Run ``r`` draws ``shots`` shots from seed ``keys[r]`` and decides them
+    by ``cut[r]`` and ``always[r]`` (``word_cutoffs``, (k, 2)); its first and
+    last events are Q1 and Q3.  Each run's words come from one Philox,
+    re-keyed at each ``BLOCK_SHOTS`` block, so they are the words of
+    ``sample_trajectories``.  At most ``_CHUNK_ROWS`` shot rows are walked at
+    once: a long run a chunk of its shots at a time, short runs as many
+    whole runs as fill a chunk.
+    """
+    runs, k = cut.shape[:2]
+    cut = np.moveaxis(cut, 0, -1)  # (k, 2, R): outcome_columns reads [event, side]
+    always = np.moveaxis(always, 0, -1)
+    counts = np.empty((runs, 3), dtype=np.int64)
+    bitgen = _philox()
+    if shots >= _CHUNK_ROWS:  # long runs one at a time, with scalar cut-offs
+        for run in range(runs):
+            found = [0, 0, 0]
+            shot = 0
+            while shot < shots:  # a chunk ends at a block edge, where the key changes
+                block, offset = divmod(shot, BLOCK_SHOTS)
+                if offset == 0:
+                    _rekey(bitgen, keys[run], block)
+                size = min(_CHUNK_ROWS, shots - shot, BLOCK_SHOTS - offset)
+                words = bitgen.random_raw(size * k).reshape(size, k)
+                q1, *_, q3 = _kernels.outcome_columns(words, cut[..., run], always[..., run])
+                found = [n + np.count_nonzero(q) for n, q in zip(found, (q1, q3, q1 & q3))]
+                shot += size
+            counts[run] = found
+        return counts
+    # short runs lie in block 0 (_CHUNK_ROWS <= BLOCK_SHOTS); each row carries its run's cut-offs
+    per = _CHUNK_ROWS // shots
+    for first in range(0, runs, per):
+        group = range(first, min(first + per, runs))
+        words = [_rekey(bitgen, keys[run], 0).random_raw(shots * k) for run in group]
+        words = np.concatenate(words).reshape(-1, k)
+        c, a = (np.repeat(x[..., group.start : group.stop], shots, axis=-1) for x in (cut, always))
+        q1, *_, q3 = _kernels.outcome_columns(words, c, a)
+        for col, q in enumerate((q1, q3, q1 & q3)):
+            counts[group.start : group.stop, col] = np.count_nonzero(q.reshape(-1, shots), axis=1)
+    return counts
 
 
 def estimate_correlator(

@@ -22,7 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lgsim
-from lgsim import cli, sweeps, tables
+from lgsim import cli, sampling, sweeps, tables
 from lgsim.cli import main, read_table, records_from_rows
 from lgsim.sweeps import CurveArrays, SweepBlock, SweepTable, sweep_records
 
@@ -472,20 +472,25 @@ def test_work_the_retired_limits_added_up_is_refused(monkeypatch, capsys, argv, 
     assert expect_error(capsys, *argv).endswith(BUDGET)
 
 
-def test_each_charged_sampled_cell_runs_eight_sample_trajectories(monkeypatch, capsys):
-    calls = []
-    sample = cli.sample_trajectories
+def test_each_charged_sampled_cell_samples_eight_runs(monkeypatch, capsys):
+    # the runs sample_battery walks, each with its shot count: four
+    # experiments with and without the probe per (theta, gamma) cell
+    runs = []
+    count_runs = sampling._count_runs
     monkeypatch.setattr(
-        cli, "sample_trajectories", lambda *a, **k: calls.append(a) or sample(*a, **k)
+        sampling,
+        "_count_runs",
+        lambda keys, cut, always, shots: runs.extend([shots] * len(keys))
+        or count_runs(keys, cut, always, shots),
     )
     for shots, cells in ((0, 0), (5, 6)):
         argv = ("adroitness", "--theta", "0:1:3", "--gamma", "0:0.01:2", "--shots", str(shots))
         cfg = resolve(*argv)
         work = cli._work(cfg.command, len(cfg.thetas), len(cfg.gammas), cfg.ns, cfg.shots)
         assert work["sampled cells"] == cells
-        calls.clear()
+        runs.clear()
         assert run(capsys, *argv)[0] == 0
-        assert len(calls) == 8 * cells
+        assert runs == [shots] * 8 * cells
 
 
 PI_TEXT = "3.141592653589793"
@@ -1136,6 +1141,8 @@ def test_table_bytes_are_pinned(capsys, argv, digest):
 
 
 ADROIT_GRID = ("adroitness", "--theta", "0:3.141592653589793:5", "--gamma", "0:0.01:3")
+MULTI_BLOCK = ("adroitness", "--theta", f"0:{PI_TEXT}:3", "--gamma", "0:0.01:2")
+MULTI_BLOCK += ("--shots", "70000", "--seed", "5")
 
 
 @pytest.mark.parametrize(
@@ -1160,6 +1167,16 @@ ADROIT_GRID = ("adroitness", "--theta", "0:3.141592653589793:5", "--gamma", "0:0
             ("adroitness", "--shots", "300", "--seed", "3", "--format", "jsonl"),
             "8eaad90e07d58fde94c078e2a22fd63813005f49ee185ba7026fc129bd1c4e9d",
         ),
+        *(
+            (MULTI_BLOCK + fmt, digest)
+            for fmt, digest in (
+                ((), "860a99fe370a5ecd5208d6a956228019807a9a24e1bd9b57609f0c6d47eff8a1"),
+                (
+                    ("--format", "jsonl"),
+                    "a416139c6ae39811ef3e7ffa8ed00b2b466bbb40d29259c0145ccb95fdde8d61",
+                ),
+            )
+        ),
     ],
 )
 def test_adroitness_bytes_are_pinned(capsys, argv, digest):
@@ -1167,7 +1184,10 @@ def test_adroitness_bytes_are_pinned(capsys, argv, digest):
     # battery one (theta, gamma) cell at a time through joint_distribution,
     # and (the seeded JSONL one) before every table went through one block
     # renderer; the grids hold theta = 0, pi, negative and > 2*pi, gamma = 0
-    # and > 0, m > 1 with omega != 1, and seeded Monte Carlo tables
+    # and > 0, m > 1 with omega != 1, and seeded Monte Carlo tables.  The
+    # multi-block tables were written while each sampled run still drew its
+    # own int8 records: 70000 shots cross the 2**16-shot block edge, and at
+    # gamma = 0, theta = 0 and pi give p(+1) = 1 cut-offs
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -92,7 +92,8 @@ def test_the_package_exports_each_home_modules_all_once():
 # the public API, pinned: the engines, the program's types and the table API
 EXPORTS = [
     "ATOL", "AdroitnessEstimate", "AdroitnessReport", "BATTERY_IDS", "BLOCK_SHOTS",
-    "CHOI_ATOL", "Channel", "CorrelatorSet", "CurveArrays", "DensityOperator", "EVENT_TAGS",
+    "BatteryEstimate", "CHOI_ATOL", "Channel", "CorrelatorSet", "CurveArrays",
+    "DensityOperator", "EVENT_TAGS",
     "EstimateWithError", "ExperimentSchedule", "HamiltonianSpec", "IDENTITY",
     "LindbladSpec", "MeasurementEvent", "Observable", "OutcomeTrajectory", "SIGMA_X",
     "SIGMA_Y", "SIGMA_Z", "SweepBlock", "SweepRecord", "SweepTable", "TrajectoryRecords",
@@ -102,7 +103,7 @@ EXPORTS = [
     "epsilon_total", "estimate_adroitness", "estimate_correlator",
     "estimate_joint_distribution", "gamma_cutoff", "joint_distribution", "lg_curve",
     "lg_quantity", "lindblad_propagator", "liouvillian", "operators_close", "pauli",
-    "sample_trajectories", "sigma_theta", "sweep_blocks", "sweep_records",
+    "sample_battery", "sample_trajectories", "sigma_theta", "sweep_blocks", "sweep_records",
     "unitary_propagator", "violation_verdict", "violation_window",
 ]  # fmt: skip
 
@@ -120,7 +121,7 @@ MOVED = {
 
 
 def test_the_package_exports_exactly_the_pinned_names():
-    assert len(EXPORTS) == 57
+    assert len(EXPORTS) == 59
     assert lgsim.__all__ == EXPORTS
 
 

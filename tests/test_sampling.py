@@ -9,10 +9,13 @@ coefficients) and must agree to near machine precision.
 import dataclasses
 import hashlib
 import math
+import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgsim import _kernels, sampling
@@ -37,6 +40,7 @@ from lgsim.sampling import (
     estimate_adroitness,
     estimate_correlator,
     estimate_joint_distribution,
+    sample_battery,
     sample_trajectories,
 )
 
@@ -362,3 +366,109 @@ def test_estimate_adroitness_matches_exact():
     exact = epsilon_adroitness(sch)
     budget = 5.0 * float(est.cell_standard_errors.sum())
     assert abs(est.epsilon - exact) < budget
+
+
+# ---------------------------------------------------------------------------
+# the batched battery sampler against its per-schedule oracle
+
+SEED = st.integers(min_value=0, max_value=2**64 - 1)
+CHUNK = sampling._CHUNK_ROWS
+DEFAULTS = (CHUNK, BLOCK_SHOTS)  # chunk and block sizes
+
+
+@st.composite
+def battery_runs(draw):
+    """A theta grid (with 0, pi and negative values), a gamma (with 0), a
+    chunk and block size, and a shot count that crosses their edges: with
+    the defaults, shot counts either side of the chunk and the 2**16 block
+    edges; with a small chunk, several thetas per compiled slice, several
+    short runs per chunk, and (with 16-shot blocks) chunks that end at a
+    block edge."""
+    edges = st.sampled_from([0.0, math.pi, -math.pi / 3.0])
+    thetas = draw(st.lists(st.one_of(edges, st.floats(-7.0, 7.0)), min_size=1, max_size=3))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    chunk = draw(st.sampled_from([4, 12, CHUNK]))
+    block = BLOCK_SHOTS
+    if chunk == CHUNK:
+        shots = draw(st.sampled_from([1, 3, chunk - 1, chunk + 3, BLOCK_SHOTS + 1]))
+    else:
+        block = draw(st.sampled_from([16, BLOCK_SHOTS]))
+        shots = draw(st.integers(1, 3 * chunk))
+    seeds = [[[draw(SEED) for _ in range(2)] for _ in range(4)] for _ in thetas]
+    return thetas, draw(st.floats(0.2, 3.5)), gamma, (chunk, block), shots, seeds
+
+
+@given(battery_runs())
+@settings(max_examples=20, deadline=None, derandomize=True)
+# across the 2**16 block edge: at gamma = 0, theta = 0 and pi give p(+1) = 1
+@example(([0.0, math.pi, -1.0], math.pi, 0.0, DEFAULTS, BLOCK_SHOTS + 1, [[[7, 8]] * 4] * 3))
+@example(([2.2], 0.9, 0.3, DEFAULTS, 2 * BLOCK_SHOTS + 5, [[[2**64 - 1, 0]] * 4]))
+@example(([0.4, 1.1], 2.0, 0.05, (12, 16), 35, [[[3, 4]] * 4] * 2))
+def test_the_battery_sampler_is_its_per_schedule_runs_bit_for_bit(drawn):
+    thetas, tau, gamma, (chunk, block), shots, seeds = drawn
+    spec = LindbladSpec(HamiltonianSpec(1.0), gamma)
+    # both samplers read the block size, so a small one moves both streams alike
+    with mock.patch.object(sampling, "_CHUNK_ROWS", chunk), mock.patch.object(
+        sampling, "BLOCK_SHOTS", block
+    ):
+        got = sample_battery(thetas, tau, spec, shots, seeds)
+        want = [
+            estimate_adroitness(
+                sample_trajectories(sch, shots, seeds[b][e][0]),
+                sample_trajectories(sch, shots, seeds[b][e][1], mask=(True, False, True)),
+            )
+            for b, theta in enumerate(thetas)
+            for e, sch in enumerate(adroitness_experiments(theta, tau, spec))
+        ]
+    assert got.shots == shots
+    for field in ("epsilon", "p_with", "p_without", "cell_standard_errors"):
+        expected = np.array([getattr(est, field) for est in want], dtype=np.float64)
+        assert getattr(got, field).tobytes() == expected.tobytes(), field
+
+
+def test_the_battery_samplers_memory_does_not_grow_with_the_shots():
+    # one chunk of words and its walk, whatever the shots: 2**20 shots (16
+    # blocks, 64 chunks a run) peak where 2**17 do
+    peaks = []
+    for shots in (2**17, 2**20):
+        tracemalloc.start()
+        try:
+            sample_battery([0.6], math.pi, NOISY, shots, [[[1, 2]] * 4])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 200_000, peaks
+
+
+def test_the_samplers_draw_no_os_entropy(monkeypatch):
+    # Philox(key=...) seeds a SeedSequence from the OS and then ignores it;
+    # the samplers re-key one Philox instead, which gives the same words
+    def refuse(size):
+        raise AssertionError("OS entropy drawn")
+
+    monkeypatch.setattr(random, "_urandom", refuse)
+    with pytest.raises(AssertionError, match="OS entropy"):  # the patch sees numpy's draw
+        np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
+    sch = adroitness_experiments(0.6, math.pi, NOISY)[0]
+    sample_trajectories(sch, BLOCK_SHOTS + 7, seed=3)
+    sample_battery([0.6], math.pi, NOISY, BLOCK_SHOTS + 7, [[[1, 2]] * 4])
+
+
+def test_battery_sampler_argument_validation():
+    seeds = [[[1, 2]] * 4]
+    with pytest.raises(ValueError, match="shots must be"):
+        sample_battery([0.5], math.pi, NOISY, 0, seeds)
+    with pytest.raises(ValueError, match=r"seeds must have shape \(1, 4, 2\)"):
+        sample_battery([0.5], math.pi, NOISY, 10, [[1, 2]] * 4)
+    for bad in (-1, 2**64, 0.5):
+        with pytest.raises(ValueError, match="seed must be"):
+            sample_battery([0.5], math.pi, NOISY, 10, [[[1, bad]] * 4])
+    with pytest.raises(ValueError, match="theta must be finite"):
+        sample_battery([math.inf], math.pi, NOISY, 10, seeds)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        sample_battery([0.5], 0.0, NOISY, 10, seeds)
+    # the largest seed beside a small one, exact: np.asarray would make both floats
+    top = sample_battery([0.5], math.pi, NOISY, 10, [[[2**64 - 1, 1]] * 4])
+    sch = adroitness_experiments(0.5, math.pi, NOISY)[0]
+    with_probe = sample_trajectories(sch, 10, 2**64 - 1)
+    assert np.array_equal(top.p_with[0, 0], estimate_joint_distribution(with_probe))
