@@ -204,20 +204,21 @@ def _hits(words, cut, always):
 
 
 def outcome_columns(words, cut, always):
-    """Yield, event by event, which rows of ``words`` give +1 (a bool per row).
+    """Yield, event by event, which shots of ``words`` give +1 (a bool each).
 
+    ``words`` is (..., shots, k), leading axes holding runs side by side.
     ``cut[j, side]`` and ``always[j, side]`` are ``word_cutoffs`` of event
     ``j`` after a +1 (side 0) or -1 (side 1) at the event before: scalars,
-    or one entry per row when the rows belong to runs with their own
-    cut-offs.  Event 0 reads side 0.  Each yielded array is new.
+    or (runs, 1) arrays for runs with their own cut-offs.  Event 0 reads
+    side 0.  Each yielded array is new.
     """
-    # after event 0, each row compares against both sides' cut-offs and keeps
+    # after event 0, each shot compares against both sides' cut-offs and keeps
     # its own side's hit: (pos & a) | (~pos & b), built in place
-    pos = _hits(words[:, 0], cut[0, 0], always[0, 0])
+    pos = _hits(words[..., 0], cut[0, 0], always[0, 0])
     yield pos
-    for j in range(1, words.shape[1]):
-        a = _hits(words[:, j], cut[j, 0], always[j, 0])
-        b = _hits(words[:, j], cut[j, 1], always[j, 1])
+    for j in range(1, words.shape[-1]):
+        a = _hits(words[..., j], cut[j, 0], always[j, 0])
+        b = _hits(words[..., j], cut[j, 1], always[j, 1])
         a &= pos
         pos = ~pos
         pos &= b

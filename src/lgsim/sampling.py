@@ -33,11 +33,11 @@ per-schedule entry point and the oracle of ``sample_battery``, which samples
 the whole adroitness battery over a theta grid (``lgsim adroitness
 --shots``).  The battery sampler compiles every (theta, experiment, probe
 kept or removed) run at once, draws each run's words from the stream
-``sample_trajectories`` would, and walks the runs' shots ``_CHUNK_ROWS``
-rows at a time, keeping only the Q1/Q3 counts that the joint tables need.
-It holds one chunk of words and builds no records, so its memory does not
-grow with the shot count, and its estimates equal ``estimate_adroitness``
-on the per-schedule records bit for bit.
+``sample_trajectories`` would, and walks ``_CHUNK_ROWS`` shot rows at a
+time: as many whole runs as fit side by side, or one longer run alone.  It
+holds one chunk of words and keeps only the Q1/Q3 counts, never a record,
+so its memory does not grow with the shot count, and its estimates equal
+``estimate_adroitness`` on the per-schedule records bit for bit.
 """
 
 from __future__ import annotations
@@ -407,42 +407,39 @@ def _count_runs(keys: np.ndarray, cut: np.ndarray, always: np.ndarray, shots: in
 
     Run ``r`` draws ``shots`` shots from seed ``keys[r]`` and decides them
     by ``cut[r]`` and ``always[r]`` (``word_cutoffs``, (k, 2)); its first and
-    last events are Q1 and Q3.  Each run's words come from one Philox,
-    re-keyed at each ``BLOCK_SHOTS`` block, so they are the words of
-    ``sample_trajectories``.  At most ``_CHUNK_ROWS`` shot rows are walked at
-    once: a long run a chunk of its shots at a time, short runs as many
-    whole runs as fill a chunk.
+    last events are Q1 and Q3.  Runs are walked in groups of as many as fit
+    in ``_CHUNK_ROWS`` shot rows, at least one: a chunk lays the group's
+    runs side by side as (runs, size, k) words, each run's cut-offs
+    broadcast over its own shots.  A chunk ends at a ``BLOCK_SHOTS`` edge,
+    where each run is re-keyed, so the words are those of
+    ``sample_trajectories``; a run longer than a chunk is alone in its
+    group, and its Philox continues from chunk to chunk.
     """
     runs, k = cut.shape[:2]
-    cut = np.moveaxis(cut, 0, -1)  # (k, 2, R): outcome_columns reads [event, side]
-    always = np.moveaxis(always, 0, -1)
+    cut = np.moveaxis(cut, 0, -1)[..., None]  # (k, 2, R, 1): outcome_columns reads [event, side]
+    always = np.moveaxis(always, 0, -1)[..., None]
     counts = np.empty((runs, 3), dtype=np.int64)
+    per = max(1, _CHUNK_ROWS // shots)
     bitgen = _philox()
-    if shots >= _CHUNK_ROWS:  # long runs one at a time, with scalar cut-offs
-        for run in range(runs):
-            found = [0, 0, 0]
-            shot = 0
-            while shot < shots:  # a chunk ends at a block edge, where the key changes
-                block, offset = divmod(shot, BLOCK_SHOTS)
-                if offset == 0:
-                    _rekey(bitgen, keys[run], block)
-                size = min(_CHUNK_ROWS, shots - shot, BLOCK_SHOTS - offset)
-                words = bitgen.random_raw(size * k).reshape(size, k)
-                q1, *_, q3 = _kernels.outcome_columns(words, cut[..., run], always[..., run])
-                found = [n + np.count_nonzero(q) for n, q in zip(found, (q1, q3, q1 & q3))]
-                shot += size
-            counts[run] = found
-        return counts
-    # short runs lie in block 0 (_CHUNK_ROWS <= BLOCK_SHOTS); each row carries its run's cut-offs
-    per = _CHUNK_ROWS // shots
     for first in range(0, runs, per):
-        group = range(first, min(first + per, runs))
-        words = [_rekey(bitgen, keys[run], 0).random_raw(shots * k) for run in group]
-        words = np.concatenate(words).reshape(-1, k)
-        c, a = (np.repeat(x[..., group.start : group.stop], shots, axis=-1) for x in (cut, always))
-        q1, *_, q3 = _kernels.outcome_columns(words, c, a)
-        for col, q in enumerate((q1, q3, q1 & q3)):
-            counts[group.start : group.stop, col] = np.count_nonzero(q.reshape(-1, shots), axis=1)
+        group = slice(first, min(first + per, runs))
+        lone = group.stop - group.start == 1
+        c, a, found = cut[..., group, :], always[..., group, :], [0, 0, 0]
+        shot = 0
+        while shot < shots:
+            block, offset = divmod(shot, BLOCK_SHOTS)
+            size = min(_CHUNK_ROWS, shots - shot, BLOCK_SHOTS - offset)
+            draws = []
+            for key in keys[group]:
+                if offset == 0:  # only a lone run's chunk can start inside a block
+                    _rekey(bitgen, key, block)
+                draws.append(bitgen.random_raw(size * k))
+            words = (draws[0] if lone else np.concatenate(draws)).reshape(-1, size, k)
+            q1, *_, q3 = _kernels.outcome_columns(words, c, a)
+            for col, q in enumerate((q1, q3, q1 & q3)):  # a count without an axis is the fast one
+                found[col] += np.count_nonzero(q) if lone else np.count_nonzero(q, axis=-1)
+            shot += size
+        counts[group] = np.transpose(found)
     return counts
 
 

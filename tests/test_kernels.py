@@ -222,6 +222,26 @@ def test_sampler_paths_start_from_a_certain_outcome(rz):
     assert np.all(got[:, 0] == rz) and set(got[:, 1]) == {1, -1}
 
 
+@pytest.mark.parametrize("runs", [1, 3])
+def test_outcome_columns_of_runs_side_by_side_are_their_own_columns(runs):
+    # (runs, shots, k) words with (k, 2, runs, 1) cut-offs give, run by run,
+    # the columns of a call on that run's words with its scalar cut-offs;
+    # p(+1) = 1 (``always``) occurs after a +1 and after a -1, each in a single run
+    k = 4
+    rng = np.random.default_rng(runs)
+    words = rng.integers(0, 2**64, size=(runs, 256, k), dtype=np.uint64)
+    p = rng.uniform(size=(k, 2, runs, 1))
+    p[1, 0, 0] = p[2, 1, -1] = p[0, 0, -1] = 1.0
+    cut, always = _kernels.word_cutoffs(p)
+    assert always[:, 0].any() and always[:, 1].any()
+    got = np.array(list(_kernels.outcome_columns(words, cut, always)))
+    assert got.shape == (k, runs, 256)
+    for run in range(runs):
+        lone = _kernels.outcome_columns(words[run], cut[..., run, 0], always[..., run, 0])
+        assert np.array_equal(got[:, run], np.array(list(lone)))
+    assert got.any() and not got.all()
+
+
 def word_below(w, p):
     # the comparison the cut-offs replace: numpy's uniform for w against p
     return ((w >> 11) * 2.0**-53) < p

@@ -383,11 +383,12 @@ def battery_runs(draw):
     the defaults, shot counts either side of the chunk and the 2**16 block
     edges; with a small chunk, several thetas per compiled slice, several
     short runs per chunk, and (with 16-shot blocks) chunks that end at a
+    block edge, or (with a 64-row chunk) runs that share a chunk and cross a
     block edge."""
     edges = st.sampled_from([0.0, math.pi, -math.pi / 3.0])
     thetas = draw(st.lists(st.one_of(edges, st.floats(-7.0, 7.0)), min_size=1, max_size=3))
     gamma = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
-    chunk = draw(st.sampled_from([4, 12, CHUNK]))
+    chunk = draw(st.sampled_from([4, 12, 64, CHUNK]))
     block = BLOCK_SHOTS
     if chunk == CHUNK:
         shots = draw(st.sampled_from([1, 3, chunk - 1, chunk + 3, BLOCK_SHOTS + 1]))
@@ -404,6 +405,8 @@ def battery_runs(draw):
 @example(([0.0, math.pi, -1.0], math.pi, 0.0, DEFAULTS, BLOCK_SHOTS + 1, [[[7, 8]] * 4] * 3))
 @example(([2.2], 0.9, 0.3, DEFAULTS, 2 * BLOCK_SHOTS + 5, [[[2**64 - 1, 0]] * 4]))
 @example(([0.4, 1.1], 2.0, 0.05, (12, 16), 35, [[[3, 4]] * 4] * 2))
+# three 20-shot runs share each 64-row chunk, and each crosses a 16-shot block edge
+@example(([0.3, 1.7, -2.5], 1.1, 0.2, (64, 16), 20, [[[5, 6]] * 4] * 3))
 def test_the_battery_sampler_is_its_per_schedule_runs_bit_for_bit(drawn):
     thetas, tau, gamma, (chunk, block), shots, seeds = drawn
     spec = LindbladSpec(HamiltonianSpec(1.0), gamma)
@@ -428,9 +431,11 @@ def test_the_battery_sampler_is_its_per_schedule_runs_bit_for_bit(drawn):
 
 def test_the_battery_samplers_memory_does_not_grow_with_the_shots():
     # one chunk of words and its walk, whatever the shots: 2**20 shots (16
-    # blocks, 64 chunks a run) peak where 2**17 do
+    # blocks, 64 chunks a run) peak where 2**17 do, and so, near enough, does
+    # a chunk of two short runs, which broadcast their cut-offs over their
+    # shots rather than copy them onto each one
     peaks = []
-    for shots in (2**17, 2**20):
+    for shots in (2**17, 2**20, CHUNK // 2):
         tracemalloc.start()
         try:
             sample_battery([0.6], math.pi, NOISY, shots, [[[1, 2]] * 4])
@@ -438,6 +443,7 @@ def test_the_battery_samplers_memory_does_not_grow_with_the_shots():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 200_000, peaks
+    assert abs(peaks[2] - peaks[0]) < 300_000, peaks
 
 
 def test_the_samplers_draw_no_os_entropy(monkeypatch):
