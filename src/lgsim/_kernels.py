@@ -10,6 +10,15 @@ zero, so the one-shot matvecs below skip the terms that are structurally
 zero; the in-loop matvecs stay dense because the zero pattern alternates with
 the event kind.
 
+``protocol_lg`` walks the box with its two branch vectors (the state after
+Q1's channel, and ``{Q1, rho}/2``) stacked as one (2, 4, B) array.  numpy's
+matmul runs, on each (4, B) slice of a stack, the BLAS call that a 2-D
+``gap @ x`` runs, so one stacked step gives the bits of two separate ones.
+``_terms`` adds each row of a one-shot matvec left to right, in the fixed
+order of the written-out sum.  ``battery_eps`` takes the battery's layout
+from ``protocol._BATTERY_LAYOUT``; sz enters as the numbers (0, 1), whose
+products equal those of arrays of zeros and ones.
+
 The sampler relies on the collapse: after event ``j`` the conditional Bloch
 vector is exactly ``+/- axes[j]``, so ``p(+1)`` at event ``j + 1`` takes one
 of two values.  Both are computed once per schedule, term by term in the
@@ -23,6 +32,8 @@ two-value lookup of cut-offs, with no doubles drawn or compared.
 from __future__ import annotations
 
 import numpy as np
+
+from .protocol import _BATTERY_LAYOUT
 
 __all__ = [
     "protocol_lg",
@@ -48,6 +59,31 @@ def _ptm_arg(m, name):
     return arr
 
 
+def _project(s, c, v1, v3):
+    """Overlap with the x-z axis ``(s, c)``, and the x and z coefficients
+    ``v1``, ``v3`` projected onto it (the projected y coefficient is 0)."""
+    pr = s * v1 + c * v3
+    return pr, pr * s, pr * c
+
+
+def _terms(m, v, rows, cols):
+    """Rows ``rows`` of ``m @ v``, ``v`` holding components ``cols``, each row's
+    terms added left to right (``@`` or ``einsum`` may order them otherwise)."""
+    out = []
+    for r in rows:
+        acc = m[r, cols[0]] * v[0]
+        for c, vc in zip(cols[1:], v[1:]):
+            acc = acc + m[r, c] * vc
+        out.append(acc)
+    return out
+
+
+def _anti_z(m, v, st, ct):
+    """``2 (m {sigma_theta, v}/2)_z`` for branch vectors ``v`` (y coefficient 0)."""
+    pr = st * v[1] + ct * v[3]
+    return 2.0 * _terms(m, (pr, v[0] * st, v[0] * ct), (3,), (0, 1, 3))[0]
+
+
 def protocol_lg(thetas, n, gap, gap13):
     """Boxed-protocol correlators over a theta grid: (c12, c23, c13_prime)."""
     thetas = _grid(thetas)
@@ -58,47 +94,25 @@ def protocol_lg(thetas, n, gap, gap13):
     gap13 = _ptm_arg(gap13, "gap13")
     st = np.sin(thetas)
     ct = np.cos(thetas)
-    x = 0.5 * np.repeat(gap[:, :1], thetas.shape[0], axis=1)  # (4, B)
-    pr = st * x[1] + ct * x[3]
-    y = np.empty_like(x)
-    y[0] = pr
+    # xy[0] is the state after Q1's channel, xy[1] is {Q1, rho}/2
+    xy = np.empty((2, 4, thetas.shape[0]))
+    x, y = xy
+    x[...] = 0.5 * gap[:, :1]
+    y[0], x[1], x[3] = _project(st, ct, x[1], x[3])
     y[1] = x[0] * st
-    y[2] = 0.0
     y[3] = x[0] * ct
-    x[1] = pr * st
-    x[2] = 0.0
-    x[3] = pr * ct
+    xy[:, 2] = 0.0
     for k in range(2 * n + 1):
-        x = gap @ x
-        y = gap @ y
+        xy = gap @ xy
         if k % 2 == 0:
-            x[1] = 0.0
-            x[2] = 0.0
-            y[1] = 0.0
-            y[2] = 0.0
+            xy[:, 1:3] = 0.0
         else:
-            pr = st * x[1] + ct * x[3]
-            x[1] = pr * st
-            x[2] = 0.0
-            x[3] = pr * ct
-            pr = st * y[1] + ct * y[3]
-            y[1] = pr * st
-            y[2] = 0.0
-            y[3] = pr * ct
-    x = gap @ x
-    y = gap @ y
+            _, xy[:, 1], xy[:, 3] = _project(st, ct, xy[:, 1], xy[:, 3])
+            xy[:, 2] = 0.0
+    x, y = gap @ xy
     c12 = 2.0 * (st * y[1] + ct * y[3])
-    pr = st * x[1] + ct * x[3]
-    z0 = pr
-    z1 = x[0] * st
-    z3 = x[0] * ct
-    c23 = 2.0 * (gap[3, 0] * z0 + gap[3, 1] * z1 + gap[3, 3] * z3)
-    w = 0.5 * gap[:, 0]
-    pr = st * w[1] + ct * w[3]
-    b0 = pr
-    b1 = w[0] * st
-    b3 = w[0] * ct
-    c13p = 2.0 * (gap13[3, 0] * b0 + gap13[3, 1] * b1 + gap13[3, 3] * b3)
+    c23 = _anti_z(gap, x, st, ct)
+    c13p = _anti_z(gap13, 0.5 * gap[:, 0], st, ct)
     return c12, c23, c13p
 
 
@@ -107,39 +121,20 @@ def battery_eps(thetas, gap, gap2):
     thetas = _grid(thetas)
     gap = _ptm_arg(gap, "gap")
     gap2 = _ptm_arg(gap2, "gap2")
-    st = np.sin(thetas)
-    ct = np.cos(thetas)
-    zero = np.zeros_like(st)
-    one = np.ones_like(st)
-    x0 = 0.5 * gap[0, 0]
-    x1 = 0.5 * gap[1, 0]
-    x3 = 0.5 * gap[3, 0]
-    combos = (
-        (st, ct, st, ct, zero, one),
-        (st, ct, zero, one, zero, one),
-        (zero, one, zero, one, st, ct),
-        (zero, one, st, ct, st, ct),
-    )
+    pair = ((0, 1), (np.sin(thetas), np.cos(thetas)))  # (x, z) of sz and sigma_theta
+    xz = (0, 1, 3)
+    x0, x1, x3 = 0.5 * gap[xz, 0]
     out = np.empty((thetas.shape[0], 4))
-    for e, (q1x, q1z, qpx, qpz, q3x, q3z) in enumerate(combos):
-        eps = np.zeros_like(st)
+    for e, layout in enumerate(_BATTERY_LAYOUT):
+        (q1x, q1z), (qpx, qpz), (q3x, q3z) = (pair[k] for k in layout)
+        eps = np.zeros_like(thetas)
         for s1 in (1.0, -1.0):
             amp = x0 + s1 * (q1x * x1 + q1z * x3)
-            w0 = 0.5 * amp
-            w1 = 0.5 * s1 * amp * q1x
-            w3 = 0.5 * s1 * amp * q1z
-            a0 = gap[0, 0] * w0 + gap[0, 1] * w1 + gap[0, 3] * w3
-            a1 = gap[1, 0] * w0 + gap[1, 1] * w1 + gap[1, 3] * w3
-            a3 = gap[3, 0] * w0 + gap[3, 1] * w1 + gap[3, 3] * w3
-            pr = qpx * a1 + qpz * a3
-            a1 = pr * qpx
-            a3 = pr * qpz
-            f0 = gap[0, 0] * a0 + gap[0, 1] * a1 + gap[0, 3] * a3
-            f1 = gap[1, 0] * a0 + gap[1, 1] * a1 + gap[1, 3] * a3
-            f3 = gap[3, 0] * a0 + gap[3, 1] * a1 + gap[3, 3] * a3
-            g0 = gap2[0, 0] * w0 + gap2[0, 1] * w1 + gap2[0, 3] * w3
-            g1 = gap2[1, 0] * w0 + gap2[1, 1] * w1 + gap2[1, 3] * w3
-            g3 = gap2[3, 0] * w0 + gap2[3, 1] * w1 + gap2[3, 3] * w3
+            w = (0.5 * amp, 0.5 * s1 * amp * q1x, 0.5 * s1 * amp * q1z)
+            a0, a1, a3 = _terms(gap, w, xz, xz)
+            _, a1, a3 = _project(qpx, qpz, a1, a3)
+            f0, f1, f3 = _terms(gap, (a0, a1, a3), xz, xz)
+            g0, g1, g3 = _terms(gap2, w, xz, xz)
             for s3 in (1.0, -1.0):
                 pw = f0 + s3 * (q3x * f1 + q3z * f3)
                 pn = g0 + s3 * (q3x * g1 + q3z * g3)

@@ -125,14 +125,6 @@ class DensityOperator:
     def maximally_mixed(cls) -> "DensityOperator":
         return cls(IDENTITY / 2.0)
 
-    @classmethod
-    def from_bloch(cls, r) -> "DensityOperator":
-        """State ``(I + r . sigma)/2`` for a Bloch vector with ``|r| <= 1``."""
-        r = np.asarray(r, dtype=float)
-        if r.shape != (3,):
-            raise ValueError("Bloch vector must have 3 components")
-        return cls((IDENTITY + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2.0)
-
     @property
     def coefficients(self) -> np.ndarray:
         """Real Pauli coefficients ``(1/2, rx/2, ry/2, rz/2)``."""
@@ -258,12 +250,6 @@ class Channel:
     def __call__(self, op) -> np.ndarray:
         """Apply to a 2x2 operator (by linearity, need not be a state)."""
         return operator_from_coefficients(self.ptm @ pauli_coefficients(op))
-
-    def __matmul__(self, other: "Channel") -> "Channel":
-        """Composition ``self after other`` (matches matrix-product order)."""
-        if not isinstance(other, Channel):
-            return NotImplemented
-        return Channel(self.ptm @ other.ptm)
 
     def choi_matrix(self) -> np.ndarray:
         return _choi_matrix(self.ptm)

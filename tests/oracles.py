@@ -1,7 +1,8 @@
 """Channel algebra that only the tests use, kept as independent checks.
 
 lgsim's engines act on transfer matrices and Pauli coefficient arrays; they
-never build a channel from Kraus operators or take an expectation value.
+never build a channel from Kraus operators, compose two channels, build a
+state from a Bloch vector or take an expectation value.
 These helpers do, the textbook way, so the tests can compare the engines
 against them: Lueders measurement channels against the walker's projection
 step, Kraus families against ``Channel``'s Choi matrix, and the Heisenberg
@@ -18,6 +19,8 @@ from lgsim.qubit import (
     CHOI_ATOL,
     IDENTITY,
     SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     Channel,
     DensityOperator,
     Observable,
@@ -99,8 +102,16 @@ def is_unital(channel: Channel) -> bool:
 
 
 def compose(first: Channel, then: Channel) -> Channel:
-    """Apply ``first``, then ``then``; equals ``then @ first``."""
-    return then @ first
+    """Apply ``first``, then ``then``: the transfer matrix ``then.ptm @ first.ptm``."""
+    return Channel(then.ptm @ first.ptm)
+
+
+def from_bloch(r) -> DensityOperator:
+    """State ``(I + r . sigma)/2`` for a Bloch vector with ``|r| <= 1``."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3,):
+        raise ValueError("Bloch vector must have 3 components")
+    return DensityOperator((IDENTITY + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2.0)
 
 
 def measure_channel(q: Observable) -> Channel:

@@ -35,7 +35,7 @@ from lgsim.sampling import (
     sample_trajectories,
 )
 from lgsim.sweeps import gamma_cutoff, lg_curve, violation_window
-from oracles import dephase_theta
+from oracles import compose, dephase_theta
 
 IDEAL = LindbladSpec(HamiltonianSpec(1.0))
 
@@ -242,7 +242,7 @@ def test_criterion_10_channel_properties():
         deph = dephase_theta(float(rng.uniform(0.0, math.pi)))
         worst_unital = max(worst_unital, float(np.max(np.abs(deph.ptm[:, 0] - e0))))
 
-        combined = lindblad_propagator(spec, t2) @ ch
+        combined = compose(ch, lindblad_propagator(spec, t2))
         direct = lindblad_propagator(spec, t1 + t2)
         worst_semigroup = max(worst_semigroup, float(np.max(np.abs(combined.ptm - direct.ptm))))
 

@@ -1119,6 +1119,8 @@ def test_unparseable_cells_are_one_line_errors(tmp_path, capsys, column, value, 
 
 
 PINNED_GRID = ("sweep", "--theta", "0:3.141592653589793:9", "--gamma", "0:0.01:3", "--n", "0,1,5")
+# gamma = 1 is critical damping at omega = 1, and n = 7 runs fifteen box steps
+CRITICAL_GRID = ("sweep", "--theta", "0:3.141592653589793:7", "--gamma", "0:1:3", "--n", "0,2,7")
 
 
 @pytest.mark.parametrize(
@@ -1130,6 +1132,11 @@ PINNED_GRID = ("sweep", "--theta", "0:3.141592653589793:9", "--gamma", "0:0.01:3
             "945c7906d2e3287429ba0899dde8b29aff448b292c79db795acf11b1dedaf5a6",
         ),
         (("fig2",), "10357bcde748d6090c7bc3135a69589ce1de3f2e6fa14fb8494d9e03f5b2f4c6"),
+        (CRITICAL_GRID, "94e7e109b0ffdc443ffe4525bf41052aa31100395bc174a4c9fc8d16a81dbdac"),
+        (
+            CRITICAL_GRID + ("--format", "jsonl"),
+            "e838b5fed75ef2a573213a40318bc23af30e426430690f9e9472815cc8f69abd",
+        ),
     ],
 )
 def test_table_bytes_are_pinned(capsys, argv, digest):

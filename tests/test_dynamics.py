@@ -33,7 +33,14 @@ from lgsim.dynamics import (
     unitary_propagator,
 )
 from lgsim.qubit import SIGMA_X, DensityOperator, pauli, sigma_theta
-from oracles import apply_to_state, expectation, heisenberg_observable, is_unital
+from oracles import (
+    apply_to_state,
+    compose,
+    expectation,
+    from_bloch,
+    heisenberg_observable,
+    is_unital,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -63,9 +70,9 @@ def rk4_propagate(rho, omega, gamma, t, half=False, steps=4000):
 
 STATES = [
     DensityOperator.maximally_mixed(),
-    DensityOperator.from_bloch([0.9, 0.0, 0.0]),
-    DensityOperator.from_bloch([0.0, 0.7, -0.2]),
-    DensityOperator.from_bloch([0.3, -0.5, 0.6]),
+    from_bloch([0.9, 0.0, 0.0]),
+    from_bloch([0.0, 0.7, -0.2]),
+    from_bloch([0.3, -0.5, 0.6]),
 ]
 
 
@@ -121,7 +128,7 @@ def test_propagators_are_unital():
 def test_semigroup_law(t, s, gamma):
     spec = LindbladSpec(HamiltonianSpec(1.0), gamma)
     joint = lindblad_propagator(spec, t + s)
-    split = lindblad_propagator(spec, t) @ lindblad_propagator(spec, s)
+    split = compose(lindblad_propagator(spec, s), lindblad_propagator(spec, t))
     assert np.max(np.abs(joint.ptm - split.ptm)) < 1e-9
 
 
@@ -139,7 +146,7 @@ def test_unitary_rotation_sense():
     # against exp(-i w t sx) |0><0| exp(+i w t sx) computed directly
     ham = HamiltonianSpec(1.0)  # rotation rate 2
     ch = unitary_propagator(ham, math.pi / 4.0)
-    rho = DensityOperator.from_bloch([0.0, 0.0, 1.0])
+    rho = from_bloch([0.0, 0.0, 1.0])
     out = apply_to_state(ch, rho)
     assert np.allclose(out.bloch_vector, [0.0, -1.0, 0.0], atol=1e-12)
 
@@ -154,7 +161,7 @@ def test_heisenberg_picture_duality():
     # Tr(Q N_t(rho)) == Tr(Q(t) rho) for the closed system
     ham = HamiltonianSpec(0.9)
     q = sigma_theta(0.4)
-    rho = DensityOperator.from_bloch([0.2, -0.3, 0.55])
+    rho = from_bloch([0.2, -0.3, 0.55])
     for t in (0.3, 1.1, 2.7):
         lhs = expectation(q, apply_to_state(unitary_propagator(ham, t), rho))
         rhs = expectation(heisenberg_observable(ham, q, t), rho)

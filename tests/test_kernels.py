@@ -301,6 +301,13 @@ def test_philox_words_map_to_numpy_uniforms(key):
     )
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_an_empty_grid_gives_empty_columns(n):
+    _, gap, gap2, gap13 = propagators(0.003, math.pi, n)
+    assert [c.shape for c in _kernels.protocol_lg([], n, gap, gap13)] == [(0,)] * 3
+    assert _kernels.battery_eps([], gap, gap2).shape == (0, 4)
+
+
 def test_dispatcher_validation():
     _, gap, _, gap13 = propagators(0.0, math.pi, 1)
     with pytest.raises(ValueError, match="one dimensional"):

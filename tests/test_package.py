@@ -132,6 +132,20 @@ def test_a_moved_name_is_gone(name):
     assert callable(getattr(oracles, name))
 
 
+# methods lgsim's classes had up to 0.3.0 that only tests called, now plain
+# functions in tests/oracles.py
+MOVED_METHODS = {
+    ("Channel", "__matmul__"): "compose",
+    ("DensityOperator", "from_bloch"): "from_bloch",
+}
+
+
+@pytest.mark.parametrize(("cls", "method"), MOVED_METHODS)
+def test_a_moved_method_is_gone(cls, method):
+    assert not hasattr(getattr(lgsim, cls), method)
+    assert callable(getattr(oracles, MOVED_METHODS[cls, method]))
+
+
 @pytest.mark.parametrize("name", lgsim.__all__)
 def test_every_exported_name_is_its_submodules_object(name):
     value = getattr(lgsim, name)

@@ -40,6 +40,7 @@ from lgsim.qubit import (
     pauli,
     sigma_theta,
 )
+from oracles import from_bloch
 
 IDEAL = LindbladSpec(HamiltonianSpec(1.0))
 NOISY = LindbladSpec(HamiltonianSpec(1.0), 0.002)
@@ -439,7 +440,7 @@ def random_schedules(draw, dynamics=st.just(NOISY)):
         t += draw(st.floats(min_value=0.05, max_value=3.0))
     r = np.array([draw(st.floats(min_value=-1.0, max_value=1.0)) for _ in range(3)])
     r *= draw(st.floats(min_value=0.0, max_value=1.0)) / max(1.0, float(np.linalg.norm(r)))
-    return ExperimentSchedule(tuple(events), draw(dynamics), DensityOperator.from_bloch(r))
+    return ExperimentSchedule(tuple(events), draw(dynamics), from_bloch(r))
 
 
 @given(random_schedules(), st.integers(min_value=0, max_value=2**32 - 1))

@@ -28,7 +28,7 @@ from lgsim.protocol import (
     joint_distribution,
     lg_quantity,
 )
-from lgsim.qubit import ATOL, DensityOperator
+from lgsim.qubit import ATOL
 from lgsim.sampling import (
     BLOCK_SHOTS,
     EstimateWithError,
@@ -43,6 +43,7 @@ from lgsim.sampling import (
     sample_battery,
     sample_trajectories,
 )
+from oracles import from_bloch
 
 from test_protocol import random_schedules
 
@@ -171,7 +172,7 @@ def test_seeded_records_are_pinned():
     # digests recorded with the per-shot recurrence sampler: a kernel change
     # that moves a single outcome, in either block, fails here
     spec = LindbladSpec(HamiltonianSpec(1.0), 0.003)
-    rho0 = DensityOperator.from_bloch((0.3, -0.2, 0.5))
+    rho0 = from_bloch((0.3, -0.2, 0.5))
     sch = build_protocol_schedule(0.7 * math.pi, 2, math.pi, spec, initial_state=rho0)
     primed = [ev.tag in ("Q1", "Q3") for ev in sch.events]
     full = sample_trajectories(sch, BLOCK_SHOTS + 7, seed=17)
@@ -228,7 +229,7 @@ def test_the_sampler_law_is_the_exact_joint_distribution(gamma):
 def test_the_sampler_law_holds_from_a_polarised_state_through_a_box(gamma):
     # the battery starts maximally mixed, so r0 = 0 there; here the chain
     # also runs through the box and the events before the first of the pair
-    rho0 = DensityOperator.from_bloch((0.3, -0.2, 0.5))
+    rho0 = from_bloch((0.3, -0.2, 0.5))
     spec = LindbladSpec(HamiltonianSpec(1.0), gamma)
     sch = build_protocol_schedule(0.7 * math.pi, 2, 2.2, spec, initial_state=rho0)
     for first, second in (("Q1", "Q2"), ("Q2", "Q3"), ("Q1", "Q3")):
@@ -331,7 +332,7 @@ def test_standard_error_conventions():
     # full-period spacing keeps the +z initial state fixed, so all outcomes
     # are +1 and the spread collapses
     sch = build_protocol_schedule(
-        0.0, 0, 2.0 * math.pi, IDEAL, initial_state=DensityOperator.from_bloch((0, 0, 1))
+        0.0, 0, 2.0 * math.pi, IDEAL, initial_state=from_bloch((0, 0, 1))
     )
     records = sample_trajectories(sch, 100, seed=4)
     est = estimate_correlator(records, "Q1", "Q2")
