@@ -21,12 +21,13 @@ products equal those of arrays of zeros and ones.
 
 The sampler relies on the collapse: after event ``j`` the conditional Bloch
 vector is exactly ``+/- axes[j]``, so ``p(+1)`` at event ``j + 1`` takes one
-of two values.  Both are computed once per schedule, term by term in the
-order of the per-shot recurrence ``p = (1 + q.(aff + lin r))/2``, and turned
-into integer cut-offs on raw 64-bit Philox words (``word_cutoffs``): the
-uniform numpy would make of a word ``w`` is ``(w >> 11) * 2**-53``, and it is
-below ``p`` exactly when ``w`` is below the cut-off.  Each shot then walks a
-two-value lookup of cut-offs, with no doubles drawn or compared.
+of two values.  ``p_plus_table`` computes both, term by term in the order of
+the per-shot recurrence ``p = (1 + q.(aff + lin r))/2``, and ``word_cutoffs``
+turns them into integer cut-offs on raw 64-bit Philox words: the uniform
+numpy would make of a word ``w`` is ``(w >> 11) * 2**-53``, and it is below
+``p`` exactly when ``w`` is below the cut-off.  ``sampling._cutoffs`` composes
+the two once per run; ``outcome_columns`` then walks each shot through the
+two-value lookup, with no doubles drawn or compared.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "p_plus_table",
     "word_cutoffs",
     "outcome_columns",
-    "sample_paths",
 ]
 
 
@@ -220,15 +220,3 @@ def outcome_columns(words, cut, always):
         pos |= a
         yield pos
 
-
-def sample_paths(words, lin, aff, axes, r0, out):
-    """Fill ``out`` with +1/-1 outcomes for pre-drawn Philox ``words``.
-
-    ``words[s, j]`` is the raw uint64 that decides event ``j`` of shot ``s``:
-    the outcome is +1 exactly when ``(words[s, j] >> 11) * 2**-53 < p(+1)``.
-    """
-    cut, always = word_cutoffs(p_plus_table(lin, aff, axes, r0))
-    for j, pos in enumerate(outcome_columns(words, cut, always)):
-        out[:, j] = pos
-    out *= 2
-    out -= 1

@@ -113,8 +113,8 @@ def _parse_range(text: str, where: str) -> tuple[float, float, int]:
     return start, stop, steps
 
 
-def _linspace(grid: tuple[float, float, int]) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.linspace(*grid))
+def _linspace(grid: tuple[float, float, int]) -> np.ndarray:
+    return np.linspace(*grid)
 
 
 def _parse_n_list(text: str, where: str) -> tuple[int, ...]:
@@ -130,13 +130,13 @@ def _parse_choice(text: str, where: str, choices: tuple[str, ...]) -> str:
     return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepConfig:
-    """Fully resolved and validated configuration for one command run."""
+    """Fully resolved and validated configuration for one command run (grids as arrays)."""
 
     command: str
-    thetas: tuple[float, ...]
-    gammas: tuple[float, ...]
+    thetas: np.ndarray
+    gammas: np.ndarray
     ns: tuple[int, ...]
     omega: float
     m: int
@@ -272,7 +272,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
         total, budget = _seconds(sum(charge.values())), _BUDGET_NS // 10**9
         raise ConfigError(f"{where}: {total} of work ({terms}) exceeds the {budget} s budget")
     # classic writes one row and reads neither grid
-    thetas, gammas = ((), ()) if command == "classic" else map(_linspace, (theta_grid, gamma_grid))
+    grids = (theta_grid, gamma_grid)
+    thetas, gammas = (np.empty(0),) * 2 if command == "classic" else map(_linspace, grids)
 
     echo = tuple([(k, merged[k][0]) for k in spec.keys] + notes)
     return SweepConfig(
@@ -336,14 +337,14 @@ def _cmd_adroitness(cfg: SweepConfig):
     # without shots both Monte Carlo cells are empty.  Every gamma's exact
     # grid is computed here, where a propagator that fails raises.
     no_mc = {} if cfg.shots else {"epsilon_mc": None, "epsilon_mc_se": None}
-    specs = [LindbladSpec(HamiltonianSpec(cfg.omega), gamma) for gamma in cfg.gammas]
+    specs = [LindbladSpec(HamiltonianSpec(cfg.omega), gamma) for gamma in cfg.gammas.tolist()]
     grids = [adroitness_grid(cfg.thetas, cfg.tau, spec) for spec in specs]
     blocks = (
         (
-            {"gamma": gamma, "tau": cfg.tau, "omega": cfg.omega, **no_mc},
+            {"gamma": spec.gamma, "tau": cfg.tau, "omega": cfg.omega, **no_mc},
             _adroitness_rows(cfg, spec, grid, 4 * k * len(cfg.thetas)),
         )
-        for k, (gamma, spec, grid) in enumerate(zip(cfg.gammas, specs, grids))
+        for k, (spec, grid) in enumerate(zip(specs, grids))
     )
     return blocks, [_MC_NOTE] if cfg.shots else []
 
@@ -367,7 +368,7 @@ def _adroitness_rows(cfg: SweepConfig, spec, grid: np.ndarray, cell: int):
         mc_eps = np.column_stack((mc_eps, total))
         mc_se = np.column_stack((mc_se, np.sqrt(np.square(mc_se).sum(axis=1))))
         mc = np.stack((mc_eps, mc_se), axis=-1).tolist()
-    for theta, eps, m in zip(cfg.thetas, map(np.ndarray.tolist, grid), mc):
+    for theta, eps, m in zip(cfg.thetas.tolist(), map(np.ndarray.tolist, grid), mc):
         yield from [(eid, theta, e, *c) for eid, e, c in zip(_ADROIT_IDS, [*eps, sum(eps)], m)]
 
 

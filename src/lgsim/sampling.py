@@ -13,8 +13,9 @@ is a short recurrence: evolve the Bloch vector through the gap (affine map
 taken from the propagator's transfer matrix), compute ``p(+1) = (1+q.r)/2``,
 compare against a uniform draw, collapse.  Because the collapse leaves only
 ``+/- q`` behind, ``p(+1)`` at each event takes one of two values fixed by
-the previous outcome; the kernel computes both once per schedule, turns each
-into an integer cut-off, and each shot walks that lookup.
+the previous outcome.  One compile step, ``_cutoffs``, computes both once per
+run and turns each into an integer cut-off; both samplers then walk every
+shot through that lookup with ``_kernels.outcome_columns``.
 
 Randomness is counter based: shot block ``j`` of a run with seed ``s`` draws
 one raw 64-bit word per (shot, event) from a Philox bit generator keyed
@@ -277,9 +278,13 @@ def _rekey(bitgen: np.random.Philox, seed, block: int) -> np.random.Philox:
     return bitgen
 
 
-def _gaps(dynamics: LindbladSpec, times) -> tuple[np.ndarray, np.ndarray]:
-    """``(lin, aff)`` of events at ``times``: the gap before event ``k``, from
-    the event before it or from time 0, maps ``r -> aff[k] + lin[k] r``."""
+def _cutoffs(dynamics: LindbladSpec, times, axes, r0) -> tuple[np.ndarray, np.ndarray]:
+    """``word_cutoffs`` of runs measured along ``axes`` at ``times``, from ``r0``.
+
+    Gap ``k`` runs from the event before event ``k``, or from time 0, to it.
+    ``axes`` is (k, 3), or has leading axes of runs that share ``times`` and
+    ``r0`` (see ``_kernels.p_plus_table``).
+    """
     lin = np.empty((len(times), 3, 3))
     aff = np.empty((len(times), 3))
     t = 0.0
@@ -290,19 +295,15 @@ def _gaps(dynamics: LindbladSpec, times) -> tuple[np.ndarray, np.ndarray]:
         # so on Bloch vectors the propagator acts as r -> ptm[1:,0] + M r
         lin[col] = ptm[1:, 1:]
         aff[col] = ptm[1:, 0]
-    return lin, aff
+    return _kernels.word_cutoffs(_kernels.p_plus_table(lin, aff, axes, r0))
 
 
 def _compile(schedule: ExperimentSchedule, included: list[int]):
-    """The included events as the sampler walks them: ``(lin, aff, axes, r0)``.
-
-    Event ``k`` moves the Bloch vector by ``r -> aff[k] + lin[k] r`` and is
-    measured along ``axes[k]``; the walk starts from ``r0``.
-    """
+    """The ``_cutoffs`` of the included events, as the sampler walks them."""
     events = [schedule.events[idx] for idx in included]
-    lin, aff = _gaps(schedule.dynamics, [ev.time for ev in events])
     axes = np.array([ev.observable.bloch_axis for ev in events])
-    return lin, aff, axes, schedule.initial_state.bloch_vector
+    times = [ev.time for ev in events]
+    return _cutoffs(schedule.dynamics, times, axes, schedule.initial_state.bloch_vector)
 
 
 def _check_shots(shots) -> int:
@@ -333,23 +334,22 @@ def sample_trajectories(
     shots = _check_shots(shots)
     seed = _check_seed(seed)
     included = _resolve_mask(schedule, mask)
-    lin, aff, axes, r0 = _compile(schedule, included)
+    cut, always = _compile(schedule, included)
     k = len(included)
     out = np.empty((shots, k), dtype=np.int8)
     bitgen = _philox()
     for block, start in enumerate(range(0, shots, BLOCK_SHOTS)):
         size = min(BLOCK_SHOTS, shots - start)
         words = _rekey(bitgen, seed, block).random_raw(size * k).reshape(size, k)
-        _kernels.sample_paths(words, lin, aff, axes, r0, out[start : start + size])
-
-    full_mask = [False] * len(schedule.events)
-    for idx in included:
-        full_mask[idx] = True
+        for j, pos in enumerate(_kernels.outcome_columns(words, cut, always)):
+            out[start : start + size, j] = pos
+    out *= 2  # 1/0 to +1/-1
+    out -= 1
     return TrajectoryRecords(
         outcomes=out,
         tags=tuple(schedule.events[i].tag for i in included),
         times=tuple(schedule.events[i].time for i in included),
-        mask=tuple(full_mask),
+        mask=tuple(i in included for i in range(len(schedule.events))),
         seed=seed,
     )
 
@@ -380,11 +380,10 @@ def sample_battery(
     counts = np.empty((size, 4, 2, 3), dtype=np.int64)
     step = _CHUNK_ROWS // 4  # thetas compiled at once: _CHUNK_ROWS runs a side
     for side, events in enumerate(((0, 1, 2), (0, 2))):  # with the probe, without it
-        lin, aff = _gaps(dynamics, [times[i] for i in events])
         layout = np.array(_BATTERY_LAYOUT)[:, events]
         for lo in range(0, size, step):
             axes = pair[lo : lo + step][:, layout]  # (b, 4, events, 3)
-            cut, always = _kernels.word_cutoffs(_kernels.p_plus_table(lin, aff, axes, r0))
+            cut, always = _cutoffs(dynamics, [times[i] for i in events], axes, r0)
             runs = (-1, len(events), 2)
             run_keys = keys[lo : lo + step, :, side].ravel()
             found = _count_runs(run_keys, cut.reshape(runs), always.reshape(runs), shots)

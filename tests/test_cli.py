@@ -171,6 +171,9 @@ def test_missing_config_file(tmp_path, capsys):
         ("--theta", "1:2:1", "single-step range needs start == stop"),
         ("--theta", "0:1", "expected start:stop:steps"),
         ("--theta", "a:1:5", "not a number"),
+        ("--theta", "0:nan:3", "--theta: must be finite, got 'nan'"),
+        ("--omega", "inf", "--omega: must be finite, got 'inf'"),
+        ("--shots", "1.5", "--shots: not an integer: '1.5'"),
         ("--gamma=-0.1:0.1:3", None, "gamma must be nonnegative"),
         ("--omega", "0", "omega must be positive"),
         ("--m", "0", "must be >= 1"),
@@ -362,6 +365,20 @@ def test_the_row_limit_sits_at_the_slowest_table_per_row():
             resolve("adroitness", *argv)
         terms = "rows 20.0 s, gamma passes 0.0 s"
         assert str(info.value) == f"{where}: 20.0 s of work ({terms}) {BUDGET}"
+
+
+def test_a_resolved_grid_is_one_float64_array():
+    # 900,000 thetas are 6.9 MiB as float64; as a tuple of Python floats
+    # (a 24-byte object and an 8-byte pointer each) they held 27.5 MiB
+    tracemalloc.start()
+    try:
+        cfg = resolve("sweep", "--theta", "0:1:900000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert cfg.thetas.dtype == np.float64 and cfg.thetas.shape == (900000,)
+    assert cfg.thetas[-1] == 1.0 and cfg.gammas.tolist() == [0.0]
 
 
 def test_the_gamma_pass_limit_sits_at_the_slowest_work_per_gamma():
@@ -785,6 +802,25 @@ def test_csv_round_trip_is_exact(tmp_path, capsys):
     thetas = [0.1 + k * (2.9 / 6.0) for k in range(7)]
     want = sweep_records(thetas, [0.0, 0.01], [0, 1], tau=math.pi, omega=1.0).records()
     assert got == want  # %.17g round trips every float bit for bit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fig2", "--theta", "0:3:4", "--n", "0,1"),
+        ("fig3", "--theta", "2:3:3", "--gamma", "0:0.01:2"),
+    ],
+)
+def test_csv_summary_lines_read_back_as_the_jsonl_meta_holds_them(tmp_path, capsys, argv):
+    summaries = []
+    for fmt in ("csv", "jsonl"):
+        table = tmp_path / f"table.{fmt}"
+        assert run(capsys, *argv, "--format", fmt, "--out", str(table))[0] == 0
+        summaries.append(read_table(table)[0]["summary"])
+    csv, jsonl = summaries
+    assert csv == jsonl and len(csv) == 2
+    if argv[0] == "fig3":
+        assert csv == ["gamma_cutoff[lenient]=0.0111937102", "gamma_cutoff[strict]=0.00934983008"]
 
 
 def test_jsonl_round_trip(tmp_path, capsys):

@@ -171,10 +171,11 @@ def word_uniforms(words):
 
 
 def run_both(words, lin, aff, axes, r0):
+    # the sampler's compile step (p_plus_table, then word_cutoffs) and walk
     expected = np.empty(words.shape, dtype=np.int8)
-    got = np.empty(words.shape, dtype=np.int8)
     reference_paths(word_uniforms(words), lin, aff, axes, r0, expected)
-    _kernels.sample_paths(words, lin, aff, axes, r0, got)
+    cut, always = _kernels.word_cutoffs(_kernels.p_plus_table(lin, aff, axes, r0))
+    got = np.where(np.column_stack(list(_kernels.outcome_columns(words, cut, always))), 1, -1)
     return got, expected
 
 

@@ -189,6 +189,21 @@ def test_seeded_records_are_pinned():
     )
 
 
+def test_a_run_builds_its_cutoff_table_once(monkeypatch):
+    # three blocks of shots, walked on one cut-off table
+    calls = []
+    p_plus_table = _kernels.p_plus_table
+    monkeypatch.setattr(
+        _kernels, "p_plus_table", lambda *args: calls.append(1) or p_plus_table(*args)
+    )
+    sch = protocol(n=2)
+    for mask in (None, [ev.tag in ("Q1", "Q3") for ev in sch.events]):
+        calls.clear()
+        records = sample_trajectories(sch, 2 * BLOCK_SHOTS + 1, seed=5, mask=mask)
+        assert records.shots == 2 * BLOCK_SHOTS + 1
+        assert len(calls) == 1
+
+
 def sampler_joint(schedule, mask, first="Q1", second="Q3"):
     """The sampler's exact joint law of two tagged events, with no draws.
 
@@ -198,8 +213,7 @@ def sampler_joint(schedule, mask, first="Q1", second="Q3"):
     The law is the product of those 2x2 transition matrices.
     """
     included = sampling._resolve_mask(schedule, mask)
-    lin, aff, axes, r0 = sampling._compile(schedule, included)
-    cut, always = _kernels.word_cutoffs(_kernels.p_plus_table(lin, aff, axes, r0))
+    cut, always = sampling._compile(schedule, included)
     p = np.where(always, 1.0, cut / 2.0**64)
     steps = [np.array([[q[0], 1.0 - q[0]], [q[1], 1.0 - q[1]]]) for q in p]
     tags = [schedule.events[i].tag for i in included]

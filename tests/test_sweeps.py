@@ -201,6 +201,17 @@ def test_window_validation():
             violation_window(1, 0.0, math.pi, 1.0, refine=refine)
 
 
+def test_window_edges_at_the_ends_of_the_grid():
+    # only a free tau (not whole drive periods, as the CLI's pi*m/omega is)
+    # puts the violation at an end of [0, pi]: from theta = 0 there is no
+    # onset to bracket, and a violation still open at pi ends there
+    with pytest.raises(ValueError, match="violation extends to theta=0; no onset to bracket"):
+        violation_window(1, 0.0, 1.0, 1.0)
+    win = violation_window(1, 0.0, 0.55, 1.0)
+    assert win.hi == math.pi and win.hi_bracket == (math.pi, math.pi)
+    assert win.lo_bracket[0] <= win.lo <= win.lo_bracket[1] < math.pi
+
+
 @given(
     st.integers(min_value=0, max_value=20),
     st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=2.0)),  # 1: critical at omega 1
