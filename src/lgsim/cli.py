@@ -33,6 +33,7 @@ from . import __version__
 from .dynamics import HamiltonianSpec, LindbladSpec
 from .protocol import BATTERY_IDS, adroitness_grid, classic_lg
 from .sampling import sample_battery
+from .sweeps import _CUTOFF_CALLS, _CUTOFF_THETAS, _WINDOW_STEPS, _WINDOW_THETAS
 from .sweeps import gamma_cutoff, sweep_blocks, violation_window
 from .tables import _emit, _sweep_blocks, read_table, records_from_rows
 
@@ -399,11 +400,10 @@ class _Command(NamedTuple):
 
 _SWEEP_KEYS = ("theta", "gamma", "n", "omega", "m", "criterion", "workers", "format", "out")
 _ADROIT_KEYS = ("theta", "gamma", "omega", "m", "shots", "seed", "format", "out")
-# fig2's violation window (a 10001-point grid, then at most 14 one-point
-# bisection steps) and fig3's two gamma cutoffs (<= 37 calls each on 2001
-# points: gamma=0, six bracket tops up to gamma=1 and 30 bisection steps)
-_WINDOW_POINTS = 10001 + _BOX_PASS_POINTS + 14 * (1 + _BOX_PASS_POINTS)
-_CUTOFF_POINTS = 2 * 37 * (2001 + _BOX_PASS_POINTS)
+# fig2's violation window (its grid, then one-point bisection steps) and fig3's
+# two gamma cutoffs, each at the worst-case call count that sweeps declares
+_WINDOW_POINTS = _WINDOW_THETAS + _BOX_PASS_POINTS + _WINDOW_STEPS * (1 + _BOX_PASS_POINTS)
+_CUTOFF_POINTS = 2 * _CUTOFF_CALLS * (_CUTOFF_THETAS + _BOX_PASS_POINTS)
 
 _COMMANDS = {
     "fig2": _Command(_cmd_fig2, {"n": "1,2,5,10"}, _SWEEP_KEYS, _WINDOW_POINTS),

@@ -46,6 +46,15 @@ __all__ = [
 
 _CRITERIA = ("lenient", "strict")
 
+# The fixed window and cutoff searches: grid sizes, widths, worst-case calls
+_WINDOW_THETAS = 10001  # spacing pi/1e4
+_WINDOW_REFINE = math.pi * 1e-6
+_WINDOW_STEPS = 14  # 7 halvings an edge from pi/1e4 to pi*1e-6
+_CUTOFF_THETAS = 2001
+_CUTOFF_TOP = 0.05  # this and the tolerance are in units of the gap rate pi/tau
+_CUTOFF_TOL = 1e-9
+_CUTOFF_CALLS = 37  # gamma=0, six bracket tops (0.05 ... 0.8, 1) and 30 halvings
+
 
 class CurveArrays(NamedTuple):
     """Vectorized protocol evaluation over one theta grid."""
@@ -320,27 +329,18 @@ def _bisect(lo: float, hi: float, width: float, below) -> tuple[float, tuple[flo
 
 
 def violation_window(
-    n: int,
-    gamma: float,
-    tau: float,
-    omega: float = 1.0,
-    criterion: str = "lenient",
-    coarse_points: int = 10001,
-    refine: float = math.pi * 1e-6,
+    n: int, gamma: float, tau: float, omega: float = 1.0, criterion: str = "lenient"
 ) -> ViolationWindow | None:
     """Locate the theta window in [0, pi] where the criterion is violated.
 
-    A coarse grid finds the sign structure, then each edge is bisected until
-    its bracket is narrower than ``refine``.  Returns None when no grid point
-    violates.  The lenient criterion tests ``lg < 0``, the strict one
-    ``lg < -eps_total``.  A bracket one float wide ends the bisection even
-    when ``refine`` asks for less.
+    A fixed grid of ``_WINDOW_THETAS`` points finds the sign structure, then
+    each edge is bisected until its bracket is narrower than
+    ``_WINDOW_REFINE`` (pi * 1e-6): at most ``_WINDOW_STEPS`` one-point
+    steps in all.  Returns None when no grid point violates.  The lenient
+    criterion tests ``lg < 0``, the strict one ``lg < -eps_total``.
     """
     criterion = _check_criterion(criterion)
-    refine = _check_positive(refine, "refine")
-    if coarse_points < 3:
-        raise ValueError(f"coarse_points must be at least 3, got {coarse_points}")
-    grid = np.linspace(0.0, math.pi, int(coarse_points))
+    grid = np.linspace(0.0, math.pi, _WINDOW_THETAS)
     margin = _margin_curve(grid, n, gamma, tau, omega, criterion)
     neg = margin < 0.0
     if not bool(neg.any()):
@@ -353,6 +353,7 @@ def violation_window(
     def violated(theta: float) -> bool:
         return _margin_curve(np.array([theta]), n, gamma, tau, omega, criterion)[0] < 0.0
 
+    refine = _WINDOW_REFINE
     lo_edge, lo_bracket = _bisect(float(grid[first - 1]), float(grid[first]), refine, violated)
     if last == len(grid) - 1:
         hi_edge, hi_bracket = float(grid[-1]), (float(grid[-1]), float(grid[-1]))
@@ -365,37 +366,28 @@ def violation_window(
     )
 
 
-def gamma_cutoff(
-    n: int,
-    tau: float,
-    omega: float = 1.0,
-    criterion: str = "lenient",
-    gamma_hi: float = 0.05,
-    tol: float = 1e-9,
-    theta_points: int = 2001,
-) -> float:
+def gamma_cutoff(n: int, tau: float, omega: float = 1.0, criterion: str = "lenient") -> float:
     """Smallest dephasing rate that closes the violation window.
 
-    Bisects on the worst-case (minimum over theta) criterion margin.  The
-    bracket's top starts at ``gamma_hi`` and doubles while the window stays
-    open, but is capped at gamma=1 (a ``gamma_hi`` above 1 is tried alone).
-    Raises ``ValueError`` if there is no violation at gamma=0 (nothing to
-    close) or if the window is still open at the top.  A bracket one float
-    wide ends the bisection even when ``tol`` asks for less.
+    Bisects on the worst-case (minimum over ``_CUTOFF_THETAS`` theta) margin
+    in units of the gap rate ``r = pi / tau``, of which the cutoff at m = 1 is
+    a fixed fraction.  The bracket's top starts at ``_CUTOFF_TOP * r`` and
+    doubles while the window stays open, up to ``r``; the bisection stops at
+    ``_CUTOFF_TOL * r`` or at a bracket one float wide.  Raises ``ValueError``
+    if there is no violation at gamma=0 or if the window is still open at ``r``.
     """
     criterion = _check_criterion(criterion)
-    gamma_hi = _check_positive(gamma_hi, "gamma_hi")
-    tol = _check_positive(tol, "tol")
-    grid = np.linspace(0.0, math.pi, int(theta_points))
+    rate = math.pi / _check_positive(tau, "tau")
+    grid = np.linspace(0.0, math.pi, _CUTOFF_THETAS)
 
     def worst(gamma: float) -> float:
         return float(_margin_curve(grid, n, gamma, tau, omega, criterion).min())
 
     if worst(0.0) >= 0.0:
         raise ValueError(f"no violation at gamma=0 for n={n}; cutoff undefined")
-    hi = gamma_hi
+    hi = _CUTOFF_TOP * rate
     while worst(hi) < 0.0:
-        if hi >= 1.0:
+        if hi >= rate:
             raise ValueError(f"violation window persists at gamma={hi:g}; no cutoff found")
-        hi = min(2.0 * hi, 1.0)
-    return _bisect(0.0, hi, tol, lambda gamma: not worst(gamma) < 0.0)[0]
+        hi = min(2.0 * hi, rate)
+    return _bisect(0.0, hi, _CUTOFF_TOL * rate, lambda gamma: not worst(gamma) < 0.0)[0]

@@ -537,7 +537,7 @@ def test_default_and_benchmark_grids_are_within_every_limit(argv):
         ("fig3", "--n", "0", "--m", "2"),
         ("fig3", "--n", "4", "--omega", "1.3", "--gamma", "0:0.05:3"),
         ("sweep", "--theta", "0:3:7", "--gamma", "0:0.01:3", "--n", "0,2,5"),
-        ("fig3", "--omega", "80"),  # the lenient cutoff's bracket reaches gamma=1
+        ("fig3", "--omega", "80"),  # the cutoffs scale with pi/tau = 80: the same search
     ],
 )
 def test_the_box_work_count_bounds_the_kernel_passes(monkeypatch, capsys, argv):

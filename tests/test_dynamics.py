@@ -255,6 +255,8 @@ def test_validation_errors():
     assert HamiltonianSpec(1e308, half=True).rotation_rate == 1e308
     with pytest.raises(ValueError, match="gamma"):
         LindbladSpec(HamiltonianSpec(1.0), -0.1)
+    with pytest.raises(ValueError, match="hamiltonian must be a HamiltonianSpec"):
+        LindbladSpec(1.0)
     with pytest.raises(ValueError, match="duration"):
         lindblad_propagator(LindbladSpec(HamiltonianSpec(1.0)), -0.5)
     with pytest.raises(ValueError, match="duration"):

@@ -162,10 +162,22 @@ def test_schedule_validation():
         MeasurementEvent(1.0, qz, "Q5")
     with pytest.raises(ValueError, match="time"):
         MeasurementEvent(-1.0, qz, "Q1")
+    with pytest.raises(ValueError, match="observable must be an Observable"):
+        MeasurementEvent(1.0, np.eye(2), "Q1")
+    rho = DensityOperator.maximally_mixed()
+    for events, dynamics, state, message in (
+        ((), IDEAL, rho, "schedule needs at least one event"),
+        ((ev,), 1.0, rho, "dynamics must be a LindbladSpec"),
+        ((ev,), IDEAL, rho.matrix, "initial_state must be a DensityOperator"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSchedule(events, dynamics, state)
     with pytest.raises(ValueError, match="n must be"):
         build_protocol_schedule(0.5, -1, 1.0, IDEAL)
     with pytest.raises(ValueError, match="tau"):
         build_protocol_schedule(0.5, 1, 0.0, IDEAL)
+    with pytest.raises(ValueError, match="theta must be finite, got nan"):
+        build_protocol_schedule(math.nan, 1, math.pi, IDEAL)
 
 
 def test_index_of_requires_unique_tag():

@@ -135,6 +135,18 @@ def test_from_bloch_round_trip(r):
     assert purity(rho) == pytest.approx(0.5 * (1.0 + float(np.dot(r, r))))
 
 
+def test_malformed_arrays_are_refused():
+    nan_entry = np.array([[0.5, math.nan], [0.0, 0.5]])
+    for make, message in (
+        (lambda: DensityOperator(np.eye(3)), r"must be a 2x2 matrix, got shape \(3, 3\)"),
+        (lambda: DensityOperator(nan_entry), "density operator contains non-finite entries"),
+        (lambda: operator_from_coefficients([1, 0, 0]), r"4 Pauli coefficients, got shape \(3,\)"),
+        (lambda: Channel(np.eye(3)), r"transfer matrix must be 4x4, got shape \(3, 3\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 def test_from_bloch_rejects_outside_sphere():
     with pytest.raises(ValueError):
         from_bloch([1.0, 1.0, 0.0])

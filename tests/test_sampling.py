@@ -314,6 +314,8 @@ def test_records_validation():
     good = np.ones((4, 2), dtype=np.int8)
     with pytest.raises(ValueError, match="tags/times"):
         TrajectoryRecords(good, ("Q1",), (1.0, 2.0), (True, True), 0)
+    with pytest.raises(ValueError, match=r"outcomes must be a \(shots, events\) array, got \(4,\)"):
+        TrajectoryRecords(np.ones(4, np.int8), ("Q1",), (1.0,), (True,), 0)
     with pytest.raises(ValueError, match="mask must include exactly one event"):
         TrajectoryRecords(good, ("Q1", "Q3"), (1.0, 2.0), (False,), 0)
     with pytest.raises(ValueError, match="mask must include exactly one event"):

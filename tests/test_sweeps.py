@@ -194,11 +194,6 @@ def test_strict_window_is_narrower():
 def test_window_validation():
     with pytest.raises(ValueError, match="criterion must be one of"):
         violation_window(1, 0.0, math.pi, 1.0, criterion="both")
-    with pytest.raises(ValueError, match="coarse_points"):
-        violation_window(1, 0.0, math.pi, 1.0, coarse_points=2)
-    for refine in (0.0, -1e-6, math.nan, math.inf):
-        with pytest.raises(ValueError, match="refine must be positive and finite"):
-            violation_window(1, 0.0, math.pi, 1.0, refine=refine)
 
 
 def test_window_edges_at_the_ends_of_the_grid():
@@ -230,14 +225,19 @@ def test_the_lenient_violation_set_is_one_theta_interval(n, gamma, omega, m):
 
 
 def test_window_bisection_stops_at_one_float():
-    # a refine below the float spacing cannot be met; the bisection must stop
-    # once the bracket holds two adjacent floats
-    w = violation_window(1, 0.0, math.pi, 1.0, coarse_points=101, refine=1e-300)
-    for lo, hi in (w.lo_bracket, w.hi_bracket):
+    # a width below the float spacing cannot be met; the bisection must stop
+    # once the bracket of each theta edge holds two adjacent floats
+    def violated(theta):
+        return sweeps._margin_curve(np.array([theta]), 1, 0.0, math.pi, 1.0, "lenient")[0] < 0.0
+
+    grid = np.linspace(0.0, math.pi, 101)
+    neg = np.flatnonzero([violated(theta) for theta in grid])
+    ref = violation_window(1, 0.0, math.pi, 1.0)
+    edges = ((neg[0], violated, ref.lo), (neg[-1] + 1, lambda t: not violated(t), ref.hi))
+    for k, below, edge in edges:
+        mid, (lo, hi) = sweeps._bisect(float(grid[k - 1]), float(grid[k]), 1e-300, below)
         assert np.nextafter(lo, math.inf) == hi
-    ref = violation_window(1, 0.0, math.pi, 1.0, coarse_points=101)
-    assert w.lo == pytest.approx(ref.lo, abs=1e-5)
-    assert w.hi == pytest.approx(ref.hi, abs=1e-5)
+        assert mid == pytest.approx(edge, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +259,23 @@ def test_gamma_cutoff_brackets_the_window_collapse():
 
 
 def test_gamma_cutoff_validation():
-    for name in ("tol", "gamma_hi"):
-        for bad in (0.0, -1e-9, math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-                gamma_cutoff(n=1, tau=math.pi, **{name: bad})
+    # tau is checked before the gap rate pi/tau is formed
+    for bad in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            gamma_cutoff(1, bad)
+    with pytest.raises(ValueError, match="criterion must be one of"):
+        gamma_cutoff(1, math.pi, criterion="both")
 
 
 def test_gamma_cutoff_bisection_stops_at_one_float():
-    cut = gamma_cutoff(n=1, tau=math.pi, tol=1e-300, theta_points=201)
-    ref = gamma_cutoff(n=1, tau=math.pi, theta_points=201)
-    assert cut == pytest.approx(ref, abs=1e-8)
+    grid = np.linspace(0.0, math.pi, 201)
+
+    def closed(gamma):
+        return not sweeps._margin_curve(grid, 1, gamma, math.pi, 1.0, "lenient").min() < 0.0
+
+    cut, (lo, hi) = sweeps._bisect(0.0, 0.05, 1e-300, closed)
+    assert np.nextafter(lo, math.inf) == hi
+    assert cut == pytest.approx(sweeps._bisect(0.0, 0.05, 1e-9, closed)[0], abs=1e-8)
 
 
 def test_gamma_cutoff_undefined_for_the_control():
@@ -276,9 +283,9 @@ def test_gamma_cutoff_undefined_for_the_control():
         gamma_cutoff(n=0, tau=math.pi, omega=1.0, criterion="lenient")
 
 
-def test_gamma_cutoff_tries_gamma_one_before_it_gives_up(monkeypatch):
-    # the doubling bracket stops at gamma=1: at omega=80 the lenient window
-    # closes between its last two tops, 0.8 and 1
+def test_gamma_cutoff_tries_the_gap_rate_before_it_gives_up(monkeypatch):
+    # the doubling bracket stops at the gap rate r = pi/tau: a free tau of
+    # 0.05 keeps the window open at every top up to r
     tried = []
     margin_curve = sweeps._margin_curve
     monkeypatch.setattr(
@@ -286,14 +293,30 @@ def test_gamma_cutoff_tries_gamma_one_before_it_gives_up(monkeypatch):
         "_margin_curve",
         lambda grid, n, gamma, *rest: tried.append(gamma) or margin_curve(grid, n, gamma, *rest),
     )
-    tops = [0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0]
-    cut = gamma_cutoff(n=1, tau=math.pi / 80.0, omega=80.0)
-    assert 0.8 < cut < 1.0 and cut == pytest.approx(0.8955, abs=1e-4)
-    assert tried[:7] == tops and len(tried) == 7 + 30  # 30 halvings reach tol=1e-9
+    r = math.pi / 0.05
+    with pytest.raises(ValueError, match="violation window persists at gamma=62.8319;"):
+        gamma_cutoff(n=1, tau=0.05)
+    assert tried == [0.0, *(0.05 * r * 2**k for k in range(5)), r]
+    # a lower first top doubles until the window closes, at 0.016; the cutoff
+    # lands within the bisection tolerance of the default search's
     tried.clear()
-    with pytest.raises(ValueError, match="violation window persists at gamma=1;"):
-        gamma_cutoff(n=1, tau=math.pi / 120.0, omega=120.0)
-    assert tried == tops
+    monkeypatch.setattr(sweeps, "_CUTOFF_TOP", 0.001)
+    cut = gamma_cutoff(n=1, tau=math.pi)
+    assert tried[:6] == [0.0, 0.001, 0.002, 0.004, 0.008, 0.016]
+    assert len(tried) <= sweeps._CUTOFF_CALLS
+    assert f"{cut:.9g}" == "0.0111937099"
+    monkeypatch.undo()
+    assert cut == pytest.approx(gamma_cutoff(n=1, tau=math.pi), abs=1e-9)
+
+
+@pytest.mark.parametrize("criterion", ["lenient", "strict"])
+def test_the_cutoffs_scale_with_the_drive(criterion):
+    # at m = 1 the dynamics depend only on gamma * tau, so each cutoff is the
+    # same fraction of the gap rate pi/tau = omega at every drive
+    ref = gamma_cutoff(1, math.pi, 1.0, criterion)
+    for omega in (1e-5, 0.01, 1.3, 80.0, 120.0):
+        cut = gamma_cutoff(1, math.pi / omega, omega, criterion)
+        assert cut / omega == pytest.approx(ref, abs=2e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +349,12 @@ def test_lenient_margin_equals_the_full_curve(monkeypatch, omega):
             )
 
     def windows_and_cutoffs():
-        windows = [
-            violation_window(n, gamma, tau, omega, coarse_points=401)
-            for n in range(11)
-            for gamma in gammas
-        ]
-        cutoffs = [outcome(gamma_cutoff, n, tau, omega, theta_points=101) for n in range(11)]
+        windows = [violation_window(n, gamma, tau, omega) for n in range(11) for gamma in gammas]
+        cutoffs = [outcome(gamma_cutoff, n, tau, omega) for n in range(11)]
         return windows, cutoffs
 
+    monkeypatch.setattr(sweeps, "_WINDOW_THETAS", 401)
+    monkeypatch.setattr(sweeps, "_CUTOFF_THETAS", 101)
     windows, cutoffs = windows_and_cutoffs()
     monkeypatch.setattr(sweeps, "_margin_curve", full_curve_margin)
     assert (windows, cutoffs) == windows_and_cutoffs()
@@ -350,9 +371,11 @@ def test_only_the_strict_margin_runs_the_battery(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(_kernels, "battery_eps", counted)
-    violation_window(1, 0.002, math.pi, 1.0, coarse_points=101)
-    gamma_cutoff(1, math.pi, theta_points=101)
+    monkeypatch.setattr(sweeps, "_WINDOW_THETAS", 101)
+    monkeypatch.setattr(sweeps, "_CUTOFF_THETAS", 101)
+    violation_window(1, 0.002, math.pi, 1.0)
+    gamma_cutoff(1, math.pi)
     assert calls == []
-    violation_window(1, 0.002, math.pi, 1.0, criterion="strict", coarse_points=101)
-    gamma_cutoff(1, math.pi, criterion="strict", theta_points=101)
+    violation_window(1, 0.002, math.pi, 1.0, criterion="strict")
+    gamma_cutoff(1, math.pi, criterion="strict")
     assert len(calls) > 2
