@@ -23,11 +23,11 @@ The sampler relies on the collapse: after event ``j`` the conditional Bloch
 vector is exactly ``+/- axes[j]``, so ``p(+1)`` at event ``j + 1`` takes one
 of two values.  ``p_plus_table`` computes both, term by term in the order of
 the per-shot recurrence ``p = (1 + q.(aff + lin r))/2``, and ``word_cutoffs``
-turns them into integer cut-offs on raw 64-bit Philox words: the uniform
-numpy would make of a word ``w`` is ``(w >> 11) * 2**-53``, and it is below
-``p`` exactly when ``w`` is below the cut-off.  ``sampling._cutoffs`` composes
-the two once per run; ``outcome_columns`` then walks each shot through the
-two-value lookup, with no doubles drawn or compared.
+turns them into cut-offs ``ceil(p * 2**53)`` in [0, 2**53]: numpy makes the
+uniform ``d * 2**-53`` of a Philox word's draw ``d = w >> 11``, and it is below
+``p`` exactly when ``d`` is below the cut-off, a certain outcome included.
+``sampling._cutoffs`` composes the two once per run; ``outcome_columns`` then
+walks each shot through the two-value lookup, one compare per side.
 """
 
 from __future__ import annotations
@@ -158,21 +158,17 @@ def _p_plus(lin, aff, axes, r):
 
 
 def word_cutoffs(p):
-    """Integer cut-offs equivalent to ``u < p`` for the uniform a word maps to.
+    """Integer cut-offs on 53-bit draws equivalent to ``u < p``, as uint64.
 
-    numpy turns a Philox word ``w`` into ``u = (w >> 11) * 2**-53``, so
-    ``u < p`` holds exactly when ``w >> 11 < c`` with ``c = ceil(p * 2**53)``
-    (the scaling by a power of two and the ``ceil`` are exact), that is when
-    ``w < c << 11``.  ``p`` is clipped to [0, 1] first, NaN counting as 0
-    (``u < nan`` is never true).  ``c = 2**53`` needs the cut-off 2**64, which
-    no uint64 holds; those entries get cut-off 0 and ``always`` True.  So for
-    every uint64 ``w``, ``(w < cut) | always`` equals ``u < p``.
+    numpy turns a Philox word ``w`` into ``u = d * 2**-53`` with the draw
+    ``d = w >> 11``, so ``u < p`` holds exactly when ``d < c = ceil(p * 2**53)``
+    (the scaling by a power of two and the ``ceil`` are exact).  ``p`` is
+    clipped to [0, 1] first, NaN counting as 0 (``u < nan`` is never true), so
+    ``c`` lies in [0, 2**53]: p = 1 is 2**53, above every draw.
     """
     # fmax/fmin return the number when the other argument is NaN
     c = np.ceil(np.fmin(np.fmax(np.asarray(p, dtype=np.float64), 0.0), 1.0) * 2.0**53)
-    always = c == 2.0**53
-    cut = np.where(always, 0.0, c).astype(np.uint64) << np.uint64(11)
-    return cut, always
+    return c.astype(np.uint64)
 
 
 def p_plus_table(lin, aff, axes, r0):
@@ -190,33 +186,24 @@ def p_plus_table(lin, aff, axes, r0):
     return _p_plus(lin[:, None], aff[:, None], axes[..., None, :], prev)
 
 
-def _hits(words, cut, always):
-    """Which ``words`` decide +1: below ``cut``, or any word where ``always``."""
-    hit = words < cut
-    if always.any():
-        hit |= always
-    return hit
+def outcome_columns(draws, cut):
+    """Yield, event by event, which shots of ``draws`` give +1 (a bool each).
 
-
-def outcome_columns(words, cut, always):
-    """Yield, event by event, which shots of ``words`` give +1 (a bool each).
-
-    ``words`` is (..., shots, k), leading axes holding runs side by side.
-    ``cut[j, side]`` and ``always[j, side]`` are ``word_cutoffs`` of event
-    ``j`` after a +1 (side 0) or -1 (side 1) at the event before: scalars,
-    or (runs, 1) arrays for runs with their own cut-offs.  Event 0 reads
-    side 0.  Each yielded array is new.
+    ``draws`` is (..., shots, k) draws ``w >> 11``, leading axes holding runs
+    side by side.  A shot gives +1 when its draw is below ``cut[j, side]``,
+    the ``word_cutoffs`` of event ``j`` after a +1 (side 0) or -1 (side 1)
+    at the event before: scalars, or (runs, 1) arrays for runs with their
+    own cut-offs.  Event 0 reads side 0.  Each yielded array is new.
     """
     # after event 0, each shot compares against both sides' cut-offs and keeps
     # its own side's hit: (pos & a) | (~pos & b), built in place
-    pos = _hits(words[..., 0], cut[0, 0], always[0, 0])
+    pos = draws[..., 0] < cut[0, 0]
     yield pos
-    for j in range(1, words.shape[-1]):
-        a = _hits(words[..., j], cut[j, 0], always[j, 0])
-        b = _hits(words[..., j], cut[j, 1], always[j, 1])
+    for j in range(1, draws.shape[-1]):
+        a = draws[..., j] < cut[j, 0]
+        b = draws[..., j] < cut[j, 1]
         a &= pos
         pos = ~pos
         pos &= b
         pos |= a
         yield pos
-

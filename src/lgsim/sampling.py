@@ -20,9 +20,10 @@ shot through that lookup with ``_kernels.outcome_columns``.
 Randomness is counter based: shot block ``j`` of a run with seed ``s`` draws
 one raw 64-bit word per (shot, event) from a Philox bit generator keyed
 ``(s, j)``, with a fixed block size of 2**16 shots.  An outcome is +1 when its
-word lies below the event's cut-off, which is exactly when the uniform
-``Generator.random()`` would make of that word, ``(w >> 11) * 2**-53``, lies
-below ``p(+1)``; no doubles are drawn.  The stream for any shot therefore
+word's 53-bit draw ``w >> 11`` lies below the cut-off ``ceil(p(+1) * 2**53)``,
+which is exactly when the uniform ``Generator.random()`` would make of that
+word, ``(w >> 11) * 2**-53``, lies below ``p(+1)``; no doubles are drawn, and
+a certain outcome is the cut-off 2**53.  The stream for any shot therefore
 depends only on ``(seed, shot index)``, never on how the work is executed,
 and identical ``(schedule, mask, shots, seed)`` inputs give bit-identical
 records.  One Philox per run is re-keyed through its state at each block: the
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import LindbladSpec, lindblad_propagator
-from .protocol import _BATTERY_LAYOUT, ExperimentSchedule, _battery_axes
+from .protocol import _BATTERY_LAYOUT, _PROB_TOL, ExperimentSchedule, _battery_axes
 from .qubit import DensityOperator
 
 __all__ = [
@@ -74,7 +75,6 @@ __all__ = [
 BLOCK_SHOTS = 1 << 16
 _PRUNE_TOL = 1e-14
 _MAX_ENUM_EVENTS = 20
-_PROB_TOL = 1e-10
 _CHUNK_ROWS = 1 << 13  # shot rows sample_battery walks at once
 
 
@@ -278,7 +278,7 @@ def _rekey(bitgen: np.random.Philox, seed, block: int) -> np.random.Philox:
     return bitgen
 
 
-def _cutoffs(dynamics: LindbladSpec, times, axes, r0) -> tuple[np.ndarray, np.ndarray]:
+def _cutoffs(dynamics: LindbladSpec, times, axes, r0) -> np.ndarray:
     """``word_cutoffs`` of runs measured along ``axes`` at ``times``, from ``r0``.
 
     Gap ``k`` runs from the event before event ``k``, or from time 0, to it.
@@ -334,14 +334,15 @@ def sample_trajectories(
     shots = _check_shots(shots)
     seed = _check_seed(seed)
     included = _resolve_mask(schedule, mask)
-    cut, always = _compile(schedule, included)
+    cut = _compile(schedule, included)
     k = len(included)
     out = np.empty((shots, k), dtype=np.int8)
     bitgen = _philox()
     for block, start in enumerate(range(0, shots, BLOCK_SHOTS)):
         size = min(BLOCK_SHOTS, shots - start)
-        words = _rekey(bitgen, seed, block).random_raw(size * k).reshape(size, k)
-        for j, pos in enumerate(_kernels.outcome_columns(words, cut, always)):
+        draws = _rekey(bitgen, seed, block).random_raw(size * k).reshape(size, k)
+        draws >>= np.uint64(11)
+        for j, pos in enumerate(_kernels.outcome_columns(draws, cut)):
             out[start : start + size, j] = pos
     out *= 2  # 1/0 to +1/-1
     out -= 1
@@ -383,32 +384,26 @@ def sample_battery(
         layout = np.array(_BATTERY_LAYOUT)[:, events]
         for lo in range(0, size, step):
             axes = pair[lo : lo + step][:, layout]  # (b, 4, events, 3)
-            cut, always = _cutoffs(dynamics, [times[i] for i in events], axes, r0)
-            runs = (-1, len(events), 2)
+            cut = _cutoffs(dynamics, [times[i] for i in events], axes, r0)
             run_keys = keys[lo : lo + step, :, side].ravel()
-            found = _count_runs(run_keys, cut.reshape(runs), always.reshape(runs), shots)
+            found = _count_runs(run_keys, cut.reshape(-1, len(events), 2), shots)
             counts[lo : lo + step, :, side] = found.reshape(-1, 4, 3)
-    n1, n3, n13 = np.moveaxis(counts, -1, 0)  # each (B, 4, side)
-    cells = np.stack((n13, n1 - n13, n3 - n13, shots - n1 - n3 + n13), axis=-1)
-    tables = cells.reshape(size, 4, 2, 2, 2).astype(np.float64) / shots
+    tables = _joint_table(*np.moveaxis(counts, -1, 0), shots)  # (B, 4, side, 2, 2)
     pw, pn = tables[:, :, 0], tables[:, :, 1]
+    epsilon, se = _distance(pw, pn, shots, shots)
     return BatteryEstimate(
-        epsilon=np.abs(pw - pn).reshape(size, 4, 4).sum(axis=-1),
-        p_with=pw,
-        p_without=pn,
-        cell_standard_errors=np.sqrt(pw * (1.0 - pw) / shots + pn * (1.0 - pn) / shots),
-        shots=shots,
+        epsilon=epsilon, p_with=pw, p_without=pn, cell_standard_errors=se, shots=shots
     )
 
 
-def _count_runs(keys: np.ndarray, cut: np.ndarray, always: np.ndarray, shots: int) -> np.ndarray:
+def _count_runs(keys: np.ndarray, cut: np.ndarray, shots: int) -> np.ndarray:
     """The +1 counts ``(Q1, Q3, both)`` of runs that share an event count, (R, 3).
 
     Run ``r`` draws ``shots`` shots from seed ``keys[r]`` and decides them
-    by ``cut[r]`` and ``always[r]`` (``word_cutoffs``, (k, 2)); its first and
-    last events are Q1 and Q3.  Runs are walked in groups of as many as fit
-    in ``_CHUNK_ROWS`` shot rows, at least one: a chunk lays the group's
-    runs side by side as (runs, size, k) words, each run's cut-offs
+    by ``cut[r]`` (``word_cutoffs``, (k, 2)); its first and last events are
+    Q1 and Q3.  Runs are walked in groups of as many as fit in
+    ``_CHUNK_ROWS`` shot rows, at least one: a chunk lays the group's runs
+    side by side as (runs, size, k) draws ``w >> 11``, each run's cut-offs
     broadcast over its own shots.  A chunk ends at a ``BLOCK_SHOTS`` edge,
     where each run is re-keyed, so the words are those of
     ``sample_trajectories``; a run longer than a chunk is alone in its
@@ -416,25 +411,25 @@ def _count_runs(keys: np.ndarray, cut: np.ndarray, always: np.ndarray, shots: in
     """
     runs, k = cut.shape[:2]
     cut = np.moveaxis(cut, 0, -1)[..., None]  # (k, 2, R, 1): outcome_columns reads [event, side]
-    always = np.moveaxis(always, 0, -1)[..., None]
     counts = np.empty((runs, 3), dtype=np.int64)
     per = max(1, _CHUNK_ROWS // shots)
     bitgen = _philox()
     for first in range(0, runs, per):
         group = slice(first, min(first + per, runs))
         lone = group.stop - group.start == 1
-        c, a, found = cut[..., group, :], always[..., group, :], [0, 0, 0]
+        c, found = cut[..., group, :], [0, 0, 0]
         shot = 0
         while shot < shots:
             block, offset = divmod(shot, BLOCK_SHOTS)
             size = min(_CHUNK_ROWS, shots - shot, BLOCK_SHOTS - offset)
-            draws = []
+            words = []
             for key in keys[group]:
                 if offset == 0:  # only a lone run's chunk can start inside a block
                     _rekey(bitgen, key, block)
-                draws.append(bitgen.random_raw(size * k))
-            words = (draws[0] if lone else np.concatenate(draws)).reshape(-1, size, k)
-            q1, *_, q3 = _kernels.outcome_columns(words, c, a)
+                words.append(bitgen.random_raw(size * k))
+            draws = (words[0] if lone else np.concatenate(words)).reshape(-1, size, k)
+            draws >>= np.uint64(11)
+            q1, *_, q3 = _kernels.outcome_columns(draws, c)
             for col, q in enumerate((q1, q3, q1 & q3)):  # a count without an axis is the fast one
                 found[col] += np.count_nonzero(q) if lone else np.count_nonzero(q, axis=-1)
             shot += size
@@ -463,12 +458,20 @@ def estimate_joint_distribution(
     """Estimated joint table ``P[i, j]`` of two tagged columns (0 = +1, 1 = -1)."""
     a = records.column(first) == 1
     b = records.column(second) == 1
-    n = records.shots
-    na = np.count_nonzero(a)
-    nb = np.count_nonzero(b)
-    nab = np.count_nonzero(a & b)
-    table = np.array([[nab, na - nab], [nb - nab, n - na - nb + nab]], dtype=np.float64)
-    return table / n
+    return _joint_table(*map(np.count_nonzero, (a, b, a & b)), records.shots)
+
+
+def _joint_table(n1, n3, n13, shots):
+    """``P[i, j]`` of two columns of ``shots`` shots with ``n1``, ``n3`` and ``n13``
+    +1s in the first, the second and both; array counts give (..., 2, 2)."""
+    cells = np.stack((n13, n1 - n13, n3 - n13, shots - n1 - n3 + n13), axis=-1)
+    return cells.reshape(cells.shape[:-1] + (2, 2)).astype(np.float64) / shots
+
+
+def _distance(pw, pn, sw, sn):
+    """L1 distance of the (..., 2, 2) tables ``pw`` and ``pn``, and its per-cell binomial SEs."""
+    se = np.sqrt(pw * (1.0 - pw) / sw + pn * (1.0 - pn) / sn)
+    return np.abs(pw - pn).sum(axis=(-2, -1)), se
 
 
 def estimate_adroitness(
@@ -477,11 +480,10 @@ def estimate_adroitness(
     """Adroitness estimate from two sampled runs of the same experiment."""
     pw = estimate_joint_distribution(with_probe, "Q1", "Q3")
     pn = estimate_joint_distribution(without_probe, "Q1", "Q3")
-    sw = with_probe.shots
-    sn = without_probe.shots
-    se = np.sqrt(pw * (1.0 - pw) / sw + pn * (1.0 - pn) / sn)
+    sw, sn = with_probe.shots, without_probe.shots
+    epsilon, se = _distance(pw, pn, sw, sn)
     return AdroitnessEstimate(
-        epsilon=float(np.abs(pw - pn).sum()),
+        epsilon=float(epsilon),
         p_with=pw,
         p_without=pn,
         cell_standard_errors=se,

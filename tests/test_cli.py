@@ -497,8 +497,7 @@ def test_each_charged_sampled_cell_samples_eight_runs(monkeypatch, capsys):
     monkeypatch.setattr(
         sampling,
         "_count_runs",
-        lambda keys, cut, always, shots: runs.extend([shots] * len(keys))
-        or count_runs(keys, cut, always, shots),
+        lambda keys, cut, shots: runs.extend([shots] * len(keys)) or count_runs(keys, cut, shots),
     )
     for shots, cells in ((0, 0), (5, 6)):
         argv = ("adroitness", "--theta", "0:1:3", "--gamma", "0:0.01:2", "--shots", str(shots))

@@ -171,11 +171,13 @@ def word_uniforms(words):
 
 
 def run_both(words, lin, aff, axes, r0):
-    # the sampler's compile step (p_plus_table, then word_cutoffs) and walk
+    # the sampler's compile step (p_plus_table, then word_cutoffs) and its
+    # walk on the 53-bit draws of the words
     expected = np.empty(words.shape, dtype=np.int8)
     reference_paths(word_uniforms(words), lin, aff, axes, r0, expected)
-    cut, always = _kernels.word_cutoffs(_kernels.p_plus_table(lin, aff, axes, r0))
-    got = np.where(np.column_stack(list(_kernels.outcome_columns(words, cut, always))), 1, -1)
+    cut = _kernels.word_cutoffs(_kernels.p_plus_table(lin, aff, axes, r0))
+    draws = words >> np.uint64(11)
+    got = np.where(np.column_stack(list(_kernels.outcome_columns(draws, cut))), 1, -1)
     return got, expected
 
 
@@ -196,8 +198,8 @@ def test_sampler_paths_are_bit_identical(k):
 
 def test_sampler_paths_repeat_a_certain_outcome():
     # +z, +z, -z, -z measured with no gaps: every later p(+1) is exactly 0 or
-    # 1, and p(+1) = 1 (a cut-off of 2**64, which no uint64 holds) occurs
-    # after a +1 and after a -1
+    # 1, and p(+1) = 1 (the cut-off 2**53, above every draw) occurs after a
+    # +1 and after a -1
     rng = np.random.default_rng(0)
     words = rng.integers(0, 2**64, size=(512, 4), dtype=np.uint64)
     words[:4, 1:] = [[0, 0, 0], [2**64 - 1] * 3, [2**11 - 1] * 3, [2**11] * 3]
@@ -212,7 +214,7 @@ def test_sampler_paths_repeat_a_certain_outcome():
 @pytest.mark.parametrize("rz", [1.0, -1.0])
 def test_sampler_paths_start_from_a_certain_outcome(rz):
     # r0 = +/- z measured along z: the first event's p(+1) is exactly 1 or 0,
-    # and a cut-off of 2**64 at the first event has no "after a -1" side
+    # and the cut-off 2**53 or 0 at the first event has no "after a -1" side
     rng = np.random.default_rng(1)
     words = rng.integers(0, 2**64, size=(512, 2), dtype=np.uint64)
     words[:2, 0] = [0, 2**64 - 1]
@@ -225,20 +227,20 @@ def test_sampler_paths_start_from_a_certain_outcome(rz):
 
 @pytest.mark.parametrize("runs", [1, 3])
 def test_outcome_columns_of_runs_side_by_side_are_their_own_columns(runs):
-    # (runs, shots, k) words with (k, 2, runs, 1) cut-offs give, run by run,
-    # the columns of a call on that run's words with its scalar cut-offs;
-    # p(+1) = 1 (``always``) occurs after a +1 and after a -1, each in a single run
+    # (runs, shots, k) draws with (k, 2, runs, 1) cut-offs give, run by run,
+    # the columns of a call on that run's draws with its scalar cut-offs;
+    # p(+1) = 1 (cut-off 2**53) occurs after a +1 and after a -1, each in a single run
     k = 4
     rng = np.random.default_rng(runs)
-    words = rng.integers(0, 2**64, size=(runs, 256, k), dtype=np.uint64)
+    draws = rng.integers(0, 2**64, size=(runs, 256, k), dtype=np.uint64) >> np.uint64(11)
     p = rng.uniform(size=(k, 2, runs, 1))
     p[1, 0, 0] = p[2, 1, -1] = p[0, 0, -1] = 1.0
-    cut, always = _kernels.word_cutoffs(p)
-    assert always[:, 0].any() and always[:, 1].any()
-    got = np.array(list(_kernels.outcome_columns(words, cut, always)))
+    cut = _kernels.word_cutoffs(p)
+    assert (cut[:, 0] == 2**53).any() and (cut[:, 1] == 2**53).any()
+    got = np.array(list(_kernels.outcome_columns(draws, cut)))
     assert got.shape == (k, runs, 256)
     for run in range(runs):
-        lone = _kernels.outcome_columns(words[run], cut[..., run, 0], always[..., run, 0])
+        lone = _kernels.outcome_columns(draws[run], cut[..., run, 0])
         assert np.array_equal(got[:, run], np.array(list(lone)))
     assert got.any() and not got.all()
 
@@ -249,8 +251,7 @@ def word_below(w, p):
 
 
 def cutoff_decides(w, p):
-    cut, always = _kernels.word_cutoffs(p)
-    return bool((np.uint64(w) < cut) | always)
+    return bool(np.uint64(w) >> np.uint64(11) < _kernels.word_cutoffs(p))
 
 
 @st.composite
@@ -281,10 +282,16 @@ EDGE_WS = [0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**6
 def test_word_cutoffs_on_edge_values():
     ps = np.array(EDGE_PS)
     with np.errstate(all="raise"):  # no NaN or out-of-range float reaches the cast
-        cut, always = _kernels.word_cutoffs(ps)
-    assert cut.dtype == np.uint64 and cut.shape == always.shape == ps.shape
+        cut = _kernels.word_cutoffs(ps)
+        one = _kernels.word_cutoffs(1.0)
+    # one uint64 cut-off per p: a certain outcome is 2**53, which a uint64 holds
+    assert isinstance(cut, np.ndarray) and cut.dtype == np.uint64 and cut.shape == ps.shape
+    assert one.dtype == np.uint64 and one == 2**53
+    # the largest draw, 2**53 - 1 (from the word 2**64 - 1), still decides +1 at p = 1
+    top = np.uint64(2**64 - 1) >> np.uint64(11)
+    assert top == 2**53 - 1 and top < one
     for w in EDGE_WS:
-        got = (np.uint64(w) < cut) | always
+        got = np.uint64(w) >> np.uint64(11) < cut
         assert got.tolist() == [word_below(w, p) for p in EDGE_PS], w
 
 

@@ -208,13 +208,12 @@ def sampler_joint(schedule, mask, first="Q1", second="Q3"):
     """The sampler's exact joint law of two tagged events, with no draws.
 
     After a collapse the outcomes form a two-state Markov chain: event k is
-    +1 with the probability its cut-off gives a uniform 64-bit word,
-    ``cut / 2**64`` (1 where ``always``), after a +1 / -1 at event k - 1.
-    The law is the product of those 2x2 transition matrices.
+    +1 with the probability its cut-off gives a uniform 53-bit draw,
+    ``cut / 2**53``, after a +1 / -1 at event k - 1.  The law is the product
+    of those 2x2 transition matrices.
     """
     included = sampling._resolve_mask(schedule, mask)
-    cut, always = sampling._compile(schedule, included)
-    p = np.where(always, 1.0, cut / 2.0**64)
+    p = sampling._compile(schedule, included) / 2.0**53
     steps = [np.array([[q[0], 1.0 - q[0]], [q[1], 1.0 - q[1]]]) for q in p]
     tags = [schedule.events[i].tag for i in included]
     a, b = tags.index(first), tags.index(second)
