@@ -5,19 +5,19 @@ wrappers in ``sampling`` and ``sweeps``, not here (apart from the shape and
 ``n`` checks below).  The protocol kernels hard-code the measurement family
 (sz and the tilted axis in the x-z plane) because that is what makes them
 cheap; anything more general goes through the exact engine in ``protocol``.
-Dephasing along an x-z axis leaves the y component of a branch vector exactly
-zero, so the one-shot matvecs below skip the terms that are structurally
-zero; the in-loop matvecs stay dense because the zero pattern alternates with
-the event kind.
 
-``protocol_lg`` walks the box with its two branch vectors (the state after
-Q1's channel, and ``{Q1, rho}/2``) stacked as one (2, 4, B) array.  numpy's
-matmul runs, on each (4, B) slice of a stack, the BLAS call that a 2-D
-``gap @ x`` runs, so one stacked step gives the bits of two separate ones.
-``_terms`` adds each row of a one-shot matvec left to right, in the fixed
-order of the written-out sum.  ``battery_eps`` takes the battery's layout
-from ``protocol._BATTERY_LAYOUT``; sz enters as the numbers (0, 1), whose
-products equal those of arrays of zeros and ones.
+They also rely on the dynamics family: every gap that
+``dynamics.lindblad_propagator`` returns has ``G[0, 0] == 1`` and exact zeros
+off its x and y-z blocks (the tests check this), and ``sweeps`` passes no
+other gap.  Every gap and measurement channel is then unital, so the state
+stays I/2 through the box and ``protocol_lg`` walks only ``{Q1, rho}/2``;
+its matvecs stay dense, as the branch's zero pattern alternates with the
+event kind.  ``_anti_z`` keeps its zero terms because c23 and c13' reach the
+tables with the sign of a zero.  ``battery_eps`` reads only G11 and G33 of
+each gap: a product it drops is an exact zero times a finite number, which
+can flip only the sign of a zero, and epsilon sums absolute values.  It
+takes the battery's layout from ``protocol._BATTERY_LAYOUT``; sz enters as
+the numbers (0, 1), whose products equal those of arrays of zeros and ones.
 
 The sampler relies on the collapse: after event ``j`` the conditional Bloch
 vector is exactly ``+/- axes[j]``, so ``p(+1)`` at event ``j + 1`` takes one
@@ -60,28 +60,16 @@ def _ptm_arg(m, name):
 
 
 def _project(s, c, v1, v3):
-    """Overlap with the x-z axis ``(s, c)``, and the x and z coefficients
-    ``v1``, ``v3`` projected onto it (the projected y coefficient is 0)."""
+    """The x and z coefficients ``v1``, ``v3`` projected onto the x-z axis
+    ``(s, c)`` (the projected y coefficient is 0)."""
     pr = s * v1 + c * v3
-    return pr, pr * s, pr * c
-
-
-def _terms(m, v, rows, cols):
-    """Rows ``rows`` of ``m @ v``, ``v`` holding components ``cols``, each row's
-    terms added left to right (``@`` or ``einsum`` may order them otherwise)."""
-    out = []
-    for r in rows:
-        acc = m[r, cols[0]] * v[0]
-        for c, vc in zip(cols[1:], v[1:]):
-            acc = acc + m[r, c] * vc
-        out.append(acc)
-    return out
+    return pr * s, pr * c
 
 
 def _anti_z(m, v, st, ct):
     """``2 (m {sigma_theta, v}/2)_z`` for branch vectors ``v`` (y coefficient 0)."""
     pr = st * v[1] + ct * v[3]
-    return 2.0 * _terms(m, (pr, v[0] * st, v[0] * ct), (3,), (0, 1, 3))[0]
+    return 2.0 * (m[3, 0] * pr + m[3, 1] * (v[0] * st) + m[3, 3] * (v[0] * ct))
 
 
 def protocol_lg(thetas, n, gap, gap13):
@@ -94,26 +82,22 @@ def protocol_lg(thetas, n, gap, gap13):
     gap13 = _ptm_arg(gap13, "gap13")
     st = np.sin(thetas)
     ct = np.cos(thetas)
-    # xy[0] is the state after Q1's channel, xy[1] is {Q1, rho}/2
-    xy = np.empty((2, 4, thetas.shape[0]))
-    x, y = xy
-    x[...] = 0.5 * gap[:, :1]
-    y[0], x[1], x[3] = _project(st, ct, x[1], x[3])
+    x = 0.5 * gap[:, 0]  # the state after the first gap, and after every later one
+    y = np.empty((4, thetas.shape[0]))  # {Q1, rho}/2
+    y[0] = st * x[1] + ct * x[3]
     y[1] = x[0] * st
+    y[2] = 0.0
     y[3] = x[0] * ct
-    xy[:, 2] = 0.0
     for k in range(2 * n + 1):
-        xy = gap @ xy
+        y = gap @ y
         if k % 2 == 0:
-            xy[:, 1:3] = 0.0
+            y[1:3] = 0.0
         else:
-            _, xy[:, 1], xy[:, 3] = _project(st, ct, xy[:, 1], xy[:, 3])
-            xy[:, 2] = 0.0
-    x, y = gap @ xy
+            y[1], y[3] = _project(st, ct, y[1], y[3])
+            y[2] = 0.0
+    y = gap @ y
     c12 = 2.0 * (st * y[1] + ct * y[3])
-    c23 = _anti_z(gap, x, st, ct)
-    c13p = _anti_z(gap13, 0.5 * gap[:, 0], st, ct)
-    return c12, c23, c13p
+    return c12, _anti_z(gap, x, st, ct), _anti_z(gap13, x, st, ct)
 
 
 def battery_eps(thetas, gap, gap2):
@@ -122,23 +106,19 @@ def battery_eps(thetas, gap, gap2):
     gap = _ptm_arg(gap, "gap")
     gap2 = _ptm_arg(gap2, "gap2")
     pair = ((0, 1), (np.sin(thetas), np.cos(thetas)))  # (x, z) of sz and sigma_theta
-    xz = (0, 1, 3)
-    x0, x1, x3 = 0.5 * gap[xz, 0]
     out = np.empty((thetas.shape[0], 4))
     for e, layout in enumerate(_BATTERY_LAYOUT):
         (q1x, q1z), (qpx, qpz), (q3x, q3z) = (pair[k] for k in layout)
         eps = np.zeros_like(thetas)
         for s1 in (1.0, -1.0):
-            amp = x0 + s1 * (q1x * x1 + q1z * x3)
-            w = (0.5 * amp, 0.5 * s1 * amp * q1x, 0.5 * s1 * amp * q1z)
-            a0, a1, a3 = _terms(gap, w, xz, xz)
-            _, a1, a3 = _project(qpx, qpz, a1, a3)
-            f0, f1, f3 = _terms(gap, (a0, a1, a3), xz, xz)
-            g0, g1, g3 = _terms(gap2, w, xz, xz)
+            # P_s1 (I/2) P_s1 = (1/4, s1 q1x/4, 0, s1 q1z/4), whose 1/4 no step changes
+            w1, w3 = 0.25 * s1 * q1x, 0.25 * s1 * q1z
+            a1, a3 = _project(qpx, qpz, gap[1, 1] * w1, gap[3, 3] * w3)
+            # q3's Bloch coefficient with and without the probe
+            tw = q3x * (gap[1, 1] * a1) + q3z * (gap[3, 3] * a3)
+            tn = q3x * (gap2[1, 1] * w1) + q3z * (gap2[3, 3] * w3)
             for s3 in (1.0, -1.0):
-                pw = f0 + s3 * (q3x * f1 + q3z * f3)
-                pn = g0 + s3 * (q3x * g1 + q3z * g3)
-                eps = eps + np.abs(pw - pn)
+                eps = eps + np.abs((0.25 + s3 * tw) - (0.25 + s3 * tn))
         out[:, e] = eps
     return out
 

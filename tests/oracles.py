@@ -7,13 +7,20 @@ These helpers do, the textbook way, so the tests can compare the engines
 against them: Lueders measurement channels against the walker's projection
 step, Kraus families against ``Channel``'s Choi matrix, and the Heisenberg
 picture against ``unitary_propagator``.
+
+``dense_protocol_lg`` and ``dense_battery_eps`` are the sweep kernels as they
+were before they skipped the exact zeros of the dynamics family: they walk
+both branches of the box and multiply whole rows of each gap.  The kernels
+must give their bits, zeros' signs included where a table shows them.
 """
 
 import math
 
 import numpy as np
 
+from lgsim._kernels import _grid, _ptm_arg
 from lgsim.dynamics import HamiltonianSpec, _check_duration
+from lgsim.protocol import _BATTERY_LAYOUT
 from lgsim.qubit import (
     ATOL,
     CHOI_ATOL,
@@ -144,3 +151,87 @@ def heisenberg_observable(hamiltonian: HamiltonianSpec, q: Observable, t: float)
     angle = hamiltonian.omega * (0.5 if hamiltonian.half else 1.0) * t
     u = math.cos(angle) * IDENTITY - 1j * math.sin(angle) * SIGMA_X  # exp(-i angle sx)
     return Observable(u.conj().T @ q.matrix @ u, label=f"{q.label}@t={t:.12g}")
+
+
+def _dense_project(s, c, v1, v3):
+    """Overlap with the x-z axis ``(s, c)``, and the x and z coefficients
+    ``v1``, ``v3`` projected onto it (the projected y coefficient is 0)."""
+    pr = s * v1 + c * v3
+    return pr, pr * s, pr * c
+
+
+def _terms(m, v, rows, cols):
+    """Rows ``rows`` of ``m @ v``, ``v`` holding components ``cols``, each row's
+    terms added left to right (``@`` or ``einsum`` may order them otherwise)."""
+    out = []
+    for r in rows:
+        acc = m[r, cols[0]] * v[0]
+        for c, vc in zip(cols[1:], v[1:]):
+            acc = acc + m[r, c] * vc
+        out.append(acc)
+    return out
+
+
+def _dense_anti_z(m, v, st, ct):
+    """``2 (m {sigma_theta, v}/2)_z`` for branch vectors ``v`` (y coefficient 0)."""
+    pr = st * v[1] + ct * v[3]
+    return 2.0 * _terms(m, (pr, v[0] * st, v[0] * ct), (3,), (0, 1, 3))[0]
+
+
+def dense_protocol_lg(thetas, n, gap, gap13):
+    """Boxed-protocol correlators over a theta grid: (c12, c23, c13_prime)."""
+    thetas = _grid(thetas)
+    if n != int(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    n = int(n)
+    gap = _ptm_arg(gap, "gap")
+    gap13 = _ptm_arg(gap13, "gap13")
+    st = np.sin(thetas)
+    ct = np.cos(thetas)
+    # xy[0] is the state after Q1's channel, xy[1] is {Q1, rho}/2
+    xy = np.empty((2, 4, thetas.shape[0]))
+    x, y = xy
+    x[...] = 0.5 * gap[:, :1]
+    y[0], x[1], x[3] = _dense_project(st, ct, x[1], x[3])
+    y[1] = x[0] * st
+    y[3] = x[0] * ct
+    xy[:, 2] = 0.0
+    for k in range(2 * n + 1):
+        xy = gap @ xy
+        if k % 2 == 0:
+            xy[:, 1:3] = 0.0
+        else:
+            _, xy[:, 1], xy[:, 3] = _dense_project(st, ct, xy[:, 1], xy[:, 3])
+            xy[:, 2] = 0.0
+    x, y = gap @ xy
+    c12 = 2.0 * (st * y[1] + ct * y[3])
+    c23 = _dense_anti_z(gap, x, st, ct)
+    c13p = _dense_anti_z(gap13, 0.5 * gap[:, 0], st, ct)
+    return c12, c23, c13p
+
+
+def dense_battery_eps(thetas, gap, gap2):
+    """Per-experiment adroitness of the four-member battery, shape (B, 4)."""
+    thetas = _grid(thetas)
+    gap = _ptm_arg(gap, "gap")
+    gap2 = _ptm_arg(gap2, "gap2")
+    pair = ((0, 1), (np.sin(thetas), np.cos(thetas)))  # (x, z) of sz and sigma_theta
+    xz = (0, 1, 3)
+    x0, x1, x3 = 0.5 * gap[xz, 0]
+    out = np.empty((thetas.shape[0], 4))
+    for e, layout in enumerate(_BATTERY_LAYOUT):
+        (q1x, q1z), (qpx, qpz), (q3x, q3z) = (pair[k] for k in layout)
+        eps = np.zeros_like(thetas)
+        for s1 in (1.0, -1.0):
+            amp = x0 + s1 * (q1x * x1 + q1z * x3)
+            w = (0.5 * amp, 0.5 * s1 * amp * q1x, 0.5 * s1 * amp * q1z)
+            a0, a1, a3 = _terms(gap, w, xz, xz)
+            _, a1, a3 = _dense_project(qpx, qpz, a1, a3)
+            f0, f1, f3 = _terms(gap, (a0, a1, a3), xz, xz)
+            g0, g1, g3 = _terms(gap2, w, xz, xz)
+            for s3 in (1.0, -1.0):
+                pw = f0 + s3 * (q3x * f1 + q3z * f3)
+                pn = g0 + s3 * (q3x * g1 + q3z * g3)
+                eps = eps + np.abs(pw - pn)
+        out[:, e] = eps
+    return out

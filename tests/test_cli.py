@@ -1156,6 +1156,9 @@ def test_unparseable_cells_are_one_line_errors(tmp_path, capsys, column, value, 
 PINNED_GRID = ("sweep", "--theta", "0:3.141592653589793:9", "--gamma", "0:0.01:3", "--n", "0,1,5")
 # gamma = 1 is critical damping at omega = 1, and n = 7 runs fifteen box steps
 CRITICAL_GRID = ("sweep", "--theta", "0:3.141592653589793:7", "--gamma", "0:1:3", "--n", "0,2,7")
+# at m = 200 the gamma = 1 gaps underflow G33 to 0: the correlators are zeros,
+# and the theta = 3.2 rows write -0 cells
+UNDERFLOW_GRID = ("sweep", "--theta", "0:3.2:9", "--gamma", "0:1:2", "--m", "200", "--n", "0,1")
 
 
 @pytest.mark.parametrize(
@@ -1171,6 +1174,11 @@ CRITICAL_GRID = ("sweep", "--theta", "0:3.141592653589793:7", "--gamma", "0:1:3"
         (
             CRITICAL_GRID + ("--format", "jsonl"),
             "e838b5fed75ef2a573213a40318bc23af30e426430690f9e9472815cc8f69abd",
+        ),
+        (UNDERFLOW_GRID, "80f8d64695da41c1ef630d9fb9d965eb1c8ef08c8045f5288687dd1a60cc1bab"),
+        (
+            UNDERFLOW_GRID + ("--format", "jsonl"),
+            "51c06dc8adb4956b1e0516ed17f30c8ee886fbcc8a55e8ef9e1b70381a21ea26",
         ),
     ],
 )

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from lgsim import _kernels
@@ -18,9 +18,13 @@ from lgsim.protocol import (
     lg_quantity,
 )
 
+from oracles import dense_battery_eps, dense_protocol_lg
 from test_protocol import reference_epsilon
 
 GRID = np.linspace(0.05, math.pi - 0.05, 37)
+# exactly zero in every propagator of the paper's family: each gap is
+# unital, and the x component (the drive axis) is decoupled from y and z
+STRUCTURAL_ZEROS = ((1, 2, 3, 0, 0, 0, 1, 1, 2, 3), (0, 0, 0, 1, 2, 3, 2, 3, 1, 1))
 
 
 def propagators(gamma, tau, n):
@@ -99,11 +103,6 @@ def test_batched_battery_matches_every_engine(case):
     assert np.max(np.abs(grid - _kernels.battery_eps(thetas, gap, gap2))) <= 1e-12
 
 
-# exactly zero in every propagator of the paper's family: each gap is
-# unital, and the x component (the drive axis) is decoupled from y and z
-STRUCTURAL_ZEROS = ((1, 2, 3, 0, 0, 0, 1, 1, 2, 3), (0, 0, 0, 1, 2, 3, 2, 3, 1, 1))
-
-
 def closed_forms(thetas, n, gap, gap2, gap13):
     """``protocol_lg`` and ``battery_eps`` in closed form.
 
@@ -143,6 +142,84 @@ def test_the_kernels_match_their_closed_forms(case, n):
         for got, want in zip(_kernels.protocol_lg(thetas, n, gap, gap13), correlators):
             assert np.max(np.abs(got - want)) <= 1e-14
         assert np.max(np.abs(_kernels.battery_eps(thetas, gap, gap2) - battery)) <= 1e-14
+
+
+def magnitudes():
+    # 10^-300 to 10^300, a uniform exponent, plus the ends and 1
+    return st.one_of(
+        st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+        st.sampled_from([1e-300, 1.0, 1e300]),
+    )
+
+
+@given(
+    magnitudes(),
+    st.booleans(),
+    st.one_of(st.just(0.0), magnitudes()),
+    st.one_of(st.just(0.0), magnitudes()),
+)
+@settings(max_examples=400, deadline=None)
+def test_every_propagator_has_the_kernels_zero_pattern(omega, half, gamma, t):
+    # the kernels skip these entries: G[0, 0] = 1 and the structural zeros
+    # hold exactly for every gap the dynamics hands out; what it refuses
+    # (a rotation rate or duration that overflows, a propagator that fails
+    # CPTP validation) never reaches a kernel
+    with np.errstate(all="ignore"):
+        try:
+            gap = lindblad_propagator(LindbladSpec(HamiltonianSpec(omega, half=half), gamma), t).ptm
+        except ValueError:
+            reject()
+    assert gap[0, 0] == 1.0
+    assert (gap[STRUCTURAL_ZEROS] == 0.0).all(), gap
+
+
+# signed zeros, the smallest subnormals, huge values, where cos(theta) is
+# closest to 0, and a theta past pi (both sin and cos negative)
+EDGE_THETAS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.pi / 2, 3 * math.pi / 2, 3.2]
+CRITICAL = LindbladSpec(HamiltonianSpec(1.0), 1.0)  # gamma = W/2 at omega = 1
+
+
+@given(battery_cases(), st.integers(min_value=0, max_value=12))
+@example(([0.4, 2.0], math.pi, CRITICAL), 2)
+@example(([0.4, 2.0], 200.0 * math.pi, CRITICAL), 1)  # G33 underflows to 0
+@settings(max_examples=60, deadline=None)
+def test_the_kernels_equal_the_dense_walk_bit_for_bit(case, n):
+    # the kernels skip what the dynamics family makes exactly zero; the
+    # dense walk multiplies it, and every output keeps its bits, zeros'
+    # signs included
+    thetas, tau, spec = case
+    thetas = thetas + EDGE_THETAS
+    gap, gap2, gap13 = (lindblad_propagator(spec, k * tau).ptm for k in (1, 2, 2 * n + 3))
+    got = _kernels.protocol_lg(thetas, n, gap, gap13) + (_kernels.battery_eps(thetas, gap, gap2),)
+    want = dense_protocol_lg(thetas, n, gap, gap13) + (dense_battery_eps(thetas, gap, gap2),)
+    for name, a, b in zip(("c12", "c23", "c13_prime", "eps"), got, want):
+        assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def chunked_grids(draw):
+    chunk = draw(st.sampled_from([1, 3, 4099, 8192]))
+    size = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, min(200 * chunk, 20_003))))
+    lo = draw(st.floats(min_value=-10.0, max_value=10.0))
+    hi = draw(st.floats(min_value=-10.0, max_value=10.0))
+    return np.linspace(lo, hi, size), chunk
+
+
+@given(chunked_grids(), st.sampled_from([0.0, 0.3, 1.0, 10.0]), st.sampled_from([0, 2, 7]))
+@settings(max_examples=40, deadline=None)
+def test_kernels_on_theta_chunks_equal_the_whole_grid(grid, gamma, n):
+    # a theta slice gives the whole-grid call's bits, so a block's kernels
+    # may run chunk by chunk
+    thetas, chunk = grid
+    _, gap, gap2, gap13 = propagators(gamma, math.pi, n)
+    whole = _kernels.protocol_lg(thetas, n, gap, gap13) + (_kernels.battery_eps(thetas, gap, gap2),)
+    parts = [
+        _kernels.protocol_lg(thetas[k : k + chunk], n, gap, gap13)
+        + (_kernels.battery_eps(thetas[k : k + chunk], gap, gap2),)
+        for k in range(0, max(len(thetas), 1), chunk)
+    ]
+    for j, want in enumerate(whole):
+        assert np.concatenate([p[j] for p in parts]).tobytes() == want.tobytes(), j
 
 
 def reference_paths(u, lin, aff, axes, r0, out):
