@@ -208,6 +208,9 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = (str(flag), f"--{key}")
+    for text, where in merged.values():  # each value is echoed into one table line
+        if text.splitlines() not in ([], [text]):
+            raise ConfigError(f"{where}: must not contain a line break, got {text!r}")
 
     notes = []
     if command == "fig2" and merged["gamma"][0] != "0:0:1":
@@ -290,8 +293,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
 
 
 def _sweep(cfg: SweepConfig):
-    thetas, blocks = sweep_blocks(cfg.thetas, cfg.gammas, cfg.ns, tau=cfg.tau, omega=cfg.omega)
-    return _sweep_blocks(thetas, blocks, cfg.format)
+    blocks = sweep_blocks(cfg.thetas, cfg.gammas, cfg.ns, tau=cfg.tau, omega=cfg.omega)
+    return _sweep_blocks(blocks, cfg.format)
 
 
 def _cmd_fig2(cfg: SweepConfig):

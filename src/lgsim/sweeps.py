@@ -2,17 +2,17 @@
 
 Everything here runs on the kernel layer, so a 10^4-point theta grid is one
 call, and a gamma bisection is a few dozen of them.  ``sweep_blocks``
-evaluates a grid one block of kernel arrays and verdicts per (n, gamma),
-each block computed only when its reader asks for it and checked as whole
-arrays, never one object per grid point; ``sweep_records`` collects those
-blocks into a columnar ``SweepTable``.  Parsing a table back
-(``tables.records_from_rows``) runs the same column checks, and
-``SweepRecord`` is a plain row that checked columns expand into, in both
-directions.  Row order is a pure function of the requested grids (n
-outermost, then gamma, then theta).  The battery reads theta, gamma and
-tau but never n, so its kernel runs once per distinct gamma and every n
-block of that gamma shares the one ``eps_total`` array; the protocol
-kernel and the checks run per (n, gamma).
+evaluates a grid one block of kernel arrays and verdicts per (n, gamma,
+theta chunk of at most ``_CHUNK_ROWS``), each block computed only when its
+reader asks for it and checked as whole arrays, never one object per grid
+point; ``sweep_records`` collects those blocks into a columnar
+``SweepTable``.  Parsing a table back (``tables.records_from_rows``) runs
+the same column checks, and ``SweepRecord`` is a plain row that checked
+columns expand into, in both directions.  Row order is a pure function of
+the requested grids (n outermost, then gamma, then theta).  The battery
+reads theta, gamma and tau but never n, so its kernel runs once per
+distinct gamma and chunk, which every n block of that gamma shares; the
+protocol kernel and the checks run per block.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 _CRITERIA = ("lenient", "strict")
+
+# the theta a sweep block holds: each kernel call's points and, in tables, one rendered string
+_CHUNK_ROWS = 8192
 
 # The fixed window and cutoff searches: grid sizes, widths, worst-case calls
 _WINDOW_THETAS = 10001  # spacing pi/1e4
@@ -81,10 +84,11 @@ class SweepRecord(NamedTuple):
 
 
 class SweepBlock(NamedTuple):
-    """The rows of one (n, gamma) pair: its curve over theta and verdict values."""
+    """The rows of one (n, gamma, theta chunk): its curve over ``thetas`` and verdict values."""
 
     n: int
     gamma: float
+    thetas: np.ndarray
     curve: CurveArrays
     verdict: np.ndarray
 
@@ -106,25 +110,24 @@ def _gc_paused():
 class SweepTable:
     """A swept (n, gamma, theta) grid held as columns.
 
-    ``blocks`` run n outermost, then gamma; the rows of each block follow
-    ``thetas``.  In a table from ``sweep_records`` the blocks of one gamma
-    share one ``eps_total`` array object.  ``len`` counts rows.
+    ``blocks`` run n outermost, then gamma, then theta chunk.  In a table
+    from ``sweep_records`` the blocks over one chunk share its ``thetas``
+    view, and those of one gamma its ``eps_total`` array.  ``len`` counts rows.
     """
 
-    thetas: np.ndarray
     blocks: tuple[SweepBlock, ...]
 
     def __len__(self) -> int:
-        return len(self.thetas) * len(self.blocks)
+        return sum(len(b.thetas) for b in self.blocks)
 
     @_gc_paused()
     def records(self) -> list[SweepRecord]:
         """Every row as a ``SweepRecord``, in table order."""
-        thetas = self.thetas.tolist()
         rows: list[SweepRecord] = []
         for b in self.blocks:
             cols = [col.tolist() for col in b.curve]
-            rows += _expand(thetas, repeat(b.gamma), repeat(b.n), cols, b.verdict.tolist())
+            thetas, verdicts = b.thetas.tolist(), b.verdict.tolist()
+            rows += _expand(thetas, repeat(b.gamma), repeat(b.n), cols, verdicts)
         return rows
 
 
@@ -224,10 +227,10 @@ def _spec_and_gap(gamma, tau, omega):
     return spec, tau, lindblad_propagator(spec, tau).ptm
 
 
-def _battery_total(thetas, spec, tau, gap) -> np.ndarray:
-    """The battery's ``eps_total`` over theta; it does not depend on n."""
+def _battery_totals(chunks, spec, tau, gap) -> list[np.ndarray]:
+    """The battery's ``eps_total`` over each theta chunk; it does not depend on n."""
     gap2 = lindblad_propagator(spec, 2.0 * tau).ptm
-    return _kernels.battery_eps(thetas, gap, gap2).sum(axis=1)
+    return [_kernels.battery_eps(thetas, gap, gap2).sum(axis=1) for thetas in chunks]
 
 
 def _box_gap(spec, tau, n) -> np.ndarray:
@@ -250,7 +253,7 @@ def _curve(thetas, n, gap, gap13, eps_total=None) -> CurveArrays:
 def lg_curve(thetas, n: int, gamma: float, tau: float, omega: float = 1.0) -> CurveArrays:
     """Correlators, lg, and battery total for every theta in one kernel pass."""
     spec, tau, gap = _spec_and_gap(gamma, tau, omega)
-    eps_total = _battery_total(thetas, spec, tau, gap)
+    (eps_total,) = _battery_totals([thetas], spec, tau, gap)
     return _curve(thetas, n, gap, _box_gap(spec, tau, n), eps_total)
 
 
@@ -260,35 +263,38 @@ def sweep_blocks(
     ns: Iterable[int],
     tau: float,
     omega: float = 1.0,
-) -> tuple[np.ndarray, Iterator[SweepBlock]]:
-    """The (n, gamma, theta) grid as its theta array and an iterator of checked
-    blocks, n outermost, each block computed when the iterator reaches it.
+) -> Iterator[SweepBlock]:
+    """The (n, gamma, theta) grid as an iterator of checked blocks, n outermost,
+    then gamma, then theta chunk, each computed when the iterator reaches it.
 
     What the inputs can break fails before this returns: the coordinates are
     checked, every propagator is built (each distinct gamma's battery, then
-    each block's box gap, in block order) and the first block is computed.
+    each (n, gamma)'s box gap, in block order) and the first block is computed.
     """
     thetas = np.array(thetas, dtype=float)
     gammas = [float(g) for g in gammas]
     ns = _coordinates(thetas, np.array(gammas), ns)
+    # an empty grid is one empty chunk, so each (n, gamma) still has its block
+    chunks = [thetas[i : i + _CHUNK_ROWS] for i in range(0, len(thetas), _CHUNK_ROWS)] or [thetas]
     # one battery per distinct gamma, told apart by bits: -0.0 and 0.0 get two
     batteries = {}
     for g in gammas:
         if g.hex() not in batteries:
             spec, tau_g, gap = _spec_and_gap(g, tau, omega)
-            batteries[g.hex()] = spec, tau_g, gap, _battery_total(thetas, spec, tau_g, gap)
+            batteries[g.hex()] = spec, tau_g, gap, _battery_totals(chunks, spec, tau_g, gap)
     tasks = []
     for n in ns:
         for g in gammas:
-            spec, tau_g, gap, eps_total = batteries[g.hex()]
-            tasks.append((n, g, gap, _box_gap(spec, tau_g, n), eps_total))
+            spec, tau_g, gap, totals = batteries[g.hex()]
+            gap13 = _box_gap(spec, tau_g, n)
+            tasks += [(n, g, chunk, gap, gap13, eps) for chunk, eps in zip(chunks, totals)]
 
-    def block(n, g, gap, gap13, eps_total) -> SweepBlock:
-        cur = _curve(thetas, n, gap, gap13, eps_total)
-        return SweepBlock(n, g, cur, _verdicts(cur))
+    def block(n, g, chunk, gap, gap13, eps_total) -> SweepBlock:
+        cur = _curve(chunk, n, gap, gap13, eps_total)
+        return SweepBlock(n, g, chunk, cur, _verdicts(cur))
 
     blocks = starmap(block, tasks)
-    return thetas, chain(list(islice(blocks, 1)), blocks)
+    return chain(list(islice(blocks, 1)), blocks)
 
 
 def sweep_records(
@@ -299,8 +305,7 @@ def sweep_records(
     omega: float = 1.0,
 ) -> SweepTable:
     """Evaluate the full (n, gamma, theta) grid into a checked ``SweepTable``."""
-    thetas, blocks = sweep_blocks(thetas, gammas, ns, tau, omega)
-    return SweepTable(thetas, tuple(blocks))
+    return SweepTable(tuple(sweep_blocks(thetas, gammas, ns, tau, omega)))
 
 
 def _margin_curve(thetas, n, gamma, tau, omega, criterion) -> np.ndarray:

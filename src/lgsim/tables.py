@@ -11,8 +11,10 @@ The writer takes column blocks: each block becomes one %-template, with its
 fixed cells written in once, and each row is that template applied to the
 row's varying values.  It pulls each block from its iterable just before
 writing it, and renders a block ``_CHUNK_ROWS`` rows at a time, so a table
-is held one block and one chunk at a time.  A sweep's repeated columns are
-formatted once too: theta once per table, and each ``eps_total`` array,
+is held one block and one chunk at a time.  A sweep block is one (n,
+gamma, theta chunk) of at most ``_CHUNK_ROWS`` rows, so it renders as one
+string.  A sweep's repeated columns are formatted once too: each theta
+chunk, which every block over it shares, and each ``eps_total`` array,
 which the n blocks of one gamma share, once.  CSV floats are %.17g, so a
 float reads back bit for bit.  JSONL floats are %r, which is the text
 ``json.dumps`` writes for a finite float (and every written float is
@@ -31,15 +33,15 @@ import json
 import os
 import stat
 import sys
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, get_type_hints
 
 import numpy as np
 
 from .protocol import Verdict
-from .sweeps import CurveArrays, SweepRecord, _coordinates, _expand, _gc_paused
-from .sweeps import _verdicts
+from .sweeps import _CHUNK_ROWS, CurveArrays, SweepRecord, _coordinates, _expand
+from .sweeps import _gc_paused, _verdicts
 
 __all__ = ["SCHEMAS", "read_table", "records_from_rows"]
 
@@ -79,9 +81,6 @@ SCHEMAS = {
 # (experiment ids, verdicts), so they need no escaping.
 
 _TEXT = object()
-
-# the rows of a block rendered into one string at a time
-_CHUNK_ROWS = 8192
 
 # each type's %-conversion, and the text of None; "%.17g" % x is
 # format(x, ".17g"), and "%r" % x is what json.dumps writes for a finite float
@@ -177,52 +176,33 @@ def _emit(cfg, blocks, summary) -> None:
         raise ValueError(f"--out: cannot write {cfg.out}: {exc}") from None
 
 
-def _chunk_texts(conv: str, values: np.ndarray) -> list[str]:
-    """``values`` in the float conversion ``conv``, one joined string per chunk of rows."""
-    return [
-        "\n".join([conv % v for v in values[i : i + _CHUNK_ROWS].tolist()])
-        for i in range(0, len(values), _CHUNK_ROWS)
-    ]
-
-
-def _block_rows(theta_text: list[str], cols, eps_text: list[str], verdict: np.ndarray):
-    """A sweep block's row tuples, each chunk's made as the writer reaches it."""
-    return chain.from_iterable(
-        zip(
-            theta_chunk.split("\n"),
-            *(col[i : i + _CHUNK_ROWS].tolist() for col in cols),
-            eps_chunk.split("\n"),
-            verdict[i : i + _CHUNK_ROWS].tolist(),
-        )
-        for i, theta_chunk, eps_chunk in zip(
-            range(0, len(verdict), _CHUNK_ROWS), theta_text, eps_text
-        )
-    )
-
-
-def _sweep_blocks(thetas: np.ndarray, blocks, fmt: str):
+def _sweep_blocks(blocks, fmt: str):
     """One table block per ``SweepBlock`` of ``blocks``, which is iterated only
     as the table is written.
 
-    Columns that repeat across blocks are formatted once: theta once per
-    table, and each ``eps_total`` array once per array object (the n blocks
-    of one gamma share one).  The cache is keyed by identity, never by value:
+    Columns that repeat across blocks are formatted once: each theta chunk,
+    and each ``eps_total`` array (the n blocks of one gamma share one), once
+    per array object.  The cache is keyed by identity, never by value:
     gamma does not determine eps in a table built by a caller, and equal
     arrays can differ in the sign of a zero, which the text shows.  It holds
     each array it has seen, so no later array can take over its identity.
-    Each column's text is kept as one joined string per chunk of rows, and
-    split as that chunk is written.
+    Each array's text is kept as one joined string, and split as its block
+    is written.
     """
     conv = _CONVERSIONS[fmt][float]
-    theta_text = _chunk_texts(conv, thetas)
-    eps_texts: dict[int, tuple[np.ndarray, list[str]]] = {}  # id -> (array, its text)
+    texts: dict[int, tuple[np.ndarray, str]] = {}  # id -> (array, its text)
+
+    def cells(values: np.ndarray) -> list[str]:
+        if id(values) not in texts:
+            texts[id(values)] = values, "\n".join([conv % v for v in values.tolist()])
+        return texts[id(values)][1].split("\n")
+
+    def rows(b):  # made as the writer reaches them, once the last block's are gone
+        *cols, eps = b.curve
+        yield from zip(cells(b.thetas), *(c.tolist() for c in cols), cells(eps), b.verdict.tolist())
 
     def table_block(b):
-        *cols, eps = b.curve
-        if id(eps) not in eps_texts:
-            eps_texts[id(eps)] = eps, _chunk_texts(conv, eps)
-        rows = _block_rows(theta_text, cols, eps_texts[id(eps)][1], b.verdict)
-        return {"theta": _TEXT, "gamma": b.gamma, "n": b.n, "eps_total": _TEXT}, rows
+        return {"theta": _TEXT, "gamma": b.gamma, "n": b.n, "eps_total": _TEXT}, rows(b)
 
     return map(table_block, blocks)  # keeps no block once its rows are written
 
@@ -255,6 +235,12 @@ def _column_error(path, command: str, names: list[str]) -> ValueError:
     return ValueError(f"{path}: {command} table has {problem}; expected {','.join(expected)}")
 
 
+def _json_error(path, text: str, k: int, problem: str) -> ValueError:
+    """``problem`` at the ``k``-th (from 0) nonblank line of ``text``, as one line."""
+    line = [i for i, ln in enumerate(text.splitlines(), 1) if ln.strip()][k]
+    return ValueError(f"{path}: line {line}: {problem}")
+
+
 def read_table(path) -> tuple[dict, list[dict]]:
     """Parse a table written by any command back into (meta, rows).
 
@@ -263,7 +249,8 @@ def read_table(path) -> tuple[dict, list[dict]]:
     CSV (empty cells become None in both).  Numeric strings parse exactly
     because tables are written with %.17g.  A CSV header, or the keys of a
     JSONL row, that differ from the command's schema raise a one-line
-    ``ValueError`` naming a column.
+    ``ValueError`` naming a column; a JSONL meta or row of the wrong JSON
+    type raises one naming its line.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -275,10 +262,18 @@ def read_table(path) -> tuple[dict, list[dict]]:
         first = json.loads(lines[0])
         if "meta" not in first:
             raise ValueError(f"{path}: the first line is not the meta object")
-        meta.update(first["meta"])
+        given, kinds = first["meta"], {"command": str, "config": dict, "summary": list}
+        if not isinstance(given, dict) or any(
+            not isinstance(given.get(key, kind()), kind) for key, kind in kinds.items()
+        ):
+            problem = "meta is not an object with a string command, object config, list summary"
+            raise _json_error(path, text, 0, problem)
+        meta.update(given)
         keys = _schema(path, meta["command"]).keys()
-        for ln in lines[1:]:
+        for i, ln in enumerate(lines[1:], 1):
             obj = json.loads(ln)
+            if not isinstance(obj, dict):
+                raise _json_error(path, text, i, "a row is not a JSON object")
             if obj.keys() != keys:
                 raise _column_error(path, meta["command"], list(obj))
             rows.append({k: (None if v == "" else v) for k, v in obj.items()})

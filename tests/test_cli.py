@@ -22,7 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lgsim
-from lgsim import cli, sampling, sweeps, tables
+from lgsim import _kernels, cli, sampling, sweeps, tables
 from lgsim.cli import main, read_table, records_from_rows
 from lgsim.sweeps import CurveArrays, SweepBlock, SweepTable, sweep_records
 
@@ -190,6 +190,23 @@ def test_flag_validation(capsys, flag, value, fragment):
     err = expect_error(capsys, *argv)
     assert fragment in err
     assert f"{flag.split('=')[0]}:" in err  # errors name the flag that caused them
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\u2028", "\x85"], ids=["LF", "CR", "LS", "NEL"])
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", "--n", "1,{}2"), ("sweep", "--out", "t{}.csv"), ("fig2", "--gamma", "x{}y")],
+    ids=["n", "out", "fig2-gamma"],
+)
+def test_a_value_with_a_line_break_is_refused(capsys, monkeypatch, tmp_path, brk, argv):
+    # each value is echoed into one table line, and fig2's ignored gamma into a
+    # note, so a line break would write a table that does not read back
+    monkeypatch.chdir(tmp_path)
+    command, flag, value = argv[0], argv[1], argv[2].format(brk)
+    out = () if flag == "--out" else ("--out", "t.csv")
+    err = expect_error(capsys, command, flag, value, *out)
+    assert err == f"lgsim: error: {flag}: must not contain a line break, got {value!r}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_values_that_start_with_a_dash_reach_their_flag(capsys):
@@ -875,8 +892,8 @@ def sweep_tables(draw):
         eps = draw(st.lists(nonnegative, min_size=len(thetas), max_size=len(thetas)))
         cur = CurveArrays(c12, c23, c13p, lg, np.array(eps))
         n = draw(st.integers(0, 10**30))
-        blocks.append(SweepBlock(n, draw(nonnegative), cur, sweeps._verdicts(cur)))
-    return SweepTable(thetas, tuple(blocks))
+        blocks.append(SweepBlock(n, draw(nonnegative), thetas, cur, sweeps._verdicts(cur)))
+    return SweepTable(tuple(blocks))
 
 
 @functools.cache
@@ -891,7 +908,7 @@ def test_random_tables_round_trip_bit_for_bit(table):
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("csv", "jsonl"):
             path = Path(tmp) / f"table.{fmt}"
-            blocks = tables._sweep_blocks(table.thetas, table.blocks, fmt)
+            blocks = tables._sweep_blocks(table.blocks, fmt)
             lines = tables._table_lines(sweep_config(fmt), SWEEP, blocks, [])
             path.write_text("\n".join(lines) + "\n")
             got = records_from_rows(read_table(path)[1])
@@ -1006,8 +1023,10 @@ def shared_eps_tables(draw):
             eps = np.array(draw(eps_column))
         cur = CurveArrays(c12, c23, c13p, 1.0 + c12 + c23 + c13p, eps)
         g = draw(nonnegative) if gamma is None else gamma
-        blocks.append(SweepBlock(draw(st.integers(0, 10**30)), g, cur, sweeps._verdicts(cur)))
-    return SweepTable(thetas, tuple(blocks))
+        blocks.append(
+            SweepBlock(draw(st.integers(0, 10**30)), g, thetas, cur, sweeps._verdicts(cur))
+        )
+    return SweepTable(tuple(blocks))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1015,8 +1034,8 @@ def shared_eps_tables(draw):
 def test_sweep_writer_matches_the_dict_row_oracle(table, chunk):
     # theta and each eps_total array are formatted once and pasted into rows
     rows = [(*r[:-1], r.verdict.value) for r in table.records()]
-    make_blocks = functools.partial(tables._sweep_blocks, table.thetas, table.blocks)
-    sizes = [len(table.thetas)] * len(table.blocks)
+    make_blocks = functools.partial(tables._sweep_blocks, table.blocks)
+    sizes = [len(b.thetas) for b in table.blocks]
     for fmt in ("csv", "jsonl"):
         body = table_body(fmt, SWEEP, make_blocks, sizes, chunk)
         assert body == "\n".join(oracle_lines(fmt, SWEEP, rows))
@@ -1159,10 +1178,9 @@ CRITICAL_GRID = ("sweep", "--theta", "0:3.141592653589793:7", "--gamma", "0:1:3"
 # at m = 200 the gamma = 1 gaps underflow G33 to 0: the correlators are zeros,
 # and the theta = 3.2 rows write -0 cells
 UNDERFLOW_GRID = ("sweep", "--theta", "0:3.2:9", "--gamma", "0:1:2", "--m", "200", "--n", "0,1")
-
-
-@pytest.mark.parametrize(
-    ("argv", "digest"),
+# 8193 thetas: each (n, gamma) is a sweep block of 8192 rows and one of 1
+CHUNK_EDGE_GRID = ("sweep", "--theta", "0:3.14:8193", "--gamma", "0:0.1:2", "--n", "0,2")
+PINNED_TABLES = dict(
     [
         (PINNED_GRID, "64decb267d8f6b4cd9cc2992ae3eef5b881f35dd9d91aa98b4df7604ff9ea3d3"),
         (
@@ -1180,14 +1198,57 @@ UNDERFLOW_GRID = ("sweep", "--theta", "0:3.2:9", "--gamma", "0:1:2", "--m", "200
             UNDERFLOW_GRID + ("--format", "jsonl"),
             "51c06dc8adb4956b1e0516ed17f30c8ee886fbcc8a55e8ef9e1b70381a21ea26",
         ),
-    ],
+        (CHUNK_EDGE_GRID, "e4de5d220977fa1d03ffd39c32f3a09700f45c8ebd8a33c1781f0092bd74f668"),
+        (
+            CHUNK_EDGE_GRID + ("--format", "jsonl"),
+            "613478aca7d016b7c6f07ce9a19bf595def296dfbcc5db3fdd6cf0ee997784e5",
+        ),
+    ]
 )
+
+
+@pytest.mark.parametrize(("argv", "digest"), PINNED_TABLES.items())
 def test_table_bytes_are_pinned(capsys, argv, digest):
     # sha256 of the stdout tables written before sweep output became columnar;
-    # the grid holds theta = 0 and pi, gamma = 0 and > 0, and the n = 0 control
+    # the grid holds theta = 0 and pi, gamma = 0 and > 0, and the n = 0 control.
+    # The chunk-edge tables were written while each (n, gamma) block still
+    # ran its kernels over the whole theta grid
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4099])
+def test_table_bytes_do_not_depend_on_the_sweep_chunk(capsys, monkeypatch, chunk):
+    monkeypatch.setattr(sweeps, "_CHUNK_ROWS", chunk)
+    for grid in (PINNED_GRID, CRITICAL_GRID, UNDERFLOW_GRID):
+        for argv in (grid, grid + ("--format", "jsonl")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_TABLES[argv]
+
+
+def test_no_sweep_kernel_call_sees_more_than_a_chunk(monkeypatch, tmp_path):
+    # each kernel call gets at most 8192 thetas, and the calls of each
+    # (n, gamma), and each gamma's battery calls, cover the grid in order
+    seen = {}
+    for name in ("protocol_lg", "battery_eps"):
+
+        def wrapped(thetas, *args, real=getattr(_kernels, name), name=name):
+            n = args[0] if name == "protocol_lg" else None
+            seen.setdefault((name, n, args[-2].tobytes()), []).append(thetas.copy())
+            return real(thetas, *args)
+
+        monkeypatch.setattr(_kernels, name, wrapped)
+    argv = ["sweep", "--theta", "0:3.14:20001", "--gamma", "0:0.01:2", "--n", "0,1"]
+    assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 0
+    grid = np.linspace(0.0, 3.14, 20001)
+    assert sorted((name, n) for name, n, _ in seen) == [
+        ("battery_eps", None), ("battery_eps", None), *[("protocol_lg", n) for n in (0, 0, 1, 1)]
+    ]
+    for calls in seen.values():
+        assert [len(thetas) for thetas in calls] == [8192, 8192, 3617]
+        assert np.concatenate(calls).tobytes() == grid.tobytes()
 
 
 ADROIT_GRID = ("adroitness", "--theta", "0:3.141592653589793:5", "--gamma", "0:0.01:3")
@@ -1285,6 +1346,26 @@ def test_read_table_rejects_garbage(tmp_path):
     p.write_text('{"c12": 1}\n')
     with pytest.raises(ValueError, match="the first line is not the meta object"):
         read_table(p)
+    # a meta or a row of the wrong JSON type names its line, blank lines counted
+    meta = "meta is not an object with a string command, object config, list summary"
+    for first in (
+        '{"meta": 5}',
+        '{"meta": null}',
+        '{"meta": {"command": ["x"]}}',
+        '{"meta": {"command": "sweep", "config": []}}',
+        '{"meta": {"command": "sweep", "summary": {}}}',
+    ):
+        p.write_text(f"\n{first}\n")
+        with pytest.raises(ValueError) as exc:
+            read_table(p)
+        assert str(exc.value) == f"{p}: line 2: {meta}"
+    header = json.dumps({"meta": {"command": "classic"}})
+    row = json.dumps(dict.fromkeys(tables.SCHEMAS["classic"], 1.0))
+    for bad in ("[1, 2]", "null", "5", '"row"'):
+        p.write_text(f"{header}\n{row}\n\n{bad}\n")
+        with pytest.raises(ValueError) as exc:
+            read_table(p)
+        assert str(exc.value) == f"{p}: line 4: a row is not a JSON object"
 
 
 COLUMN_CHANGES = {

@@ -17,6 +17,7 @@ from lgsim.protocol import (
     violation_verdict,
 )
 from lgsim.sweeps import (
+    CurveArrays,
     SweepRecord,
     gamma_cutoff,
     lg_curve,
@@ -100,6 +101,40 @@ def test_the_battery_runs_once_per_gamma(monkeypatch, n_blocks, gammas):
             assert got.tobytes() == ref.tobytes()
         assert shared.setdefault(b.gamma.hex(), b.curve.eps_total) is b.curve.eps_total
     assert len(shared) == len(distinct)
+
+
+def test_a_sweep_block_is_one_theta_chunk(monkeypatch):
+    # with 3-theta chunks, 7 thetas make blocks of 3, 3 and 1 rows per
+    # (n, gamma), in n, gamma, chunk order; the blocks over one chunk share
+    # its theta view, those of one gamma its eps_total, and each block holds
+    # the bits of a whole-grid curve
+    monkeypatch.setattr(sweeps, "_CHUNK_ROWS", 3)
+    thetas = np.linspace(0.0, math.pi, 7)
+    gammas, ns = [0.0, 0.01], [0, 2]
+    table = sweep_records(thetas, gammas, ns, math.pi, 1.0)
+    assert [(b.n, b.gamma, len(b.thetas)) for b in table.blocks] == [
+        (n, g, size) for n in ns for g in gammas for size in (3, 3, 1)
+    ]
+    assert len(table) == len(table.records()) == 7 * 4
+    views, eps = {}, {}
+    for k, b in enumerate(table.blocks):
+        assert views.setdefault(k % 3, b.thetas) is b.thetas
+        assert eps.setdefault((b.gamma, k % 3), b.curve.eps_total) is b.curve.eps_total
+    for i in range(0, len(table.blocks), 3):
+        run = table.blocks[i : i + 3]
+        want = lg_curve(thetas, run[0].n, run[0].gamma, math.pi, 1.0)
+        assert np.concatenate([b.thetas for b in run]).tobytes() == thetas.tobytes()
+        for field, ref in zip(CurveArrays._fields, want):
+            got = np.concatenate([getattr(b.curve, field) for b in run])
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_an_empty_theta_grid_is_one_empty_block_per_pair():
+    table = sweep_records([], [0.0, 0.01], [0, 1], math.pi, 1.0)
+    assert [(b.n, b.gamma, len(b.thetas)) for b in table.blocks] == [
+        (0, 0.0, 0), (0, 0.01, 0), (1, 0.0, 0), (1, 0.01, 0)
+    ]
+    assert len(table) == 0 and table.records() == []
 
 
 def test_a_corrupt_block_leaves_the_shared_eps_alone(monkeypatch):
