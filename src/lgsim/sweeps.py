@@ -22,7 +22,7 @@ import gc
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, islice, repeat, starmap
+from itertools import islice, repeat, starmap
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -293,8 +293,13 @@ def sweep_blocks(
         cur = _curve(chunk, n, gap, gap13, eps_total)
         return SweepBlock(n, g, chunk, cur, _verdicts(cur))
 
+    def all_blocks(first: list) -> Iterator[SweepBlock]:
+        while first:  # popped, so the first block is not kept to the end
+            yield first.pop()
+        yield from blocks
+
     blocks = starmap(block, tasks)
-    return chain(list(islice(blocks, 1)), blocks)
+    return all_blocks(list(islice(blocks, 1)))
 
 
 def sweep_records(

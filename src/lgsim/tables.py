@@ -13,13 +13,18 @@ row's varying values.  It pulls each block from its iterable just before
 writing it, and renders a block ``_CHUNK_ROWS`` rows at a time, so a table
 is held one block and one chunk at a time.  A sweep block is one (n,
 gamma, theta chunk) of at most ``_CHUNK_ROWS`` rows, so it renders as one
-string.  A sweep's repeated columns are formatted once too: each theta
-chunk, which every block over it shares, and each ``eps_total`` array,
-which the n blocks of one gamma share, once.  CSV floats are %.17g, so a
-float reads back bit for bit.  JSONL floats are %r, which is the text
-``json.dumps`` writes for a finite float (and every written float is
-checked to be finite).  An ``--out`` file is written beside its target and
-renamed over it only once the whole table is written.
+string.  CSV floats are %.17g, so a float reads back bit for bit.  A CSV
+sweep block hands the writer its columns, and a chunk of at least
+``_G17_ROWS`` rows is rendered as one byte matrix whose float columns
+``_g17`` formats whole, in numpy, to the exact bytes % writes: a value it
+cannot settle (a 17-digit rounding within 1e-9 of a half, or outside
+1e-280 <= |x| < 1e280 and not 0) is written by %.  A shorter chunk, and
+every other table, is written by its row template.  JSONL floats are %r,
+which is the text ``json.dumps`` writes for a finite float (and every
+written float is checked to be finite).  Each block formats its own
+columns, so no text outlives its chunk.  An ``--out`` file is written
+beside its target and renamed over it only once the whole table is
+written.
 
 ``read_table`` refuses a table whose columns differ from its command's
 schema, and ``records_from_rows`` checks a sweep's parsed columns as
@@ -29,11 +34,12 @@ schema, and ``records_from_rows`` checks a sweep's parsed columns as
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import stat
 import sys
-from itertools import islice
+from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import Iterator, get_type_hints
 
@@ -74,19 +80,16 @@ SCHEMAS = {
 
 # ---------------------------------------------------------------------------
 # writing.  A block is (fixed, rows): ``fixed`` maps a column to its value for
-# the whole block (None is an empty cell), or to _TEXT for a column whose
-# rows hold its values already written in the table's float conversion.
-# Every other column varies by row; ``rows`` is an iterable of tuples of the
-# varying values, in column order.  Varying text cells are identifiers
+# the whole block (None is an empty cell).  Every other column varies by row;
+# ``rows`` is an iterable of tuples of the varying values, in column order, or
+# (CSV only) a ``_Columns`` of arrays.  Varying text cells are identifiers
 # (experiment ids, verdicts), so they need no escaping.
-
-_TEXT = object()
 
 # each type's %-conversion, and the text of None; "%.17g" % x is
 # format(x, ".17g"), and "%r" % x is what json.dumps writes for a finite float
 _CONVERSIONS = {
-    "csv": {float: "%.17g", int: "%d", str: "%s", None: "", _TEXT: "%s"},
-    "jsonl": {float: "%r", int: "%d", str: '"%s"', None: "null", _TEXT: "%s"},
+    "csv": {float: "%.17g", int: "%d", str: "%s", None: ""},
+    "jsonl": {float: "%r", int: "%d", str: '"%s"', None: "null"},
 }
 
 
@@ -103,10 +106,14 @@ def _row_template(fmt: str, schema: dict, fixed: dict) -> str:
     return "{" + ", ".join(f'"{k}": {t}' for k, t in zip(schema, texts)) + "}"
 
 
+class _Columns(tuple):
+    """A CSV block's varying columns as equal-length arrays, in column order."""
+
+
 def _table_lines(cfg, schema: dict, blocks, summary) -> Iterator[str]:
     """The table's lines without newlines; a block's rows come ``_CHUNK_ROWS``
     to a string, and each block is drawn from ``blocks`` only when its rows
-    are due."""
+    are due, once the last block's lines are written and released."""
     if cfg.format == "csv":
         yield f"# lgsim {cfg.command}"
         yield from (f"# config {k}={v}" for k, v in cfg.echo)
@@ -115,11 +122,70 @@ def _table_lines(cfg, schema: dict, blocks, summary) -> Iterator[str]:
     else:
         meta = {"command": cfg.command, "config": dict(cfg.echo), "summary": list(summary)}
         yield json.dumps({"meta": meta}, sort_keys=True)
-    for fixed, rows in blocks:
-        render = _row_template(cfg.format, schema, fixed).__mod__
-        rows = iter(rows)
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            yield "\n".join(map(render, chunk))
+    block_lines = functools.partial(_block_lines, cfg.format, schema)
+    yield from chain.from_iterable(starmap(block_lines, blocks))
+
+
+def _block_lines(fmt: str, schema: dict, fixed: dict, rows) -> Iterator[str]:
+    """One block's lines, ``_CHUNK_ROWS`` rows to a string.  A chunk of
+    ``_Columns`` is written by ``_csv_lines``, or by the row template when it
+    is shorter than ``_G17_ROWS``."""
+    render = _row_template(fmt, schema, fixed).__mod__
+    if isinstance(rows, _Columns):
+        for start in range(0, len(rows[0]), _CHUNK_ROWS):
+            chunk = [col[start : start + _CHUNK_ROWS] for col in rows]
+            if len(chunk[0]) >= _G17_ROWS:
+                yield _csv_lines(schema, fixed, chunk)
+            else:
+                yield "\n".join(map(render, zip(*(col.tolist() for col in chunk))))
+        return
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield "\n".join(map(render, chunk))
+
+
+def _csv_lines(schema: dict, fixed: dict, columns: list) -> str:
+    """The CSV lines of one chunk of a block, joined by newlines.
+
+    The lines are laid out as one byte matrix, a row per line and a column
+    span per cell: each fixed cell is written once, each text column is its
+    values' bytes, and the float columns are formatted whole by ``_g17``,
+    as many at once as make ``_CHUNK_ROWS`` values.  Cells are NUL-padded to
+    their span, and the NULs are dropped as the matrix becomes text, so no
+    cell's text is held apart from its chunk's lines.
+    """
+    size = len(columns[0])
+    varying = iter(columns)
+    cells = []  # per column: its cells' bytes, or its values if they are floats
+    for name, kind in schema.items():
+        if name in fixed:
+            text = _row_template("csv", {name: kind}, fixed).encode()
+            cells.append(np.frombuffer(text, np.uint8))
+        elif kind is float:
+            cells.append(next(varying))
+        else:
+            text = next(varying).astype("S")
+            cells.append(text.view(np.uint8).reshape(size, text.itemsize))
+    widths = [_G17_WIDTH if c.dtype == np.float64 else c.shape[-1] for c in cells]
+    ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)  # each cell's separator
+    lines = np.empty((size, ends[-1]), np.uint8)
+    lines[:, ends - 1] = ord(",")
+    lines[:, -1] = ord("\n")
+    lines[-1, -1] = 0  # the chunk's last line ends where the writer adds its newline
+    spans = [lines[:, e - 1 - w : e - 1] for e, w in zip(ends, widths)]
+    floats = []
+    for cell, span in zip(cells, spans):
+        if cell.dtype == np.float64:
+            floats.append((cell, span))
+        else:
+            span[:] = cell
+    batch = max(1, _CHUNK_ROWS // size)
+    for i in range(0, len(floats), batch):
+        values, targets = zip(*floats[i : i + batch])
+        texts = _g17(np.concatenate(values)).reshape(len(values), size, _G17_WIDTH)
+        for span, text in zip(targets, texts):
+            span[:] = text
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @contextlib.contextmanager
@@ -178,33 +244,191 @@ def _emit(cfg, blocks, summary) -> None:
 
 def _sweep_blocks(blocks, fmt: str):
     """One table block per ``SweepBlock`` of ``blocks``, which is iterated only
-    as the table is written.
-
-    Columns that repeat across blocks are formatted once: each theta chunk,
-    and each ``eps_total`` array (the n blocks of one gamma share one), once
-    per array object.  The cache is keyed by identity, never by value:
-    gamma does not determine eps in a table built by a caller, and equal
-    arrays can differ in the sign of a zero, which the text shows.  It holds
-    each array it has seen, so no later array can take over its identity.
-    Each array's text is kept as one joined string, and split as its block
-    is written.
+    as the table is written.  A CSV block is its columns, which the writer
+    formats whole; a JSONL block is its rows, made as the writer reaches them.
     """
-    conv = _CONVERSIONS[fmt][float]
-    texts: dict[int, tuple[np.ndarray, str]] = {}  # id -> (array, its text)
-
-    def cells(values: np.ndarray) -> list[str]:
-        if id(values) not in texts:
-            texts[id(values)] = values, "\n".join([conv % v for v in values.tolist()])
-        return texts[id(values)][1].split("\n")
-
-    def rows(b):  # made as the writer reaches them, once the last block's are gone
-        *cols, eps = b.curve
-        yield from zip(cells(b.thetas), *(c.tolist() for c in cols), cells(eps), b.verdict.tolist())
 
     def table_block(b):
-        return {"theta": _TEXT, "gamma": b.gamma, "n": b.n, "eps_total": _TEXT}, rows(b)
+        columns = (b.thetas, *b.curve, b.verdict)
+        rows = _Columns(columns) if fmt == "csv" else _rows(columns)
+        return {"gamma": b.gamma, "n": b.n}, rows
 
     return map(table_block, blocks)  # keeps no block once its rows are written
+
+
+def _rows(columns):
+    """The rows of ``columns``, made when the first is asked for."""
+    yield from zip(*(col.tolist() for col in columns))
+
+
+# ---------------------------------------------------------------------------
+# "%.17g" % x for each x of a float64 array, in numpy.  For 1e-280 <= |x| <
+# 1e280, with k = floor(log10 |x|), x * 10**(16 - k) is formed as a
+# double-double product (Dekker's split, and 10**(16 - k) as a pair of
+# doubles) to within about 1e-14, and rounded to the 17-digit integer D.  A
+# value whose product lies within 1e-9 of a half goes to Python's %, as does
+# any value outside that range but +-0, so every cell is the text % writes.
+# D's digits come from a 4-digit table, and each cell is laid out in a fixed
+# row as %g lays it out, with NULs where it has no byte:
+#
+#   0     sign
+#   1-5   "0.000" for -4 <= k < 0 ("0." and -k - 1 zeros)
+#   6     the first digit
+#   7     the point after it, for k = 0 and the e-form, when a digit follows
+#   8-23  the other 16 digits, the trailing zeros of the fraction NUL
+#   24-28 "e+XX" or "e-XXX", for k < -4 and k > 16
+#
+# A cell with 1 <= k <= 16 moves digits 1 to k left over byte 7, and puts
+# the point after them.
+
+_G17_ROWS = 64  # the measured break-even: a shorter chunk is cheaper by its row template
+_G17_EXP = 280  # the fast range is 10**-_G17_EXP <= |x| < 10**_G17_EXP
+_G17_KS = range(-_G17_EXP - 1, _G17_EXP + 1)  # every exponent k it meets
+_K0 = _G17_EXP + 1  # the tables' row for k = 0
+_G17_WIDTH = 32  # a % cell is at most 24 bytes, and fills its row from the left
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * b as its rounded value and that value's exact error (Dekker)."""
+    prod = a * b
+    (a1, a2), (b1, b2) = (_halves(v) for v in (a, b))
+    return prod, ((a1 * b1 - prod) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = a * _SPLIT
+    high = c - (c - a)
+    return high, a - high
+
+
+def _pow10(ps) -> tuple[np.ndarray, np.ndarray]:
+    """10**p for each p of ``ps`` as (high, low): the nearest double to the
+    exact value, and the nearest double to what is left."""
+    high, low = [], []
+    for p in ps:
+        if p >= 0:
+            exact = 10**p
+            high.append(float(exact))
+            low.append(float(exact - int(high[-1])))
+        else:  # 1 / q = high + (1 - high * q) / q, with high = m / s
+            q = 10**-p
+            high.append(1 / q)
+            m, s = high[-1].as_integer_ratio()
+            low.append((s - m * q) / (s * q))
+    return np.array(high), np.array(low)
+
+
+@functools.cache
+def _g17_tables():
+    """Built on first use, in about 1 ms.  Per exponent k: 10**(16 - k)
+    as (high, low), the product of 10**(32 i) and 10**j, to about 1e-31 of
+    itself; the cell's bytes 0-7 and 24-31 as two uint64; and whether byte 7
+    may hold the point.  Per 4-digit group, its bytes as a uint32, and in the
+    second 10**4 entries with its trailing zeros as NULs."""
+    ks = np.arange(_G17_KS.start, _G17_KS.stop)
+    i, j = np.divmod(16 - ks, 32)
+    wide, narrow = _pow10(range(32 * i.min(), 32 * i.max() + 1, 32)), _pow10(range(32))
+    (ah, al), (bh, bl) = (t[i - i.min()] for t in wide), (t[j] for t in narrow)
+    prod, err = _product(ah, bh)
+    err += ah * bl + al * bh
+    high = prod + err
+    powers = high, err - (high - prod)
+    d = np.arange(10000, dtype=np.int32)
+    quad = np.empty((2, 10000, 4), np.uint8)
+    for place in range(4):
+        digit = d // 10 ** (3 - place) % 10 + ord("0")
+        quad[:, :, place] = digit, digit * (d % 10 ** (4 - place) != 0)
+    cells = np.zeros((len(ks), _G17_WIDTH), np.uint8)
+    for k in range(-4, 0):
+        cells[k + _K0, 1 : 2 - k] = list(b"0.000"[: 1 - k])
+    e_form = np.flatnonzero((ks < -4) | (ks > 16))
+    exponents = "".join([f"e{k:+03d}\0"[:5] for k in ks[e_form].tolist()]).encode()
+    cells[e_form, 24:29] = np.frombuffer(exponents, np.uint8).reshape(-1, 5)
+    ends = cells.view(np.uint64)[:, [0, 3]].T.copy()
+    point = np.where((ks == 0) | (ends[1] != 0), ord("."), 0).astype(np.uint8)
+    return powers, quad.view(np.uint32).ravel(), ends, point
+
+
+def _scaled(a: np.ndarray, k: np.ndarray, powers) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - k) as an integer and a fraction in [0, 1)."""
+    high, low = (np.take(t, k) for t in powers)
+    prod, err = _product(a, high)
+    rest = err + a * low
+    whole = np.floor(rest)
+    return prod.astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _g17_fast(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's %.17g cell as a NUL-padded uint8 row, and which rows
+    hold their text; ``_g17`` writes the others by %."""
+    powers, quad, ends, point = _g17_tables()
+    n = len(x)
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 10.0**-_G17_EXP) & (a < 10.0**_G17_EXP)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp) + _K0  # the tables' row for k
+    D, frac = _scaled(a, k, powers)
+    off = np.flatnonzero((D < 10**16) | (D >= 10**17))  # log10 missed k by one
+    if len(off):
+        k[off] += np.where(D[off] < 10**16, -1, 1)
+        D[off], frac[off] = _scaled(a[off], k[off], powers)
+    settled = (fast & (D >= 10**16) & (D < 10**17) & (np.abs(frac - 0.5) >= 1e-9)) | zero
+    D += frac > 0.5
+    up = D == 10**17  # rounded up to 1.0000000000000000e(k + 1)
+    D[up] = 10**16
+    k += up
+    D[zero] = 0
+    k[zero] = _K0  # 0 is written as its one digit
+    out = np.empty((n, _G17_WIDTH // 8), np.uint64)
+    out[:, 0] = np.take(ends[0], k)
+    out[:, 3] = np.take(ends[1], k)
+    # D's digits: the first, then four groups of four, each looked up with
+    # its trailing zeros as NULs when every later group is 0
+    high8, low8 = np.divmod(D, 10**8)
+    first, rest = np.divmod(high8.astype(np.int32), 10**8)
+    groups = [*np.divmod(rest, 10**4), *np.divmod(low8.astype(np.int32), 10**4)]
+    words = out.view(np.uint32)
+    tail = np.ones(n, bool)
+    for j in (3, 2, 1, 0):
+        words[:, 2 + j] = np.take(quad, groups[j] + tail * 10**4)
+        tail &= groups[j] == 0
+    out = out.view(np.uint8)
+    out[:, 0] = np.signbit(x) * ord("-")
+    out[:, 6] = first + ord("0")
+    out[:, 7] = (out[:, 8] != 0) * np.take(point, k)
+    mid = np.flatnonzero((k > _K0) & (k <= _K0 + 16))
+    if len(mid):
+        out[mid] = _move_point(out[mid], k[mid] - _K0)
+    return out, settled
+
+
+def _move_point(cells: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Cells with 1 <= k <= 16, their digits 1 to k moved left over byte 7
+    and the point put after them; an integer digit that was stripped as a
+    trailing zero is a zero again."""
+    digits = cells[:, 6:24]  # the first digit, byte 7, the other 16 digits
+    follows = digits[np.arange(len(k)), np.minimum(k + 2, 17)] != 0
+    digits[:, 1] = follows * (k < 16) * ord(".")
+    i = np.arange(18)
+    whole = i <= k[:, None]
+    source = np.where(whole, i + 1, np.where(i == k[:, None] + 1, 1, i))
+    source[:, 0] = 0
+    digits[:] = np.maximum(np.take_along_axis(digits, source, axis=1), whole * ord("0"))
+    return cells
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` of each float64 value, as a NUL-padded uint8 row of
+    ``_G17_WIDTH`` bytes: the bytes of the text, with NULs anywhere between."""
+    values = np.asarray(values, dtype=np.float64)
+    out, settled = _g17_fast(values)
+    rest = np.flatnonzero(~settled)
+    if len(rest):
+        texts = np.array(["%.17g" % v for v in values[rest].tolist()], f"S{_G17_WIDTH}")
+        out[rest] = texts.view(np.uint8).reshape(len(rest), _G17_WIDTH)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +465,14 @@ def _json_error(path, text: str, k: int, problem: str) -> ValueError:
     return ValueError(f"{path}: line {line}: {problem}")
 
 
+def _json_line(path, text: str, k: int, line: str):
+    """The JSON value of ``line``, the ``k``-th nonblank line of ``text``."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _json_error(path, text, k, f"not JSON at column {exc.colno} ({exc.msg})") from None
+
+
 def read_table(path) -> tuple[dict, list[dict]]:
     """Parse a table written by any command back into (meta, rows).
 
@@ -249,8 +481,8 @@ def read_table(path) -> tuple[dict, list[dict]]:
     CSV (empty cells become None in both).  Numeric strings parse exactly
     because tables are written with %.17g.  A CSV header, or the keys of a
     JSONL row, that differ from the command's schema raise a one-line
-    ``ValueError`` naming a column; a JSONL meta or row of the wrong JSON
-    type raises one naming its line.
+    ``ValueError`` naming a column; a JSONL meta or row that is not JSON, or
+    is of the wrong JSON type, raises one naming its line.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -259,7 +491,7 @@ def read_table(path) -> tuple[dict, list[dict]]:
     meta = {"command": None, "config": {}, "summary": []}
     rows: list[dict] = []
     if lines[0].lstrip().startswith("{"):
-        first = json.loads(lines[0])
+        first = _json_line(path, text, 0, lines[0])
         if "meta" not in first:
             raise ValueError(f"{path}: the first line is not the meta object")
         given, kinds = first["meta"], {"command": str, "config": dict, "summary": list}
@@ -271,7 +503,7 @@ def read_table(path) -> tuple[dict, list[dict]]:
         meta.update(given)
         keys = _schema(path, meta["command"]).keys()
         for i, ln in enumerate(lines[1:], 1):
-            obj = json.loads(ln)
+            obj = _json_line(path, text, i, ln)
             if not isinstance(obj, dict):
                 raise _json_error(path, text, i, "a row is not a JSON object")
             if obj.keys() != keys:

@@ -759,6 +759,28 @@ def test_a_sweep_holds_one_block_at_a_time(tmp_path):
     assert peak("1,2,3,4,5,6,7,8") - peak("1") < block
 
 
+def test_a_sweep_renders_one_chunk_at_a_time(tmp_path):
+    # a one-(n, gamma) sweep of five chunks peaks within one chunk's lines of
+    # a one-chunk sweep: no chunk's text, and no block, outlives its writing.
+    # What does grow is 24 bytes a theta (the grid, its copy and eps_total)
+    out = tmp_path / "t.csv"
+
+    def peak(chunks):
+        argv = ["sweep", "--theta", f"0:3.14:{chunks * sweeps._CHUNK_ROWS}", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert main(["sweep", "--theta", "0:3.14:2", "--out", str(out)]) == 0  # the propagators
+    tables._g17_tables()
+    one = peak(1)
+    lines = len(out.read_text().partition("theta,gamma,")[2])
+    assert peak(5) - one < lines
+
+
 @pytest.mark.parametrize(
     ("column", "value", "fragment"),
     [
@@ -1228,6 +1250,29 @@ def test_table_bytes_do_not_depend_on_the_sweep_chunk(capsys, monkeypatch, chunk
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_TABLES[argv]
 
 
+def settle_nothing(values):
+    """``_g17_fast`` with its fast path off: every cell is left to %."""
+    return np.zeros((len(values), tables._G17_WIDTH), np.uint8), np.zeros(len(values), bool)
+
+
+@pytest.mark.parametrize("path", ["columns", "percent"])
+def test_csv_table_bytes_hold_on_both_formatter_paths(capsys, monkeypatch, path):
+    # every chunk of a CSV sweep block is formatted by columns, even one row;
+    # with the fast path off, % writes every cell into the column matrix
+    monkeypatch.setattr(tables, "_G17_ROWS", 1)
+    if path == "percent":
+        monkeypatch.setattr(tables, "_g17_fast", settle_nothing)
+    sizes = []
+    real = tables._csv_lines
+    monkeypatch.setattr(tables, "_csv_lines", lambda *a: sizes.append(len(a[2][0])) or real(*a))
+    for argv, digest in PINNED_TABLES.items():
+        if "jsonl" not in argv:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert {1, 9, 8192} <= set(sizes)
+
+
 def test_no_sweep_kernel_call_sees_more_than_a_chunk(monkeypatch, tmp_path):
     # each kernel call gets at most 8192 thetas, and the calls of each
     # (n, gamma), and each gamma's battery calls, cover the grid in order
@@ -1366,6 +1411,21 @@ def test_read_table_rejects_garbage(tmp_path):
         with pytest.raises(ValueError) as exc:
             read_table(p)
         assert str(exc.value) == f"{p}: line 4: a row is not a JSON object"
+    # a truncated meta or row is not JSON: it names its line too
+    for text, where in (
+        (
+            f'{header}\n{row}\n{{"theta": 1,\n',
+            "line 3: not JSON at column 13 (Expecting property name enclosed in double quotes)",
+        ),
+        (
+            '\n{"meta": {"command": "classic"\n',
+            "line 2: not JSON at column 31 (Expecting ',' delimiter)",
+        ),
+    ):
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_table(p)
+        assert str(exc.value) == f"{p}: {where}"
 
 
 COLUMN_CHANGES = {
