@@ -17,8 +17,8 @@ change.  For each checkout the script records:
   (``cli._work`` times ``cli._UNIT_NS``);
 - the Tier-1 suite's wall time and its pytest summary line.
 
-The two checkouts run alternately, a pair at a time, so drift in the
-host's speed falls on both.  The file holds the environment, both commits,
+The two checkouts run alternately, a pair at a time, and each side runs
+first in every other pair, so drift in the host's speed falls on both.  The file holds the environment, both commits,
 every run, and per metric the median and quartiles of each side and the
 change of the medians.  A run that fails is kept and counted.
 """
@@ -116,6 +116,12 @@ def tier1(root: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def in_turn(roots: dict, pair: int) -> list:
+    """Both sides, the base first in even pairs and the head first in odd ones."""
+    sides = list(roots.items())
+    return sides if pair % 2 == 0 else sides[::-1]
+
+
 def spread(values: list[float]) -> dict:
     """Median and quartiles (the inclusive method, so one value is its own)."""
     if len(values) == 1:
@@ -168,7 +174,7 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         runs = {"base": [], "head": []}
         for seed in range(args.pairs):
-            for side, root in roots.items():
+            for side, root in in_turn(roots, seed):
                 result = perfbench(root, workload, seed, args.seconds)
                 runs[side].append(result)
                 print(f"{workload} {side} seed={seed} correct={result.get('correct')} "
@@ -185,8 +191,8 @@ def main(argv=None) -> int:
         }
 
     block = {"base": [], "head": []}
-    for _ in range(args.pairs):
-        for side, root in roots.items():
+    for pair in range(args.pairs):
+        for side, root in in_turn(roots, pair):
             block[side].append(bigblock(root))
     record["commands"]["bigblock"] = {
         "argv": ["lgsim", *BIGBLOCK],
@@ -196,8 +202,8 @@ def main(argv=None) -> int:
     }
 
     suite = {"base": [], "head": []}
-    for _ in range(args.tier1_runs):
-        for side, root in roots.items():
+    for pair in range(args.tier1_runs):
+        for side, root in in_turn(roots, pair):
             suite[side].append(tier1(root))
             print(f"tier1 {side}: {suite[side][-1]['summary']}", file=sys.stderr, flush=True)
     record["commands"]["tier1"] = {
