@@ -18,9 +18,10 @@ change.  For each checkout the script records:
 - the Tier-1 suite's wall time and its pytest summary line.
 
 The two checkouts run alternately, a pair at a time, and each side runs
-first in every other pair, so drift in the host's speed falls on both.  The file holds the environment, both commits,
-every run, and per metric the median and quartiles of each side and the
-change of the medians.  A run that fails is kept and counted.
+first in every other pair, so drift in the host's speed falls on both.
+The file holds the settings, the environment, both commits, every run,
+and per metric the median and quartiles of each side and the change of
+the medians.  A run that fails is kept and counted.
 """
 
 from __future__ import annotations
@@ -66,11 +67,8 @@ def git(root: Path, *args: str) -> str | None:
 
 def checkout(root: Path) -> dict:
     status = git(root, "status", "--porcelain")
-    return {
-        "dir": str(root),
-        "commit": git(root, "rev-parse", "HEAD"),
-        "dirty": None if status is None else bool(status),
-    }
+    dirty = None if status is None else bool(status)
+    return {"commit": git(root, "rev-parse", "HEAD"), "dirty": dirty}
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -159,7 +157,7 @@ def main(argv=None) -> int:
 
     record = {
         "about": "before/after benchmark written by benchmarks/record.py; see its docstring",
-        "argv": sys.argv[1:] if argv is None else list(argv),
+        "settings": {"pairs": args.pairs, "seconds": args.seconds, "tier1_runs": args.tier1_runs},
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "environment": {
             "python": sys.version.split()[0],
