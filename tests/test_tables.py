@@ -107,7 +107,7 @@ finite_float = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(finite_float, min_size=1, max_size=50))
 def test_any_finite_values_are_written_as_percent_writes_them(values):
     assert cells(values) == percent(values)
