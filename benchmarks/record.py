@@ -1,7 +1,6 @@
 """Record a before/after benchmark of two lgsim checkouts as one JSON file.
 
     python benchmarks/record.py --base DIR --head DIR --out BENCH_<pr>.json
-        [--pairs 5] [--seconds 20] [--tier1-runs 1]
 
 ``--base`` and ``--head`` are source checkouts (each holds ``src/lgsim``
 and ``perfbench/``), for example a clone of the parent commit and the
@@ -9,16 +8,19 @@ change.  For each checkout the script records:
 
 - each perfbench workload (``figures``, ``grid``, ``montecarlo``,
   ``battery``): the checkout's own, unchanged ``perfbench/run.py --workload
-  W --seed S --seconds T --trace 0``, run from its root, and the last line
+  W --seed S --seconds 20 --trace 0``, run from its root, and the last line
   of its stdout, which is one JSON object;
-- ``bigblock``: ``lgsim sweep --theta 0:3.14:200000 --out /dev/null`` in a
-  ``python -m lgsim.cli`` child timed with ``os.wait4`` (wall time, CPU
-  time, peak RSS), beside the work budget's estimate for it
-  (``cli._work`` times ``cli._UNIT_NS``);
+- two sweeps, each in a ``python -m lgsim.cli`` child timed with
+  ``os.wait4`` (wall time, CPU time, peak RSS), beside the work budget's
+  estimate for it (``cli._work`` times ``cli._UNIT_NS``): ``bigblock``,
+  ``sweep --theta 0:3.14:200000 --out /dev/null`` (25 blocks of 8192 rows),
+  and ``shortblocks``, ``sweep --theta 0:0:1 --gamma 0:1:500 --n
+  1,2,3,4,5,6 --out /dev/null`` (3000 one-row blocks);
 - the Tier-1 suite's wall time and its pytest summary line.
 
-The two checkouts run alternately, a pair at a time, and each side runs
-first in every other pair, so drift in the host's speed falls on both.
+The two checkouts run alternately, ``PAIRS`` pairs of each workload and
+sweep and ``TIER1_RUNS`` of the suite, and each side runs first in every
+other pair, so drift in the host's speed falls on both.
 The file holds the settings, the environment, both commits, every run,
 and per metric the median and quartiles of each side and the change of
 the medians.  A run that fails is kept and counted.
@@ -36,9 +38,16 @@ import sys
 import time
 from pathlib import Path
 
+PAIRS = 10  # the fewest pairs that can show a gain in nine of ten
+SECONDS = 20.0  # perfbench's --seconds, as BENCHMARK.json's run_seconds
+TIER1_RUNS = 1
 WORKLOADS = ("figures", "grid", "montecarlo", "battery")
 END_TO_END = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb", "readback_s")
-BIGBLOCK = ("sweep", "--theta", "0:3.14:200000", "--out", "/dev/null")
+SWEEPS = {
+    "bigblock": ("sweep", "--theta", "0:3.14:200000", "--out", "/dev/null"),
+    "shortblocks": ("sweep", "--theta", "0:0:1", "--gamma", "0:1:500", "--n", "1,2,3,4,5,6",
+                    "--out", "/dev/null"),
+}
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 # the budget's charge for a command, printed by the checkout's own lgsim.cli
 ESTIMATE = """
@@ -86,8 +95,8 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def bigblock(root: Path) -> dict:
-    argv = [sys.executable, "-m", "lgsim.cli", *BIGBLOCK]
+def timed(root: Path, args: tuple[str, ...]) -> dict:
+    argv = [sys.executable, "-m", "lgsim.cli", *args]
     began = time.perf_counter()
     child = subprocess.Popen(argv, cwd=root, env=env_for(root), stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
@@ -149,15 +158,12 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--head", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--tier1-runs", type=int, default=1)
     args = parser.parse_args(argv)
     roots = {"base": args.base.resolve(), "head": args.head.resolve()}
 
     record = {
         "about": "before/after benchmark written by benchmarks/record.py; see its docstring",
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "tier1_runs": args.tier1_runs},
+        "settings": {"pairs": PAIRS, "seconds": SECONDS, "tier1_runs": TIER1_RUNS},
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "environment": {
             "python": sys.version.split()[0],
@@ -171,9 +177,9 @@ def main(argv=None) -> int:
     }
     for workload in WORKLOADS:
         runs = {"base": [], "head": []}
-        for seed in range(args.pairs):
+        for seed in range(PAIRS):
             for side, root in in_turn(roots, seed):
-                result = perfbench(root, workload, seed, args.seconds)
+                result = perfbench(root, workload, seed, SECONDS)
                 runs[side].append(result)
                 print(f"{workload} {side} seed={seed} correct={result.get('correct')} "
                       f"wall_s={result.get('metrics', {}).get('wall_s', {}).get('value')}",
@@ -188,19 +194,20 @@ def main(argv=None) -> int:
             "runs": runs,
         }
 
-    block = {"base": [], "head": []}
-    for pair in range(args.pairs):
-        for side, root in in_turn(roots, pair):
-            block[side].append(bigblock(root))
-    record["commands"]["bigblock"] = {
-        "argv": ["lgsim", *BIGBLOCK],
-        "budget_estimate_s": {side: estimate(root, BIGBLOCK) for side, root in roots.items()},
-        "metrics": summarize(block, ("wall_s", "cpu_s", "peak_rss_mb")),
-        "runs": block,
-    }
+    for name, sweep in SWEEPS.items():
+        runs = {"base": [], "head": []}
+        for pair in range(PAIRS):
+            for side, root in in_turn(roots, pair):
+                runs[side].append(timed(root, sweep))
+        record["commands"][name] = {
+            "argv": ["lgsim", *sweep],
+            "budget_estimate_s": {side: estimate(root, sweep) for side, root in roots.items()},
+            "metrics": summarize(runs, ("wall_s", "cpu_s", "peak_rss_mb")),
+            "runs": runs,
+        }
 
     suite = {"base": [], "head": []}
-    for pair in range(args.tier1_runs):
+    for pair in range(TIER1_RUNS):
         for side, root in in_turn(roots, pair):
             suite[side].append(tier1(root))
             print(f"tier1 {side}: {suite[side][-1]['summary']}", file=sys.stderr, flush=True)

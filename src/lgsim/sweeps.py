@@ -21,6 +21,7 @@ import contextlib
 import gc
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, repeat, starmap
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -227,10 +228,14 @@ def _spec_and_gap(gamma, tau, omega):
     return spec, tau, lindblad_propagator(spec, tau).ptm
 
 
-def _battery_totals(chunks, spec, tau, gap) -> list[np.ndarray]:
-    """The battery's ``eps_total`` over each theta chunk; it does not depend on n."""
-    gap2 = lindblad_propagator(spec, 2.0 * tau).ptm
-    return [_kernels.battery_eps(thetas, gap, gap2).sum(axis=1) for thetas in chunks]
+def _battery_gap(spec, tau) -> np.ndarray:
+    """The transfer matrix of the ``2 tau`` gap that the battery's probe skips."""
+    return lindblad_propagator(spec, 2.0 * tau).ptm
+
+
+def _battery_total(thetas, gap, gap2) -> np.ndarray:
+    """The battery's ``eps_total`` at each theta; it does not depend on n."""
+    return _kernels.battery_eps(thetas, gap, gap2).sum(axis=1)
 
 
 def _box_gap(spec, tau, n) -> np.ndarray:
@@ -253,7 +258,7 @@ def _curve(thetas, n, gap, gap13, eps_total=None) -> CurveArrays:
 def lg_curve(thetas, n: int, gamma: float, tau: float, omega: float = 1.0) -> CurveArrays:
     """Correlators, lg, and battery total for every theta in one kernel pass."""
     spec, tau, gap = _spec_and_gap(gamma, tau, omega)
-    (eps_total,) = _battery_totals([thetas], spec, tau, gap)
+    eps_total = _battery_total(thetas, gap, _battery_gap(spec, tau))
     return _curve(thetas, n, gap, _box_gap(spec, tau, n), eps_total)
 
 
@@ -268,8 +273,10 @@ def sweep_blocks(
     then gamma, then theta chunk, each computed when the iterator reaches it.
 
     What the inputs can break fails before this returns: the coordinates are
-    checked, every propagator is built (each distinct gamma's battery, then
-    each (n, gamma)'s box gap, in block order) and the first block is computed.
+    checked, every propagator is built (each distinct gamma's two battery
+    gaps, then each (n, gamma)'s box gap, in block order) and the first block
+    is computed.  Each chunk's battery runs with the first block that reads it
+    and is held only while a later block will read it.
     """
     thetas = np.array(thetas, dtype=float)
     gammas = [float(g) for g in gammas]
@@ -281,17 +288,26 @@ def sweep_blocks(
     for g in gammas:
         if g.hex() not in batteries:
             spec, tau_g, gap = _spec_and_gap(g, tau, omega)
-            batteries[g.hex()] = spec, tau_g, gap, _battery_totals(chunks, spec, tau_g, gap)
+            batteries[g.hex()] = spec, tau_g, gap, _battery_gap(spec, tau_g)
     tasks = []
     for n in ns:
         for g in gammas:
-            spec, tau_g, gap, totals = batteries[g.hex()]
+            spec, tau_g, gap, gap2 = batteries[g.hex()]
             gap13 = _box_gap(spec, tau_g, n)
-            tasks += [(n, g, chunk, gap, gap13, eps) for chunk, eps in zip(chunks, totals)]
+            tasks += [(n, g, c, gap, gap13, gap2) for c in range(len(chunks))]
+    # each (gamma bits, chunk)'s eps_total, computed by the first block that
+    # reads it and dropped by the last
+    reads = Counter((g.hex(), c) for _, g, c, *_ in tasks)
+    totals = {}
 
-    def block(n, g, chunk, gap, gap13, eps_total) -> SweepBlock:
-        cur = _curve(chunk, n, gap, gap13, eps_total)
-        return SweepBlock(n, g, chunk, cur, _verdicts(cur))
+    def block(n, g, c, gap, gap13, gap2) -> SweepBlock:
+        key = g.hex(), c
+        if key not in totals:
+            totals[key] = _battery_total(chunks[c], gap, gap2)
+        reads[key] -= 1
+        eps_total = totals[key] if reads[key] else totals.pop(key)
+        cur = _curve(chunks[c], n, gap, gap13, eps_total)
+        return SweepBlock(n, g, chunks[c], cur, _verdicts(cur))
 
     def all_blocks(first: list) -> Iterator[SweepBlock]:
         while first:  # popped, so the first block is not kept to the end

@@ -762,7 +762,7 @@ def test_a_sweep_holds_one_block_at_a_time(tmp_path):
 def test_a_sweep_renders_one_chunk_at_a_time(tmp_path):
     # a one-(n, gamma) sweep of five chunks peaks within one chunk's lines of
     # a one-chunk sweep: no chunk's text, and no block, outlives its writing.
-    # What does grow is 24 bytes a theta (the grid, its copy and eps_total)
+    # What does grow is 16 bytes a theta (the grid and sweep_blocks' copy)
     out = tmp_path / "t.csv"
 
     def peak(chunks):

@@ -1,6 +1,7 @@
 """Grid sweeps, violation windows, and noise cutoffs."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from lgsim.sweeps import (
     SweepRecord,
     gamma_cutoff,
     lg_curve,
+    sweep_blocks,
     sweep_records,
     violation_window,
 )
@@ -135,6 +137,24 @@ def test_an_empty_theta_grid_is_one_empty_block_per_pair():
         (0, 0.0, 0), (0, 0.01, 0), (1, 0.0, 0), (1, 0.01, 0)
     ]
     assert len(table) == 0 and table.records() == []
+
+
+def test_a_chunk_battery_lives_from_its_first_block_to_its_last(monkeypatch):
+    # with 3-theta chunks, each (gamma, chunk)'s battery runs when the first
+    # block over it is made, and once the last n's block over it is let go
+    # nothing holds its eps_total
+    monkeypatch.setattr(sweeps, "_CHUNK_ROWS", 3)
+    calls = []
+    real = _kernels.battery_eps
+    monkeypatch.setattr(_kernels, "battery_eps", lambda *a: calls.append(len(a[0])) or real(*a))
+    blocks = sweep_blocks(np.linspace(0.0, math.pi, 7), [0.0, 0.01], [0, 2], math.pi)
+    held = []
+    for b in blocks:  # not enumerate, whose reused tuple would hold the block
+        assert calls == [3, 3, 1, 3, 3, 1][: len(held) + 1]
+        held.append(weakref.ref(b.curve.eps_total))
+        del b
+        assert (held[-1]() is None) == (len(held) > 6)
+    assert len(held) == 12
 
 
 def test_a_corrupt_block_leaves_the_shared_eps_alone(monkeypatch):
