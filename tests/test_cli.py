@@ -1299,6 +1299,22 @@ def test_no_sweep_kernel_call_sees_more_than_a_chunk(monkeypatch, tmp_path):
 ADROIT_GRID = ("adroitness", "--theta", "0:3.141592653589793:5", "--gamma", "0:0.01:3")
 MULTI_BLOCK = ("adroitness", "--theta", f"0:{PI_TEXT}:3", "--gamma", "0:0.01:2")
 MULTI_BLOCK += ("--shots", "70000", "--seed", "5")
+# exact blocks of 8500 rows, which cross the 8192-row chunk edge, and sampled
+# blocks of 100 rows: (CSV, JSONL) sha256 of the tables written while each
+# adroitness block was still made theta by theta as row tuples
+ADROIT_LONG = ("adroitness", "--theta", "0:3.14:1700", "--gamma", "0:0.01:2")
+ADROIT_SAMPLED = ("adroitness", "--theta", "0:3.14:20", "--gamma", "0:0.01:2")
+ADROIT_SAMPLED += ("--shots", "50", "--seed", "4")
+ADROIT_COLUMN_DIGESTS = {
+    ADROIT_LONG: (
+        "b9f2208e7236faa51eb0c7ccba52ae300f40cdacca75239561db2c16b9eb7c1b",
+        "ce790338a579aa6099da709a12c5ea612dcda05c7c840bace62a3e257450aa65",
+    ),
+    ADROIT_SAMPLED: (
+        "5acfc484186f036283d6fe87858b9c0f2be112ff4d81159ceb319a70f8dc19c1",
+        "7d2b1a5f46422ac94c14ab1f81848f3524586568fe677c1958a64c1939b39b10",
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -1332,6 +1348,11 @@ MULTI_BLOCK += ("--shots", "70000", "--seed", "5")
                     "a416139c6ae39811ef3e7ffa8ed00b2b466bbb40d29259c0145ccb95fdde8d61",
                 ),
             )
+        ),
+        *(
+            (argv + fmt, digest)
+            for argv, digests in ADROIT_COLUMN_DIGESTS.items()
+            for fmt, digest in zip(((), ("--format", "jsonl")), digests)
         ),
     ],
 )
