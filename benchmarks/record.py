@@ -10,16 +10,25 @@ change.  For each checkout the script records:
   ``battery``): the checkout's own, unchanged ``perfbench/run.py --workload
   W --seed S --seconds 20 --trace 0``, run from its root, and the last line
   of its stdout, which is one JSON object;
-- two sweeps, each in a ``python -m lgsim.cli`` child timed with
+- five commands, each in a ``python -m lgsim.cli`` child timed with
   ``os.wait4`` (wall time, CPU time, peak RSS), beside the work budget's
-  estimate for it (``cli._work`` times ``cli._UNIT_NS``): ``bigblock``,
-  ``sweep --theta 0:3.14:200000 --out /dev/null`` (25 blocks of 8192 rows),
-  and ``shortblocks``, ``sweep --theta 0:0:1 --gamma 0:1:500 --n
-  1,2,3,4,5,6 --out /dev/null`` (3000 one-row blocks);
+  estimate for it (``cli._work`` times ``cli._UNIT_NS``), each writing to
+  ``/dev/null``:
+
+  - ``bigblock``, ``sweep --theta 0:3.14:200000`` (25 blocks of 8192 rows);
+  - ``shortblocks``, ``sweep --theta 0:0:1 --gamma 0:1:500 --n
+    1,2,3,4,5,6`` (3000 one-row blocks);
+  - ``cells``, ``adroitness --theta 0:3.14:300 --gamma 0.01:0.01:2 --shots
+    1`` (600 sampled cells, where a cell's fixed cost dominates);
+  - ``manycells``, the same on ``--theta 0:3.14:5000 --gamma
+    0.01:0.01:5`` (25,000 sampled cells);
+  - ``exactblocks``, ``adroitness --theta 0:3.14:20000 --gamma 0:0.01:5``
+    (five exact blocks of 100,000 rows);
+
 - the Tier-1 suite's wall time and its pytest summary line.
 
 The two checkouts run alternately, ``PAIRS`` pairs of each workload and
-sweep and ``TIER1_RUNS`` of the suite, and each side runs first in every
+command and ``TIER1_RUNS`` of the suite, and each side runs first in every
 other pair, so drift in the host's speed falls on both.
 The file holds the settings, the environment, both commits, every run,
 and per metric the median and quartiles of each side and the change of
@@ -43,10 +52,13 @@ SECONDS = 20.0  # perfbench's --seconds, as BENCHMARK.json's run_seconds
 TIER1_RUNS = 1
 WORKLOADS = ("figures", "grid", "montecarlo", "battery")
 END_TO_END = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb", "readback_s")
-SWEEPS = {
-    "bigblock": ("sweep", "--theta", "0:3.14:200000", "--out", "/dev/null"),
-    "shortblocks": ("sweep", "--theta", "0:0:1", "--gamma", "0:1:500", "--n", "1,2,3,4,5,6",
-                    "--out", "/dev/null"),
+COMMANDS = {
+    "bigblock": ("sweep", "--theta", "0:3.14:200000"),
+    "shortblocks": ("sweep", "--theta", "0:0:1", "--gamma", "0:1:500", "--n", "1,2,3,4,5,6"),
+    "cells": ("adroitness", "--theta", "0:3.14:300", "--gamma", "0.01:0.01:2", "--shots", "1"),
+    "manycells": ("adroitness", "--theta", "0:3.14:5000", "--gamma", "0.01:0.01:5",
+                  "--shots", "1"),
+    "exactblocks": ("adroitness", "--theta", "0:3.14:20000", "--gamma", "0:0.01:5"),
 }
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 # the budget's charge for a command, printed by the checkout's own lgsim.cli
@@ -194,14 +206,15 @@ def main(argv=None) -> int:
             "runs": runs,
         }
 
-    for name, sweep in SWEEPS.items():
+    for name, command in COMMANDS.items():
+        command += ("--out", "/dev/null")
         runs = {"base": [], "head": []}
         for pair in range(PAIRS):
             for side, root in in_turn(roots, pair):
-                runs[side].append(timed(root, sweep))
+                runs[side].append(timed(root, command))
         record["commands"][name] = {
-            "argv": ["lgsim", *sweep],
-            "budget_estimate_s": {side: estimate(root, sweep) for side, root in roots.items()},
+            "argv": ["lgsim", *command],
+            "budget_estimate_s": {side: estimate(root, command) for side, root in roots.items()},
             "metrics": summarize(runs, ("wall_s", "cpu_s", "peak_rss_mb")),
             "runs": runs,
         }

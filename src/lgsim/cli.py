@@ -3,9 +3,9 @@
 ``_COMMANDS`` holds each command's body (its docstring is the help), its own
 defaults, the keys its table echoes and its work estimate.  Flags override a
 ``--config`` file of ``key=value`` lines, which overrides the defaults.  A
-body does the work that its input can make fail, then returns its column
-blocks, each made only as ``tables`` writes it, and summary lines;
-``tables`` owns the format.
+body does the work that its input can make fail, then returns its blocks
+(fixed cells, and varying columns as arrays), each made only as ``tables``
+writes it, and summary lines; ``tables`` owns the format.
 Run as the program (``python -m lgsim.cli``, or the console script through
 ``lgsim.__main__``), the module pins BLAS to one thread before numpy loads
 (see ``_blas``); imported, it leaves the environment alone.
@@ -19,7 +19,6 @@ if __name__ == "__main__":  # python -m lgsim.cli: pin BLAS before numpy loads
     pin_blas_threads()
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -287,14 +286,14 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
 
 # ---------------------------------------------------------------------------
 # command bodies: each returns (blocks, summary_lines), the blocks as
-# ``tables`` takes them: each block's fixed cells, and the rows' varying
-# values.  Before it returns, a body has built every propagator its table
+# ``tables`` takes them: a block's fixed cells, and its varying columns as
+# arrays.  Before it returns, a body has built every propagator its table
 # needs, so an input the dynamics refuse fails before any row is written.
 
 
 def _sweep(cfg: SweepConfig):
     blocks = sweep_blocks(cfg.thetas, cfg.gammas, cfg.ns, tau=cfg.tau, omega=cfg.omega)
-    return _sweep_blocks(blocks, cfg.format)
+    return _sweep_blocks(blocks)
 
 
 def _cmd_fig2(cfg: SweepConfig):
@@ -346,46 +345,48 @@ def _cmd_adroitness(cfg: SweepConfig):
     blocks = (
         (
             {"gamma": spec.gamma, "tau": cfg.tau, "omega": cfg.omega, **no_mc},
-            _adroitness_rows(cfg, spec, grid, 4 * k * len(cfg.thetas)),
+            _adroitness_columns(cfg, spec, grid, 4 * k * len(cfg.thetas)),
         )
         for k, (spec, grid) in enumerate(zip(specs, grids))
     )
     return blocks, [_MC_NOTE] if cfg.shots else []
 
 
-def _adroitness_rows(cfg: SweepConfig, spec, grid: np.ndarray, cell: int):
-    """One gamma's rows, sampled when the table reaches them and then made
-    theta by theta; ``cell`` numbers the first theta's first experiment."""
-    mc = itertools.repeat([()] * 5)
-    if cfg.shots:
-        seeds = [
-            [[_cell_seed(cfg.seed, cell + 4 * b + e, side) for side in (0, 1)] for e in range(4)]
-            for b in range(len(cfg.thetas))
-        ]
-        est = sample_battery(cfg.thetas, cfg.tau, spec, cfg.shots, seeds)
-        # an experiment's SE is its cells' SEs in quadrature; the total row
-        # adds the experiments left to right, as sum() does, and their SEs
-        # in quadrature
-        mc_eps = est.epsilon
-        mc_se = np.sqrt(np.square(est.cell_standard_errors).reshape(-1, 4, 4).sum(axis=-1))
-        total = mc_eps[:, 0] + mc_eps[:, 1] + mc_eps[:, 2] + mc_eps[:, 3]
-        mc_eps = np.column_stack((mc_eps, total))
-        mc_se = np.column_stack((mc_se, np.sqrt(np.square(mc_se).sum(axis=1))))
-        mc = np.stack((mc_eps, mc_se), axis=-1).tolist()
-    for theta, eps, m in zip(cfg.thetas.tolist(), map(np.ndarray.tolist, grid), mc):
-        yield from [(eid, theta, e, *c) for eid, e, c in zip(_ADROIT_IDS, [*eps, sum(eps)], m)]
+def _with_total(eps: np.ndarray) -> np.ndarray:
+    """Each theta's experiments a-d and their total, added left to right, as
+    one column in row order."""
+    return np.column_stack((eps, eps[:, 0] + eps[:, 1] + eps[:, 2] + eps[:, 3])).ravel()
+
+
+def _adroitness_columns(cfg: SweepConfig, spec, grid: np.ndarray, cell: int):
+    """One gamma's varying columns, five rows a theta, sampled when the table
+    reaches the block; ``cell`` numbers the first theta's first experiment."""
+    ids = np.tile(np.array(_ADROIT_IDS, dtype=object), len(cfg.thetas))  # 8 bytes a row
+    columns = (ids, np.repeat(cfg.thetas, 5), _with_total(grid))
+    if not cfg.shots:
+        return columns
+    seeds = [
+        [[_cell_seed(cfg.seed, cell + 4 * b + e, side) for side in (0, 1)] for e in range(4)]
+        for b in range(len(cfg.thetas))
+    ]
+    est = sample_battery(cfg.thetas, cfg.tau, spec, cfg.shots, seeds)
+    # an experiment's SE is its cells' SEs in quadrature, and the total's SE
+    # is the experiments' SEs in quadrature
+    mc_se = np.sqrt(np.square(est.cell_standard_errors).reshape(-1, 4, 4).sum(axis=-1))
+    total_se = np.sqrt(np.square(mc_se).sum(axis=1))
+    return (*columns, _with_total(est.epsilon), np.column_stack((mc_se, total_se)).ravel())
 
 
 def _cmd_classic(cfg: SweepConfig):
     """textbook three-time test (lg = 1 - sqrt(2))"""
     cs = classic_lg(cfg.omega)
     verdict = "violates_lenient" if cs.lg_quantity < 0 else "no_violation"
-    row = (cs.c12, cs.c23, cs.c13_prime, cs.lg_quantity, verdict)
+    row = [np.array([v]) for v in (cs.c12, cs.c23, cs.c13_prime, cs.lg_quantity, verdict)]
     summary = [
         "no probe battery exists at this timing, so only the lenient reading applies",
         f"ideal value is 1-sqrt(2) = {1.0 - math.sqrt(2.0):.17g}",
     ]
-    return [({}, [row])], summary
+    return [({}, row)], summary
 
 
 def _cmd_sweep(cfg: SweepConfig):

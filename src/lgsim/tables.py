@@ -7,24 +7,23 @@ key=value`` per resolved key, then the summary lines), a header and one
 line per row.  A JSONL table is one ``{"meta": ...}`` object holding the
 same, then one object per row.
 
-The writer takes column blocks: each block becomes one %-template, with its
-fixed cells written in once, and each row is that template applied to the
-row's varying values.  It pulls each block from its iterable just before
-writing it, and renders a block ``_CHUNK_ROWS`` rows at a time, so a table
-is held one block and one chunk at a time.  A sweep block is one (n,
-gamma, theta chunk) of at most ``_CHUNK_ROWS`` rows, so it renders as one
-string.  CSV floats are %.17g, so a float reads back bit for bit.  A CSV
-sweep block hands the writer its columns, and a chunk of at least
-``_G17_ROWS`` rows is rendered as one byte matrix whose float columns
-``_g17`` formats whole, in numpy, to the exact bytes % writes: a value it
-cannot settle (a 17-digit rounding within 1e-9 of a half, or outside
-1e-280 <= |x| < 1e280 and not 0) is written by %.  A shorter chunk, and
-every other table, is written by its row template.  JSONL floats are %r,
-which is the text ``json.dumps`` writes for a finite float (and every
-written float is checked to be finite).  Each block formats its own
-columns, so no text outlives its chunk.  An ``--out`` file is written
-beside its target and renamed over it only once the whole table is
-written.
+Every command hands the writer blocks of one shape: a block's fixed cells,
+and its varying columns as equal-length arrays.  The writer pulls each
+block from its iterable just before writing it, and renders it
+``_CHUNK_ROWS`` rows at a time into one string that ends in its newline, so
+a table is held one block and one chunk at a time.  A sweep block is one
+(n, gamma, theta chunk) of at most ``_CHUNK_ROWS`` rows, so it renders as
+one string.  CSV floats are %.17g, so a float reads back bit for bit.  A
+CSV chunk of at least ``_G17_ROWS`` rows is rendered as one byte matrix
+whose float columns ``_g17`` formats whole, in numpy, to the exact bytes %
+writes: a value it cannot settle (a 17-digit rounding within 1e-9 of a
+half, or outside 1e-280 <= |x| < 1e280 and not 0) is written by %.  Any
+other chunk is written by the block's row %-template, with its fixed cells
+written in once.  JSONL floats are %r, which is the text ``json.dumps``
+writes for a finite float (and every written float is checked to be
+finite).  Each block formats its own columns, so no text outlives its
+chunk.  An ``--out`` file is written beside its target and renamed over it
+only once the whole table is written.
 
 ``read_table`` refuses a table whose columns differ from its command's
 schema, and ``records_from_rows`` checks a sweep's parsed columns as
@@ -39,7 +38,7 @@ import json
 import os
 import stat
 import sys
-from itertools import chain, islice, starmap
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Iterator, get_type_hints
 
@@ -79,11 +78,11 @@ SCHEMAS = {
 }
 
 # ---------------------------------------------------------------------------
-# writing.  A block is (fixed, rows): ``fixed`` maps a column to its value for
-# the whole block (None is an empty cell).  Every other column varies by row;
-# ``rows`` is an iterable of tuples of the varying values, in column order, or
-# (CSV only) a ``_Columns`` of arrays.  Varying text cells are identifiers
-# (experiment ids, verdicts), so they need no escaping.
+# writing.  A block is (fixed, columns): ``fixed`` maps a column to its value
+# for the whole block (None is an empty cell).  Every other column varies by
+# row, and ``columns`` holds them as equal-length arrays, in column order.
+# Varying text cells are identifiers (experiment ids, verdicts), so they need
+# no escaping.
 
 # each type's %-conversion, and the text of None; "%.17g" % x is
 # format(x, ".17g"), and "%r" % x is what json.dumps writes for a finite float
@@ -106,46 +105,38 @@ def _row_template(fmt: str, schema: dict, fixed: dict) -> str:
     return "{" + ", ".join(f'"{k}": {t}' for k, t in zip(schema, texts)) + "}"
 
 
-class _Columns(tuple):
-    """A CSV block's varying columns as equal-length arrays, in column order."""
-
-
 def _table_lines(cfg, schema: dict, blocks, summary) -> Iterator[str]:
-    """The table's lines without newlines; a block's rows come ``_CHUNK_ROWS``
-    to a string, and each block is drawn from ``blocks`` only when its rows
-    are due, once the last block's lines are written and released."""
+    """The table's text, each piece ending in its newline: a header line, or
+    a block's rows ``_CHUNK_ROWS`` to a piece.  Each block is drawn from
+    ``blocks`` only when its rows are due, once the last block's text is
+    written and released."""
     if cfg.format == "csv":
-        yield f"# lgsim {cfg.command}"
-        yield from (f"# config {k}={v}" for k, v in cfg.echo)
-        yield from (f"# {s}" for s in summary)
-        yield ",".join(schema)
+        yield f"# lgsim {cfg.command}\n"
+        yield from (f"# config {k}={v}\n" for k, v in cfg.echo)
+        yield from (f"# {s}\n" for s in summary)
+        yield ",".join(schema) + "\n"
     else:
         meta = {"command": cfg.command, "config": dict(cfg.echo), "summary": list(summary)}
-        yield json.dumps({"meta": meta}, sort_keys=True)
+        yield json.dumps({"meta": meta}, sort_keys=True) + "\n"
     block_lines = functools.partial(_block_lines, cfg.format, schema)
     yield from chain.from_iterable(starmap(block_lines, blocks))
 
 
-def _block_lines(fmt: str, schema: dict, fixed: dict, rows) -> Iterator[str]:
-    """One block's lines, ``_CHUNK_ROWS`` rows to a string.  A chunk of
-    ``_Columns`` is written by ``_csv_lines``, or by the row template when it
-    is shorter than ``_G17_ROWS``."""
-    render = _row_template(fmt, schema, fixed).__mod__
-    if isinstance(rows, _Columns):
-        for start in range(0, len(rows[0]), _CHUNK_ROWS):
-            chunk = [col[start : start + _CHUNK_ROWS] for col in rows]
-            if len(chunk[0]) >= _G17_ROWS:
-                yield _csv_lines(schema, fixed, chunk)
-            else:
-                yield "\n".join(map(render, zip(*(col.tolist() for col in chunk))))
-        return
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        yield "\n".join(map(render, chunk))
+def _block_lines(fmt: str, schema: dict, fixed: dict, columns) -> Iterator[str]:
+    """One block's lines, ``_CHUNK_ROWS`` rows to a string.  A CSV chunk of
+    at least ``_G17_ROWS`` rows is written by ``_csv_lines``, and any other
+    chunk by the row template."""
+    render = (_row_template(fmt, schema, fixed) + "\n").__mod__
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [col[start : start + _CHUNK_ROWS] for col in columns]
+        if fmt == "csv" and len(chunk[0]) >= _G17_ROWS:
+            yield _csv_lines(schema, fixed, chunk)
+        else:
+            yield "".join(map(render, zip(*(col.tolist() for col in chunk))))
 
 
 def _csv_lines(schema: dict, fixed: dict, columns: list) -> str:
-    """The CSV lines of one chunk of a block, joined by newlines.
+    """The CSV lines of one chunk of a block, each ending in its newline.
 
     The lines are laid out as one byte matrix, a row per line and a column
     span per cell: each fixed cell is written once, each text column is its
@@ -171,7 +162,6 @@ def _csv_lines(schema: dict, fixed: dict, columns: list) -> str:
     lines = np.empty((size, ends[-1]), np.uint8)
     lines[:, ends - 1] = ord(",")
     lines[:, -1] = ord("\n")
-    lines[-1, -1] = 0  # the chunk's last line ends where the writer adds its newline
     spans = [lines[:, e - 1 - w : e - 1] for e, w in zip(ends, widths)]
     floats = []
     for cell, span in zip(cells, spans):
@@ -228,8 +218,7 @@ def _emit(cfg, blocks, summary) -> None:
     A block that raises ends the table: stdout keeps the whole rows written
     before it, and ``cfg.out`` is left as it was.
     """
-    lines = _table_lines(cfg, SCHEMAS[cfg.command], blocks, summary)
-    chunks = map("%s\n".__mod__, lines)  # holds no line once it is written
+    chunks = _table_lines(cfg, SCHEMAS[cfg.command], blocks, summary)
     if not cfg.out:
         sys.stdout.writelines(chunks)
         return
@@ -242,23 +231,10 @@ def _emit(cfg, blocks, summary) -> None:
         raise ValueError(f"--out: cannot write {cfg.out}: {exc}") from None
 
 
-def _sweep_blocks(blocks, fmt: str):
+def _sweep_blocks(blocks):
     """One table block per ``SweepBlock`` of ``blocks``, which is iterated only
-    as the table is written.  A CSV block is its columns, which the writer
-    formats whole; a JSONL block is its rows, made as the writer reaches them.
-    """
-
-    def table_block(b):
-        columns = (b.thetas, *b.curve, b.verdict)
-        rows = _Columns(columns) if fmt == "csv" else _rows(columns)
-        return {"gamma": b.gamma, "n": b.n}, rows
-
-    return map(table_block, blocks)  # keeps no block once its rows are written
-
-
-def _rows(columns):
-    """The rows of ``columns``, made when the first is asked for."""
-    yield from zip(*(col.tolist() for col in columns))
+    as the table is written; no block is kept once its rows are written."""
+    return map(lambda b: ({"gamma": b.gamma, "n": b.n}, (b.thetas, *b.curve, b.verdict)), blocks)
 
 
 # ---------------------------------------------------------------------------

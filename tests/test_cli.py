@@ -930,9 +930,8 @@ def test_random_tables_round_trip_bit_for_bit(table):
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("csv", "jsonl"):
             path = Path(tmp) / f"table.{fmt}"
-            blocks = tables._sweep_blocks(table.blocks, fmt)
-            lines = tables._table_lines(sweep_config(fmt), SWEEP, blocks, [])
-            path.write_text("\n".join(lines) + "\n")
+            blocks = tables._sweep_blocks(table.blocks)
+            path.write_text("".join(tables._table_lines(sweep_config(fmt), SWEEP, blocks, [])))
             got = records_from_rows(read_table(path)[1])
             assert got == want
             # == takes -0.0 for 0.0; repr tells them apart
@@ -966,54 +965,70 @@ CELL_VALUES = {
 
 @st.composite
 def column_blocks(draw):
-    """A schema with columns of one kind each; in each block a column is
-    fixed, or varies by row if it holds text or floats.  Also returns every
+    """A schema with columns of one kind each, at least one of them text or
+    floats; in each block a column is fixed, or varies by row if it holds
+    text or floats, and at least one column varies.  A varying column is an
+    array, and a text one holds str or object values.  Also returns every
     row in full."""
     columns = draw(st.lists(IDENT, min_size=1, max_size=6, unique=True))
     kinds = [draw(st.sampled_from(sorted(CELL_VALUES))) for _ in columns]
+    kinds[draw(st.integers(0, len(columns) - 1))] = draw(st.sampled_from(["float", "text"]))
+    can_vary = [name for name, kind in zip(columns, kinds) if kind in ("text", "float")]
     blocks, rows = [], []
     for _ in range(draw(st.integers(1, 3))):
         size = draw(st.integers(1, 4))
+        varies = {name for name in can_vary if draw(st.booleans())}
+        varies = varies or {draw(st.sampled_from(can_vary))}
         fixed, varying, values = {}, [], []
         for name, kind in zip(columns, kinds):
             cells = CELL_VALUES[kind][1]
-            if kind in ("text", "float") and draw(st.booleans()):
-                varying.append(draw(st.lists(cells, min_size=size, max_size=size)))
-                values.append(varying[-1])
+            if name in varies:
+                values.append(draw(st.lists(cells, min_size=size, max_size=size)))
+                dtype = draw(st.sampled_from([str, object])) if kind == "text" else float
+                varying.append(np.array(values[-1], dtype=dtype))
             else:
                 fixed[name] = draw(cells)
                 values.append([fixed[name]] * size)
-        blocks.append((fixed, list(zip(*varying)) if varying else [()] * size))
+        blocks.append((fixed, tuple(varying)))
         rows += zip(*values)
     schema = {name: CELL_VALUES[kind][0] for name, kind in zip(columns, kinds)}
     return schema, blocks, rows
 
 
 CHUNKS = st.sampled_from([1, 2, 7, 8192])  # rows the writer renders into one string
+# the least CSV chunk that the column matrix writes: every chunk, or the real
+# break-even, so that a table's chunks go the row template's way
+MATRIX_ROWS = st.sampled_from([1, tables._G17_ROWS])
 
 
-def table_body(fmt, schema, make_blocks, sizes, chunk):
-    """The row lines that ``_table_lines`` writes, joined, for the blocks of
-    ``make_blocks(fmt)`` (``sizes`` rows each) made and written with
-    ``_CHUNK_ROWS = chunk``; checks that each block's rows come ``chunk`` to
-    a line."""
-    with unittest.mock.patch.object(tables, "_CHUNK_ROWS", chunk):
-        lines = list(tables._table_lines(sweep_config(fmt), schema, make_blocks(fmt), []))
-    body = lines[len(list(tables._table_lines(sweep_config(fmt), schema, [], []))) :]
-    assert [line.count("\n") + 1 for line in body] == [
+def table_body(fmt, schema, make_blocks, sizes, chunk, matrix_rows):
+    """The rows' text that ``_table_lines`` writes for the blocks of
+    ``make_blocks()`` (``sizes`` rows each) made and written with
+    ``_CHUNK_ROWS = chunk`` and ``_G17_ROWS = matrix_rows``; checks that
+    every piece ends in its newline and each block's rows come ``chunk`` to
+    a piece."""
+    with unittest.mock.patch.multiple(tables, _CHUNK_ROWS=chunk, _G17_ROWS=matrix_rows):
+        pieces = list(tables._table_lines(sweep_config(fmt), schema, make_blocks(), []))
+    assert all(piece.endswith("\n") for piece in pieces)
+    body = pieces[len(list(tables._table_lines(sweep_config(fmt), schema, [], []))) :]
+    assert [piece.count("\n") for piece in body] == [
         min(chunk, size - start) for size in sizes for start in range(0, size, chunk)
     ]
-    return "\n".join(body)
+    return "".join(body)
+
+
+def oracle_text(fmt, columns, rows):
+    return "".join(line + "\n" for line in oracle_lines(fmt, columns, rows))
 
 
 @settings(max_examples=200, deadline=None)
-@given(table=column_blocks(), chunk=CHUNKS)
-def test_block_renderer_writes_the_dict_row_bytes(table, chunk):
+@given(table=column_blocks(), chunk=CHUNKS, matrix_rows=MATRIX_ROWS)
+def test_block_renderer_writes_the_dict_row_bytes(table, chunk, matrix_rows):
     schema, blocks, rows = table
-    sizes = [len(block_rows) for _, block_rows in blocks]
+    sizes = [len(columns[0]) for _, columns in blocks]
     for fmt in ("csv", "jsonl"):
-        body = table_body(fmt, schema, lambda fmt: blocks, sizes, chunk)
-        assert body == "\n".join(oracle_lines(fmt, list(schema), rows))
+        body = table_body(fmt, schema, lambda: blocks, sizes, chunk, matrix_rows)
+        assert body == oracle_text(fmt, list(schema), rows)
 
 
 small_float = st.one_of(
@@ -1025,8 +1040,9 @@ small_float = st.one_of(
 def shared_eps_tables(draw):
     """Sweep tables whose blocks share one eps_total array object, hold equal
     copies with the sign of each zero flipped in every other block, or hold
-    their own arrays; the blocks may all carry one gamma.  theta holds -0.0,
-    5e-324 and 1e308."""
+    their own arrays, so that a block whose values equal another's, or whose
+    array is another's, must still write its own cells; the blocks may all
+    carry one gamma.  theta holds -0.0, 5e-324 and 1e308."""
     extra = draw(st.lists(any_float, max_size=3))
     thetas = np.array(draw(st.permutations([-0.0, 5e-324, 1e308, *extra])))
     column = st.lists(small_float, min_size=len(thetas), max_size=len(thetas))
@@ -1052,15 +1068,16 @@ def shared_eps_tables(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=shared_eps_tables(), chunk=CHUNKS)
-def test_sweep_writer_matches_the_dict_row_oracle(table, chunk):
-    # theta and each eps_total array are formatted once and pasted into rows
+@given(table=shared_eps_tables(), chunk=CHUNKS, matrix_rows=MATRIX_ROWS)
+def test_sweep_writer_matches_the_dict_row_oracle(table, chunk, matrix_rows):
+    # each block formats its own columns, on the row template or the column
+    # matrix, whether or not its arrays are another block's
     rows = [(*r[:-1], r.verdict.value) for r in table.records()]
     make_blocks = functools.partial(tables._sweep_blocks, table.blocks)
     sizes = [len(b.thetas) for b in table.blocks]
     for fmt in ("csv", "jsonl"):
-        body = table_body(fmt, SWEEP, make_blocks, sizes, chunk)
-        assert body == "\n".join(oracle_lines(fmt, SWEEP, rows))
+        body = table_body(fmt, SWEEP, make_blocks, sizes, chunk, matrix_rows)
+        assert body == oracle_text(fmt, SWEEP, rows)
 
 
 SWEEP_THETAS = [0.1 + k * (2.9 / 6.0) for k in range(7)]  # SWEEP_ARGS' theta grid
@@ -1250,29 +1267,6 @@ def test_table_bytes_do_not_depend_on_the_sweep_chunk(capsys, monkeypatch, chunk
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_TABLES[argv]
 
 
-def settle_nothing(values):
-    """``_g17_fast`` with its fast path off: every cell is left to %."""
-    return np.zeros((len(values), tables._G17_WIDTH), np.uint8), np.zeros(len(values), bool)
-
-
-@pytest.mark.parametrize("path", ["columns", "percent"])
-def test_csv_table_bytes_hold_on_both_formatter_paths(capsys, monkeypatch, path):
-    # every chunk of a CSV sweep block is formatted by columns, even one row;
-    # with the fast path off, % writes every cell into the column matrix
-    monkeypatch.setattr(tables, "_G17_ROWS", 1)
-    if path == "percent":
-        monkeypatch.setattr(tables, "_g17_fast", settle_nothing)
-    sizes = []
-    real = tables._csv_lines
-    monkeypatch.setattr(tables, "_csv_lines", lambda *a: sizes.append(len(a[2][0])) or real(*a))
-    for argv, digest in PINNED_TABLES.items():
-        if "jsonl" not in argv:
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-    assert {1, 9, 8192} <= set(sizes)
-
-
 def test_no_sweep_kernel_call_sees_more_than_a_chunk(monkeypatch, tmp_path):
     # each kernel call gets at most 8192 thetas, and the calls of each
     # (n, gamma), and each gamma's battery calls, cover the grid in order
@@ -1317,8 +1311,7 @@ ADROIT_COLUMN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize(
-    ("argv", "digest"),
+ADROIT_TABLES = dict(
     [
         (ADROIT_GRID, "c250cc94d9db39ea5614da0319adceebcf5a6fad9bc37aec1669504456fd4bc1"),
         (
@@ -1354,8 +1347,11 @@ ADROIT_COLUMN_DIGESTS = {
             for argv, digests in ADROIT_COLUMN_DIGESTS.items()
             for fmt, digest in zip(((), ("--format", "jsonl")), digests)
         ),
-    ],
+    ]
 )
+
+
+@pytest.mark.parametrize(("argv", "digest"), ADROIT_TABLES.items())
 def test_adroitness_bytes_are_pinned(capsys, argv, digest):
     # sha256 of the stdout tables written while the CLI still evaluated the
     # battery one (theta, gamma) cell at a time through joint_distribution,
@@ -1368,6 +1364,32 @@ def test_adroitness_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def settle_nothing(values):
+    """``_g17_fast`` with its fast path off: every cell is left to %."""
+    return np.zeros((len(values), tables._G17_WIDTH), np.uint8), np.zeros(len(values), bool)
+
+
+@pytest.mark.parametrize("path", ["columns", "percent"])
+def test_csv_table_bytes_hold_on_both_formatter_paths(capsys, monkeypatch, path):
+    # every chunk of a CSV sweep or adroitness block is formatted by columns,
+    # even one row; with the fast path off, % writes every cell into the
+    # column matrix
+    monkeypatch.setattr(tables, "_G17_ROWS", 1)
+    if path == "percent":
+        monkeypatch.setattr(tables, "_g17_fast", settle_nothing)
+    sizes = []
+    real = tables._csv_lines
+    monkeypatch.setattr(tables, "_csv_lines", lambda *a: sizes.append(len(a[2][0])) or real(*a))
+    for argv, digest in [*PINNED_TABLES.items(), *ADROIT_TABLES.items()]:
+        if "jsonl" not in argv:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    # sweep blocks of 1, 9 and 8192 rows, and adroitness chunks of 25, 100,
+    # 8192 and 308 rows
+    assert {1, 9, 8192, 25, 100, 308} <= set(sizes)
 
 
 @pytest.mark.parametrize(
