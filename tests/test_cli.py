@@ -968,12 +968,13 @@ def column_blocks(draw):
     """A schema with columns of one kind each, at least one of them text or
     floats; in each block a column is fixed, or varies by row if it holds
     text or floats, and at least one column varies.  A varying column is an
-    array, and a text one holds str or object values.  Also returns every
-    row in full."""
+    array, and the table's text ones hold str or object values.  Also
+    returns every row in full."""
     columns = draw(st.lists(IDENT, min_size=1, max_size=6, unique=True))
     kinds = [draw(st.sampled_from(sorted(CELL_VALUES))) for _ in columns]
     kinds[draw(st.integers(0, len(columns) - 1))] = draw(st.sampled_from(["float", "text"]))
     can_vary = [name for name, kind in zip(columns, kinds) if kind in ("text", "float")]
+    dtypes = {"text": draw(st.sampled_from([str, object])), "float": float}
     blocks, rows = [], []
     for _ in range(draw(st.integers(1, 3))):
         size = draw(st.integers(1, 4))
@@ -984,8 +985,7 @@ def column_blocks(draw):
             cells = CELL_VALUES[kind][1]
             if name in varies:
                 values.append(draw(st.lists(cells, min_size=size, max_size=size)))
-                dtype = draw(st.sampled_from([str, object])) if kind == "text" else float
-                varying.append(np.array(values[-1], dtype=dtype))
+                varying.append(np.array(values[-1], dtype=dtypes[kind]))
             else:
                 fixed[name] = draw(cells)
                 values.append([fixed[name]] * size)
