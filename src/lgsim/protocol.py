@@ -35,8 +35,8 @@ the battery's total feeds the softened bound ``lg >= -eps_total``.
 One walker, ``_walk``, carries coefficient rows of any batch shape from
 event to event, and ``correlator_exact``, ``joint_distribution`` and
 ``adroitness_grid`` all step through it.  The grid walks the whole battery
-over a theta grid at once: one row per (theta, first outcome) pair and
-``(B, 3)`` measurement axes.  Matvecs and 3-vector dots are stacked
+over ``_CHUNK_ROWS`` theta at once: one row per (theta, first outcome) pair
+and ``(B, 3)`` measurement axes.  Matvecs and 3-vector dots are stacked
 ``np.matmul`` calls (``(4, 4) @ (..., 4, 1)`` and ``(..., 1, 3) @ (..., 3,
 1)``): numpy evaluates each stack item with the routine it uses for the
 one-dimensional ``g @ w`` and ``q @ v``, whereas on dense matrices one big
@@ -82,6 +82,10 @@ __all__ = [
 EVENT_TAGS = ("Q1", "Q2", "Q3", "boxed", "probe")
 
 _PROB_TOL = 1e-10  # joint distributions must sum to 1 this tightly
+
+# the theta the battery grid walks at once, and that a sweep block holds:
+# each kernel call's points and, in tables, one rendered string
+_CHUNK_ROWS = 8192
 
 BATTERY_IDS = ("a", "b", "c", "d")  # the battery's experiments, in order
 # per experiment: which of (first, probe, third) measure the tilted axis (1)
@@ -476,12 +480,22 @@ def adroitness_grid(thetas, tau: float, dynamics: LindbladSpec) -> np.ndarray:
     probe kept on one tail and removed on the other.  A joint table that
     fails to sum to 1 raises ``joint_distribution``'s error, and an epsilon
     outside [0, 2] raises ``AdroitnessReport``'s, each for the first failing
-    cell in grid order.
+    cell in grid order.  The grid is walked ``_CHUNK_ROWS`` theta at a time,
+    in order, so its peak does not grow with the grid; an empty grid is one
+    empty chunk, whose propagators are still built.
     """
     thetas, times, pair = _battery_axes(thetas, tau, dynamics)
+    eps = np.empty((thetas.shape[0], 4))
+    for start in range(0, thetas.shape[0], _CHUNK_ROWS) or [0]:
+        rows = slice(start, start + _CHUNK_ROWS)
+        eps[rows] = _battery_chunk(thetas[rows], times, dynamics, [a[rows] for a in pair])
+    return eps
+
+
+def _battery_chunk(thetas, times, dynamics: LindbladSpec, pair) -> np.ndarray:
+    """``adroitness_grid`` of one chunk of its checked grid, with its checks."""
     size = thetas.shape[0]
     rho0 = DensityOperator.maximally_mixed().coefficients
-
     tables = np.empty((size, 4, 2, 4))  # per experiment: probe kept/removed, (s1, s3)
     for e, layout in enumerate(_BATTERY_LAYOUT):
         first, probe, third = (pair[k] for k in layout)

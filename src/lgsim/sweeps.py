@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import HamiltonianSpec, LindbladSpec, lindblad_propagator
-from .protocol import Verdict, _check_positive, violation_verdict
+from .protocol import _CHUNK_ROWS, Verdict, _check_positive, violation_verdict
 
 __all__ = [
     "CurveArrays",
@@ -46,9 +46,6 @@ __all__ = [
 ]
 
 _CRITERIA = ("lenient", "strict")
-
-# the theta a sweep block holds: each kernel call's points and, in tables, one rendered string
-_CHUNK_ROWS = 8192
 
 # The fixed window and cutoff searches: grid sizes, widths, worst-case calls
 _WINDOW_THETAS = 10001  # spacing pi/1e4
@@ -141,15 +138,32 @@ _VERDICT = {v.value: v for v in Verdict}
 
 
 def _expand(thetas, gammas, ns, cols, verdicts) -> list[SweepRecord]:
-    """``SweepRecord`` rows from checked columns (iterables of Python values)."""
-    return list(map(SweepRecord, thetas, gammas, ns, *cols, map(_VERDICT.get, verdicts)))
+    """``SweepRecord`` rows from checked columns (iterables of Python values).
+
+    Each row is made as ``SweepRecord._make`` makes it, without its frame.
+    """
+    columns = zip(thetas, gammas, ns, *cols, map(_VERDICT.get, verdicts))
+    return list(map(tuple.__new__, repeat(SweepRecord), columns))
+
+
+def _n(value) -> int:
+    """``value`` as an n: a nonnegative int, or its decimal text."""
+    try:
+        n = int(value, 10) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        n = -1
+    if n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {value}")
+    return n
 
 
 def _coordinates(thetas: np.ndarray, gammas: np.ndarray, ns) -> list[int]:
     """Check a grid, or a table's first three columns; return ``ns`` as ints.
 
     theta must be finite, gamma nonnegative and finite, and n a nonnegative
-    int or its decimal text; the first bad value of a column raises.
+    int or its decimal text; the first bad value of a column raises.  Each
+    distinct (type, value) of ``ns`` is parsed once, in order of first
+    appearance, so the first bad n still raises first.
     """
     for name, values, ok, rule in (
         ("theta", thetas, np.isfinite(thetas), "finite"),
@@ -157,16 +171,13 @@ def _coordinates(thetas: np.ndarray, gammas: np.ndarray, ns) -> list[int]:
     ):
         if not ok.all():
             raise ValueError(f"{name} must be {rule}, got {float(values[np.argmin(ok)])}")
-    ints = []
-    for value in ns:
-        try:
-            n = int(value, 10) if isinstance(value, str) else operator.index(value)
-        except (TypeError, ValueError):
-            n = -1
-        if n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {value}")
-        ints.append(n)
-    return ints
+    ns = list(ns)
+    keys = list(zip(map(type, ns), ns))  # 1 and 1.0 are equal, but only one is an n
+    try:
+        parsed = {key: _n(key[1]) for key in dict.fromkeys(keys)}
+    except TypeError:  # an unhashable value, which _n refuses in row order
+        return list(map(_n, ns))
+    return list(map(parsed.__getitem__, keys))
 
 
 def _verdicts(cur: CurveArrays, verdict: np.ndarray | None = None) -> np.ndarray:

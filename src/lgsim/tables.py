@@ -39,13 +39,14 @@ import os
 import stat
 import sys
 from itertools import chain, starmap
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, get_type_hints
 
 import numpy as np
 
-from .protocol import Verdict
-from .sweeps import _CHUNK_ROWS, CurveArrays, SweepRecord, _coordinates, _expand
+from .protocol import _CHUNK_ROWS, Verdict
+from .sweeps import CurveArrays, SweepRecord, _coordinates, _expand
 from .sweeps import _gc_paused, _verdicts
 
 __all__ = ["SCHEMAS", "read_table", "records_from_rows"]
@@ -449,6 +450,11 @@ def _json_line(path, text: str, k: int, line: str):
         raise _json_error(path, text, k, f"not JSON at column {exc.colno} ({exc.msg})") from None
 
 
+# (value, end) of the JSON value that starts a string: the scan ``json.loads``
+# runs, without its whitespace matches and Python frames
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_table(path) -> tuple[dict, list[dict]]:
     """Parse a table written by any command back into (meta, rows).
 
@@ -479,12 +485,21 @@ def read_table(path) -> tuple[dict, list[dict]]:
         meta.update(given)
         keys = _schema(path, meta["command"]).keys()
         for i, ln in enumerate(lines[1:], 1):
-            obj = _json_line(path, text, i, ln)
+            # a line that is not one whole JSON value, such as one padded with
+            # whitespace, is left to json.loads, which reads it or names its fault
+            try:
+                obj, end = _raw_decode(ln)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(ln):
+                obj = _json_line(path, text, i, ln)
             if not isinstance(obj, dict):
                 raise _json_error(path, text, i, "a row is not a JSON object")
             if obj.keys() != keys:
                 raise _column_error(path, meta["command"], list(obj))
-            rows.append({k: (None if v == "" else v) for k, v in obj.items()})
+            if "" in obj.values():
+                obj = {k: (None if v == "" else v) for k, v in obj.items()}
+            rows.append(obj)
         return meta, rows
     header: list[str] | None = None
     for ln in lines:
@@ -520,7 +535,8 @@ def records_from_rows(rows: list[dict]) -> list[SweepRecord]:
     and the verdicts must match; the first bad row raises a one-line
     ``ValueError``.
     """
-    cells = {c: [row[c] for row in rows] for c in _SWEEP}
+    # one column per field, by one transpose of the rows
+    cells = dict(zip(_SWEEP, zip(*map(itemgetter(*_SWEEP), rows)))) or dict.fromkeys(_SWEEP, ())
     floats = {}
     for name, kind in _SWEEP.items():
         if kind is float:

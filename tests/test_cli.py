@@ -1471,6 +1471,81 @@ def test_read_table_rejects_garbage(tmp_path):
         assert str(exc.value) == f"{p}: {where}"
 
 
+def test_jsonl_rows_padded_with_whitespace_read_back_as_unpadded(tmp_path, capsys):
+    table = tmp_path / "grid.jsonl"
+    assert run(capsys, *SWEEP_ARGS, "--format", "jsonl", "--out", str(table))[0] == 0
+    want = read_table(table)
+    lines = table.read_text().splitlines()
+    padded = tmp_path / "padded.jsonl"
+    pads = [(" ", ""), ("", "\t"), (" \t", "\t  ")]
+    lines[1:] = [pads[k % 3][0] + ln + pads[k % 3][1] for k, ln in enumerate(lines[1:])]
+    padded.write_text("\n".join(lines) + "\n")
+    assert read_table(padded) == want
+    assert records_from_rows(read_table(padded)[1]) == records_from_rows(want[1])
+
+
+def test_an_empty_jsonl_string_reads_as_none(tmp_path, capsys):
+    table = tmp_path / "grid.jsonl"
+    assert run(capsys, *SWEEP_ARGS, "--format", "jsonl", "--out", str(table))[0] == 0
+    meta, rows = read_table(table)
+    lines = table.read_text().splitlines()
+    obj = json.loads(lines[1 + CORRUPT_ROW])
+    lines[1 + CORRUPT_ROW] = json.dumps({**obj, "verdict": "", "c12": ""})
+    table.write_text("\n".join(lines) + "\n")
+    rows[CORRUPT_ROW] = {**rows[CORRUPT_ROW], "verdict": None, "c12": None}
+    assert read_table(table) == (meta, rows)
+
+
+def test_the_first_faulty_jsonl_line_is_the_one_reported(tmp_path, capsys):
+    table = tmp_path / "grid.jsonl"
+    assert run(capsys, *SWEEP_ARGS, "--format", "jsonl", "--out", str(table))[0] == 0
+    meta, first, second, *_ = table.read_text().splitlines()
+    p = tmp_path / "bad.jsonl"
+    # a second object on a row's line is extra data, as json.loads says
+    p.write_text(f"{meta}\n{first}\n{first} {second}\n")
+    with pytest.raises(ValueError) as exc:
+        read_table(p)
+    assert str(exc.value) == f"{p}: line 3: not JSON at column {len(first) + 2} (Extra data)"
+    # a non-object row at line 3 is reported before a truncated row at line 5
+    p.write_text(f"{meta}\n{first}\n[1, 2]\n{second}\n{second[:20]}\n")
+    with pytest.raises(ValueError) as exc:
+        read_table(p)
+    assert str(exc.value) == f"{p}: line 3: a row is not a JSON object"
+    # wrong keys at line 3 are reported before a truncated row at line 4
+    p.write_text(f'{meta}\n{first}\n{{"theta": 1.0}}\n{second[:20]}\n')
+    with pytest.raises(ValueError) as exc:
+        read_table(p)
+    assert str(exc.value) == f"{p}: sweep table has no column 'gamma'; expected {','.join(SWEEP)}"
+
+
+def test_an_n_is_parsed_once_per_type_and_value(tmp_path, capsys):
+    table = tmp_path / "grid.jsonl"
+    assert run(capsys, *SWEEP_ARGS, "--format", "jsonl", "--out", str(table))[0] == 0
+    _, rows = read_table(table)
+    late = 20  # rows 14 to 27 are the n = 1 blocks
+    assert rows[14]["n"] == rows[late]["n"] == 1
+    assert records_from_rows([]) == []
+    for value in (1.0, [1], "x"):  # 1.0 equals the 1 before it, but is no n
+        bad = [dict(row) for row in rows]
+        bad[late]["n"] = value
+        with pytest.raises(ValueError) as exc:
+            records_from_rows(bad)
+        assert str(exc.value) == f"n must be a nonnegative integer, got {value}"
+    # the first bad row raises first, whatever comes after it
+    bad = [dict(row) for row in rows]
+    for k in range(3, len(bad)):
+        bad[k]["n"] = -k
+    with pytest.raises(ValueError, match="got -3$"):
+        records_from_rows(bad)
+    bad[late]["n"] = [1]
+    with pytest.raises(ValueError, match="got -3$"):
+        records_from_rows(bad)
+    mixed = [dict(row) for row in rows]
+    for row in mixed[::2]:
+        row["n"] = str(row["n"])  # decimal text is an n too
+    assert records_from_rows(mixed) == records_from_rows(rows)
+
+
 COLUMN_CHANGES = {
     "renamed": (lambda names: ["c24" if c == "c23" else c for c in names], "unknown column 'c24'"),
     "missing": (lambda names: [c for c in names if c != "c23"], "no column 'c23'"),

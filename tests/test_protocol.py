@@ -365,6 +365,51 @@ def test_grid_validation():
     assert adroitness_grid([], math.pi, NOISY).shape == (0, 4)
 
 
+# two full chunks of the battery walk and a short third
+EDGE_GRID = np.linspace(0.0, math.pi, 2 * protocol._CHUNK_ROWS + 5)
+
+
+def test_the_grid_walks_one_chunk_of_theta_at_a_time(monkeypatch):
+    real = protocol._joint_tables
+    sizes = []
+
+    def spy(dynamics, x, head, tails):
+        sizes.append(head[0][1].shape[0])  # the first measurement's (B, 3) axes
+        return real(dynamics, x, head, tails)
+
+    monkeypatch.setattr(protocol, "_joint_tables", spy)
+    assert adroitness_grid(EDGE_GRID, math.pi, NOISY).shape == (len(EDGE_GRID), 4)
+    assert max(sizes) == protocol._CHUNK_ROWS == 8192
+    assert sizes == [8192] * 4 + [8192] * 4 + [5] * 4  # four experiments a chunk
+
+
+def test_cells_on_both_sides_of_a_chunk_edge_match_the_schedule_walk():
+    grid = adroitness_grid(EDGE_GRID, math.pi, NOISY)
+    edge = protocol._CHUNK_ROWS
+    for b in (0, edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge, len(EDGE_GRID) - 1):
+        theta = float(EDGE_GRID[b])
+        exact = [epsilon_adroitness(s) for s in adroitness_experiments(theta, math.pi, NOISY)]
+        assert grid[b].tolist() == exact  # bit for bit
+
+
+def test_a_chunked_grid_raises_for_its_first_failing_cell(monkeypatch):
+    # stretched Bloch parts: epsilon leaves [0, 2] at 2.25 and 0.0, not at 1 to 1.5;
+    # with two theta a chunk the first failing cell is in the second chunk
+    real = protocol.lindblad_propagator
+    monkeypatch.setattr(
+        protocol,
+        "lindblad_propagator",
+        lambda spec, t: types.SimpleNamespace(ptm=np.diag((1.0, 3.0, 3.0, 3.0)) @ real(spec, t).ptm),
+    )
+    monkeypatch.setattr(protocol, "_CHUNK_ROWS", 2)
+    thetas = [1.0, 1.25, 1.5, 2.25, 0.0]
+    expected = scalar_battery_error(thetas, 1.0, NOISY)
+    assert "got 2.18" in expected  # 2.25's experiment b, not 0.0's
+    with pytest.raises(ValueError) as exc:
+        adroitness_grid(thetas, 1.0, NOISY)
+    assert str(exc.value) == expected
+
+
 def scalar_battery_error(thetas, tau, spec):
     """The error the per-schedule walk raises first on this grid, or None."""
     for theta in thetas:
