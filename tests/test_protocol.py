@@ -379,7 +379,7 @@ def test_the_grid_walks_one_chunk_of_theta_at_a_time(monkeypatch):
 
     monkeypatch.setattr(protocol, "_joint_tables", spy)
     assert adroitness_grid(EDGE_GRID, math.pi, NOISY).shape == (len(EDGE_GRID), 4)
-    assert max(sizes) == protocol._CHUNK_ROWS == 8192
+    assert protocol._CHUNK_ROWS == 8192
     assert sizes == [8192] * 4 + [8192] * 4 + [5] * 4  # four experiments a chunk
 
 
