@@ -177,8 +177,8 @@ def _seconds(nanoseconds: int) -> str:
 
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()  # skips a BOM
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"--config: cannot read {path}: {exc}") from None
     out: dict[str, tuple[str, str]] = {}
     for ln, raw in enumerate(lines, 1):

@@ -10,20 +10,21 @@ same, then one object per row.
 Every command hands the writer blocks of one shape: a block's fixed cells,
 and its varying columns as equal-length arrays.  The writer pulls each
 block from its iterable just before writing it, and renders it
-``_CHUNK_ROWS`` rows at a time into one string that ends in its newline, so
-a table is held one block and one chunk at a time.  A sweep block is one
-(n, gamma, theta chunk) of at most ``_CHUNK_ROWS`` rows, so it renders as
-one string.  CSV floats are %.17g, so a float reads back bit for bit.  A
-CSV chunk of at least ``_G17_ROWS`` rows is rendered as one byte matrix
-whose float columns ``_g17`` formats whole, in numpy, to the exact bytes %
-writes: a value it cannot settle (a 17-digit rounding within 1e-9 of a
-half, or outside 1e-280 <= |x| < 1e280 and not 0) is written by %.  Any
-other chunk is written by the block's row %-template, with its fixed cells
-written in once.  JSONL floats are %r, which is the text ``json.dumps``
-writes for a finite float (and every written float is checked to be
-finite).  Each block formats its own columns, so no text outlives its
-chunk.  An ``--out`` file is written beside its target and renamed over it
-only once the whole table is written.
+``_CHUNK_ROWS`` rows at a time into one bytes object that ends in its
+newline, so a table is held one block and one chunk at a time.  A sweep
+block is one (n, gamma, theta chunk) of at most ``_CHUNK_ROWS`` rows, so it
+renders as one.  A table is UTF-8 with ``\n`` line ends, the same bytes on
+stdout and in an ``--out`` file whatever the locale.  CSV floats are %.17g,
+so a float reads back bit for bit.  A CSV chunk of at least ``_G17_ROWS``
+rows is rendered as one byte matrix whose float columns ``_g17`` formats
+whole, in numpy, to the exact bytes % writes: a value it cannot settle (a
+17-digit rounding within 1e-9 of a half, or outside 1e-280 <= |x| < 1e280
+and not 0) is written by %.  Any other chunk is written by the block's row
+%-template, with its fixed cells written in once.  JSONL floats are %r,
+which is the text ``json.dumps`` writes for a finite float (and every
+written float is checked to be finite).  Each block formats its own
+columns, so no text outlives its chunk.  An ``--out`` file is written
+beside its target and renamed over it only once the whole table is written.
 
 ``read_table`` refuses a table whose columns differ from its command's
 schema, and ``records_from_rows`` checks a sweep's parsed columns as
@@ -106,44 +107,43 @@ def _row_template(fmt: str, schema: dict, fixed: dict) -> str:
     return "{" + ", ".join(f'"{k}": {t}' for k, t in zip(schema, texts)) + "}"
 
 
-def _table_lines(cfg, schema: dict, blocks, summary) -> Iterator[str]:
-    """The table's text, each piece ending in its newline: a header line, or
-    a block's rows ``_CHUNK_ROWS`` to a piece.  Each block is drawn from
-    ``blocks`` only when its rows are due, once the last block's text is
-    written and released."""
+def _table_lines(cfg, schema: dict, blocks, summary) -> Iterator[bytes]:
+    """The table's UTF-8 bytes, each piece ending in its newline: the header
+    lines, or a block's rows ``_CHUNK_ROWS`` to a piece.  Each block is drawn
+    from ``blocks`` only when its rows are due, once the last block's bytes
+    are written and released."""
     if cfg.format == "csv":
-        yield f"# lgsim {cfg.command}\n"
-        yield from (f"# config {k}={v}\n" for k, v in cfg.echo)
-        yield from (f"# {s}\n" for s in summary)
-        yield ",".join(schema) + "\n"
+        comments = [f"lgsim {cfg.command}", *(f"config {k}={v}" for k, v in cfg.echo), *summary]
+        head = "".join(f"# {c}\n" for c in comments) + ",".join(schema) + "\n"
     else:
         meta = {"command": cfg.command, "config": dict(cfg.echo), "summary": list(summary)}
-        yield json.dumps({"meta": meta}, sort_keys=True) + "\n"
+        head = json.dumps({"meta": meta}, sort_keys=True) + "\n"
+    yield head.encode()
     block_lines = functools.partial(_block_lines, cfg.format, schema)
     yield from chain.from_iterable(starmap(block_lines, blocks))
 
 
-def _block_lines(fmt: str, schema: dict, fixed: dict, columns) -> Iterator[str]:
-    """One block's lines, ``_CHUNK_ROWS`` rows to a string.  A CSV chunk of
-    at least ``_G17_ROWS`` rows is written by ``_csv_lines``, and any other
-    chunk by the row template."""
+def _block_lines(fmt: str, schema: dict, fixed: dict, columns) -> Iterator[bytes]:
+    """One block's lines, ``_CHUNK_ROWS`` rows to a piece of bytes.  A CSV
+    chunk of at least ``_G17_ROWS`` rows is written by ``_csv_lines``, and
+    any other chunk by the row template."""
     render = (_row_template(fmt, schema, fixed) + "\n").__mod__
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         chunk = [col[start : start + _CHUNK_ROWS] for col in columns]
         if fmt == "csv" and len(chunk[0]) >= _G17_ROWS:
             yield _csv_lines(schema, fixed, chunk)
         else:
-            yield "".join(map(render, zip(*(col.tolist() for col in chunk))))
+            yield "".join(map(render, zip(*(col.tolist() for col in chunk)))).encode()
 
 
-def _csv_lines(schema: dict, fixed: dict, columns: list) -> str:
+def _csv_lines(schema: dict, fixed: dict, columns: list) -> bytes:
     """The CSV lines of one chunk of a block, each ending in its newline.
 
     The lines are laid out as one byte matrix, a row per line and a column
     span per cell: each fixed cell is written once, each text column is its
     values' bytes, and the float columns are formatted whole by ``_g17``,
     as many at once as make ``_CHUNK_ROWS`` values.  Cells are NUL-padded to
-    their span, and the NULs are dropped as the matrix becomes text, so no
+    their span, and the NULs are dropped as the matrix becomes bytes, so no
     cell's text is held apart from its chunk's lines.
     """
     size = len(columns[0])
@@ -176,7 +176,7 @@ def _csv_lines(schema: dict, fixed: dict, columns: list) -> str:
         texts = _g17(np.concatenate(values)).reshape(len(values), size, _G17_WIDTH)
         for span, text in zip(targets, texts):
             span[:] = text
-    return lines.tobytes().translate(None, b"\0").decode("ascii")
+    return lines.tobytes().translate(None, b"\0")
 
 
 @contextlib.contextmanager
@@ -186,7 +186,7 @@ def _out_file(target: str):
     A regular file or a missing path is written to a new file beside it,
     which replaces it only when the table is complete and is removed on any
     failure, so the target never holds part of a table.  The new file is
-    created as ``open(target, "w")`` would create it (its mode follows the
+    created as ``open(target, "wb")`` would create it (its mode follows the
     umask, or copies an existing target's).  Anything else, such as a FIFO
     or a device, is written in place.
     """
@@ -195,7 +195,7 @@ def _out_file(target: str):
     except OSError:  # missing, or unreachable: creating the new file will say why
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="utf-8") as fh:
+        with open(target, "wb") as fh:
             yield fh
         return
     path = os.path.realpath(target)  # a symlink's file is replaced, not the link
@@ -205,7 +205,7 @@ def _out_file(target: str):
     try:
         if mode is not None:
             os.fchmod(fd, stat.S_IMODE(mode))
-        with open(fd, "w", encoding="utf-8") as fh:
+        with open(fd, "wb") as fh:
             yield fh
         os.replace(part, path)
     except BaseException:
@@ -214,14 +214,15 @@ def _out_file(target: str):
 
 
 def _emit(cfg, blocks, summary) -> None:
-    """Write ``cfg.command``'s table to ``cfg.out``, or to stdout if it is empty.
-
-    A block that raises ends the table: stdout keeps the whole rows written
-    before it, and ``cfg.out`` is left as it was.
+    """Write ``cfg.command``'s table to ``cfg.out``, or to stdout if it is empty,
+    as the same bytes whatever the locale.  A block that raises ends the
+    table: stdout keeps the whole rows written before it, and ``cfg.out`` is
+    left as it was.
     """
     chunks = _table_lines(cfg, SCHEMAS[cfg.command], blocks, summary)
     if not cfg.out:
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # text written before the table goes out first
+        sys.stdout.buffer.writelines(chunks)
         return
     try:
         with _out_file(cfg.out) as fh:
@@ -464,9 +465,13 @@ def read_table(path) -> tuple[dict, list[dict]]:
     because tables are written with %.17g.  A CSV header, or the keys of a
     JSONL row, that differ from the command's schema raise a one-line
     ``ValueError`` naming a column; a JSONL meta or row that is not JSON, or
-    is of the wrong JSON type, raises one naming its line.
+    is of the wrong JSON type, raises one naming its line.  Every such error
+    starts with ``path``, as does the one for a file that is not UTF-8.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty table")

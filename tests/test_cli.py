@@ -164,6 +164,21 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"\xef\xbb\xbfomega=2\n")
+    code, out, _ = run(capsys, "classic", "--config", str(cfgfile))
+    assert code == 0
+    assert "# config omega=2" in out.splitlines()
+
+
+def test_a_config_file_that_is_not_utf8_is_refused_naming_the_flag_and_file(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes("omega=2 # \xb5s\n".encode("latin-1"))
+    err = expect_error(capsys, "classic", "--config", str(cfgfile))
+    assert err.startswith(f"lgsim: error: --config: cannot read {cfgfile}: 'utf-8' codec")
+
+
 @pytest.mark.parametrize(
     ("flag", "value", "fragment"),
     [
@@ -931,7 +946,7 @@ def test_random_tables_round_trip_bit_for_bit(table):
         for fmt in ("csv", "jsonl"):
             path = Path(tmp) / f"table.{fmt}"
             blocks = tables._sweep_blocks(table.blocks)
-            path.write_text("".join(tables._table_lines(sweep_config(fmt), SWEEP, blocks, [])))
+            path.write_bytes(b"".join(tables._table_lines(sweep_config(fmt), SWEEP, blocks, [])))
             got = records_from_rows(read_table(path)[1])
             assert got == want
             # == takes -0.0 for 0.0; repr tells them apart
@@ -1002,23 +1017,23 @@ MATRIX_ROWS = st.sampled_from([1, tables._G17_ROWS])
 
 
 def table_body(fmt, schema, make_blocks, sizes, chunk, matrix_rows):
-    """The rows' text that ``_table_lines`` writes for the blocks of
+    """The rows' bytes that ``_table_lines`` writes for the blocks of
     ``make_blocks()`` (``sizes`` rows each) made and written with
     ``_CHUNK_ROWS = chunk`` and ``_G17_ROWS = matrix_rows``; checks that
     every piece ends in its newline and each block's rows come ``chunk`` to
     a piece."""
     with unittest.mock.patch.multiple(tables, _CHUNK_ROWS=chunk, _G17_ROWS=matrix_rows):
         pieces = list(tables._table_lines(sweep_config(fmt), schema, make_blocks(), []))
-    assert all(piece.endswith("\n") for piece in pieces)
+    assert all(piece.endswith(b"\n") for piece in pieces)
     body = pieces[len(list(tables._table_lines(sweep_config(fmt), schema, [], []))) :]
-    assert [piece.count("\n") for piece in body] == [
+    assert [piece.count(b"\n") for piece in body] == [
         min(chunk, size - start) for size in sizes for start in range(0, size, chunk)
     ]
-    return "".join(body)
+    return b"".join(body)
 
 
-def oracle_text(fmt, columns, rows):
-    return "".join(line + "\n" for line in oracle_lines(fmt, columns, rows))
+def oracle_bytes(fmt, columns, rows):
+    return "".join(line + "\n" for line in oracle_lines(fmt, columns, rows)).encode()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1028,7 +1043,7 @@ def test_block_renderer_writes_the_dict_row_bytes(table, chunk, matrix_rows):
     sizes = [len(columns[0]) for _, columns in blocks]
     for fmt in ("csv", "jsonl"):
         body = table_body(fmt, schema, lambda: blocks, sizes, chunk, matrix_rows)
-        assert body == oracle_text(fmt, list(schema), rows)
+        assert body == oracle_bytes(fmt, list(schema), rows)
 
 
 small_float = st.one_of(
@@ -1077,7 +1092,7 @@ def test_sweep_writer_matches_the_dict_row_oracle(table, chunk, matrix_rows):
     sizes = [len(b.thetas) for b in table.blocks]
     for fmt in ("csv", "jsonl"):
         body = table_body(fmt, SWEEP, make_blocks, sizes, chunk, matrix_rows)
-        assert body == oracle_text(fmt, SWEEP, rows)
+        assert body == oracle_bytes(fmt, SWEEP, rows)
 
 
 SWEEP_THETAS = [0.1 + k * (2.9 / 6.0) for k in range(7)]  # SWEEP_ARGS' theta grid
@@ -1412,6 +1427,15 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
         want = out.replace("\n# config out=\n", f"\n# config out={target}\n", 1)
     assert want != out
     assert target.read_bytes() == want.encode("utf-8")
+
+
+def test_read_table_names_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes("# lgsim classic\n# config omega=\xb5\n".encode("latin-1"))
+    with pytest.raises(ValueError) as info:
+        read_table(p)
+    assert str(info.value).startswith(f"{p}: not UTF-8: 'utf-8' codec can't decode byte 0xb5")
+    assert "\n" not in str(info.value)
 
 
 def test_read_table_rejects_garbage(tmp_path):
@@ -1778,6 +1802,23 @@ def test_a_reader_that_leaves_early_ends_the_program_quietly():
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_stdout_gets_the_out_file_bytes_whatever_its_encoding(tmp_path, encoding):
+    # a numeric flag takes Unicode digits, and its config line echoes them as
+    # given, so the table is not ASCII; stdout still gets its UTF-8 bytes
+    src = str(Path(lgsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env["PYTHONIOENCODING"] = encoding
+    argv = [sys.executable, "-m", "lgsim.cli", "sweep", "--theta", "\uff10:\uff10:1"]
+    target = tmp_path / "table.csv"
+    piped = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert subprocess.run([*argv, "--out", str(target)], env=env, timeout=60).returncode == 0
+    table = piped.stdout.decode("utf-8")
+    assert "\n# config theta=\uff10:\uff10:1\n" in table
+    assert target.read_bytes() == out_echo(table, target).encode("utf-8")
 
 
 def test_main_with_arguments_leaves_the_environment_alone(monkeypatch, capsys, tmp_path):
