@@ -116,7 +116,8 @@ def timed(root: Path, args: tuple[str, ...]) -> dict:
         "ok": status == 0,
         "wall_s": time.perf_counter() - began,
         "cpu_s": usage.ru_utime + usage.ru_stime,
-        "peak_rss_mb": usage.ru_maxrss / 1024,  # ru_maxrss is in KiB on Linux
+        # MB (10^6 bytes), as perfbench writes it; ru_maxrss is in KiB on Linux
+        "peak_rss_mb": usage.ru_maxrss * 1024 / 1e6,
     }
 
 

@@ -26,8 +26,12 @@ written float is checked to be finite).  Each block formats its own
 columns, so no text outlives its chunk.  An ``--out`` file is written
 beside its target and renamed over it only once the whole table is written.
 
-``read_table`` refuses a table whose columns differ from its command's
-schema, and ``records_from_rows`` checks a sweep's parsed columns as
+``read_table`` reads a table as UTF-8 and skips a leading byte order mark,
+as some editors save one.  It refuses a table whose columns differ from its
+command's schema.  A CSV row with no empty cell is built as one
+``dict(zip(header, cells))``; only a row with an empty cell (an exact
+adroitness row's Monte Carlo cells) maps its cells one at a time, the empty
+ones to None.  ``records_from_rows`` checks a sweep's parsed columns as
 ``sweep_records`` checks what it writes.
 """
 
@@ -466,10 +470,11 @@ def read_table(path) -> tuple[dict, list[dict]]:
     JSONL row, that differ from the command's schema raise a one-line
     ``ValueError`` naming a column; a JSONL meta or row that is not JSON, or
     is of the wrong JSON type, raises one naming its line.  Every such error
-    starts with ``path``, as does the one for a file that is not UTF-8.
+    starts with ``path``, as does the one for a file that is not UTF-8.  A
+    leading byte order mark is skipped.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -508,7 +513,7 @@ def read_table(path) -> tuple[dict, list[dict]]:
         return meta, rows
     header: list[str] | None = None
     for ln in lines:
-        if ln.startswith("#"):
+        if ln[0] == "#":
             body = ln[1:].strip()
             if body.startswith("lgsim "):
                 meta["command"] = body[len("lgsim ") :]
@@ -525,7 +530,10 @@ def read_table(path) -> tuple[dict, list[dict]]:
             cells = ln.split(",")
             if len(cells) != len(header):
                 raise ValueError(f"{path}: row has {len(cells)} cells, header has {len(header)}")
-            rows.append({k: (None if c == "" else c) for k, c in zip(header, cells)})
+            if "" in cells:
+                rows.append({k: (None if c == "" else c) for k, c in zip(header, cells)})
+            else:
+                rows.append(dict(zip(header, cells)))
     if header is None:
         raise ValueError(f"{path}: no header line found")
     return meta, rows

@@ -12,9 +12,15 @@ picture against ``unitary_propagator``.
 were before they skipped the exact zeros of the dynamics family: they walk
 both branches of the box and multiply whole rows of each gap.  The kernels
 must give their bits, zeros' signs included where a table shows them.
+
+``read_csv_table`` is ``read_table``'s CSV branch as it was when every row
+was built by one comprehension that mapped each empty cell to None; the
+reader must return its meta and rows, key order included, and raise its
+first error.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from lgsim.qubit import (
     sigma_theta,
 )
 from lgsim.qubit import _BASIS, _as_operator
+from lgsim.tables import _column_error, _schema
 
 
 def anticommutator(a, b) -> np.ndarray:
@@ -235,3 +242,36 @@ def dense_battery_eps(thetas, gap, gap2):
                 eps = eps + np.abs(pw - pn)
         out[:, e] = eps
     return out
+
+
+def read_csv_table(path) -> tuple[dict, list[dict]]:
+    """(meta, rows) of a CSV table, one comprehension per row."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty table")
+    meta = {"command": None, "config": {}, "summary": []}
+    rows: list[dict] = []
+    header: list[str] | None = None
+    for ln in lines:
+        if ln.startswith("#"):
+            body = ln[1:].strip()
+            if body.startswith("lgsim "):
+                meta["command"] = body[len("lgsim ") :]
+            elif body.startswith("config "):
+                key, _, val = body[len("config ") :].partition("=")
+                meta["config"][key] = val
+            else:
+                meta["summary"].append(body)
+        elif header is None:
+            header = ln.split(",")
+            if header != list(_schema(path, meta["command"])):
+                raise _column_error(path, meta["command"], header)
+        else:
+            cells = ln.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{path}: row has {len(cells)} cells, header has {len(header)}")
+            rows.append({k: (None if c == "" else c) for k, c in zip(header, cells)})
+    if header is None:
+        raise ValueError(f"{path}: no header line found")
+    return meta, rows

@@ -1438,7 +1438,19 @@ def test_read_table_names_a_file_that_is_not_utf8(tmp_path):
     assert "\n" not in str(info.value)
 
 
-def test_read_table_rejects_garbage(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [("fig2",), ("fig3", "--theta", "2:3:3", "--gamma", "0:0.01:2", "--format", "jsonl")],
+)
+def test_read_table_skips_a_byte_order_mark(tmp_path, capsys, argv):
+    # some editors save UTF-8 text with a leading BOM; it is not part of the
+    # first line, so a CSV table keeps its command and a JSONL one its meta
+    plain, marked = tmp_path / "plain.table", tmp_path / "marked.table"
+    assert run(capsys, *argv, "--out", str(plain))[0] == 0
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    meta, rows = read_table(plain)
+    assert meta["command"] == argv[0] and rows
+    assert read_table(marked) == (meta, rows)
     p = tmp_path / "broken.csv"
     p.write_text("")
     with pytest.raises(ValueError, match="empty table"):

@@ -1,15 +1,19 @@
-"""The CSV column formatter: ``tables._g17`` writes what ``"%.17g" % v`` writes."""
+"""The CSV column formatter: ``tables._g17`` writes what ``"%.17g" % v`` writes;
+and the CSV reader: ``read_table`` reads what the one-comprehension oracle reads."""
 
 import math
 import struct
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgsim import tables
+from oracles import read_csv_table
 
 
 def cells(values):
@@ -111,3 +115,69 @@ finite_float = st.one_of(
 @given(st.lists(finite_float, min_size=1, max_size=50))
 def test_any_finite_values_are_written_as_percent_writes_them(values):
     assert cells(values) == percent(values)
+
+
+# cells, none of them a comma or a line break; a FULL cell is never empty
+FULL = st.sampled_from(["0", "-0", "1.5", "3.1415926535897931", "1e-300", "a", " x ", "é"])
+CELLS = st.one_of(FULL, st.just(""))
+COMMENTS = st.sampled_from(
+    ["# config theta=0:1:2", "# config out=", "#config k=1=2", "# a summary", "#", "# lgsim sweep"]
+)
+BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+def row_of(width):
+    """A row of ``width`` cells, either none of them empty or any of them."""
+    return st.one_of(
+        st.lists(FULL, min_size=width, max_size=width),
+        st.lists(CELLS, min_size=width, max_size=width),
+    ).map(",".join)
+
+
+@st.composite
+def csv_tables(draw):
+    """A CSV table's text: comment, blank and whitespace-only lines before and
+    after the header, rows with and without empty cells, now and then a row one
+    cell short or long or a header the schema refuses, and LF or CRLF ends."""
+    command = draw(st.sampled_from(sorted(tables.SCHEMAS)))
+    header = list(tables.SCHEMAS[command])
+    if draw(st.integers(0, 9)) == 0:
+        header = header[::-1]
+    width = len(header)
+    rows = st.sampled_from([width] * 18 + [width - 1, width + 1]).flatmap(row_of)
+    lines = [
+        *draw(st.lists(BLANKS, max_size=2)),
+        f"# lgsim {command}",
+        *draw(st.lists(st.one_of(COMMENTS, BLANKS), max_size=4)),
+        ",".join(header),
+        *draw(st.lists(st.one_of(rows, rows, rows, COMMENTS, BLANKS), max_size=30)),
+    ]
+    ends = st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines))
+    text = "".join(map(str.__add__, lines, draw(ends)))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def parsed(read, path):
+    """``read``'s (meta, rows) with every dict's key order, or its error."""
+    try:
+        meta, rows = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return meta, list(meta["config"].items()), [list(row.items()) for row in rows]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_tables())
+@example(
+    "# lgsim adroitness\r\n# config shots=0\n\n"
+    "experiment,theta,gamma,tau,omega,epsilon,epsilon_mc,epsilon_mc_se\r\n"
+    "a,0,0,3.1415926535897931,1,0,0.5,0.01\n \t\n"
+    "total,0,0,3.1415926535897931,1,0,,\n# a summary line\n"
+    ",0,0,3.1415926535897931,1,0,0.5,\r\n"
+    "b,0,0,3.1415926535897931,1,0,0.5\n"
+)
+def test_read_table_reads_csv_as_the_one_comprehension_oracle_does(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert parsed(tables.read_table, path) == parsed(read_csv_table, path)
