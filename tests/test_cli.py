@@ -1451,6 +1451,9 @@ def test_read_table_skips_a_byte_order_mark(tmp_path, capsys, argv):
     meta, rows = read_table(plain)
     assert meta["command"] == argv[0] and rows
     assert read_table(marked) == (meta, rows)
+
+
+def test_read_table_rejects_garbage(tmp_path):
     p = tmp_path / "broken.csv"
     p.write_text("")
     with pytest.raises(ValueError, match="empty table"):
