@@ -1,11 +1,16 @@
 """The table format: one schema per command, the writer and the reader.
 
 A schema maps each column name to its type, in column order, and both
-directions use it; a sweep table's schema is ``SweepRecord``'s fields.  A
-CSV table is ``#`` comment lines (``# lgsim COMMAND``, then one ``# config
-key=value`` per resolved key, then the summary lines), a header and one
-line per row.  A JSONL table is one ``{"meta": ...}`` object holding the
-same, then one object per row.
+directions use it; a sweep table's schema is ``SweepRecord``'s fields.  The
+grammar of a table, in lines, each ending in its line break:
+
+- CSV: ``# lgsim COMMAND``; one ``# config key=value`` per resolved key,
+  each key once; the summary lines, which are any other ``#`` lines; the
+  header; then one line per row.
+- JSONL: one ``{"meta": ...}`` object holding the same, no key repeated at
+  any depth; then one object per row.
+
+Blank lines may stand anywhere.
 
 Every command hands the writer blocks of one shape: a block's fixed cells,
 and its varying columns as equal-length arrays.  The writer pulls each
@@ -27,8 +32,13 @@ columns, so no text outlives its chunk.  An ``--out`` file is written
 beside its target and renamed over it only once the whole table is written.
 
 ``read_table`` reads a table as UTF-8 and skips a leading byte order mark,
-as some editors save one.  It refuses a table whose columns differ from its
-command's schema.  A CSV row with no empty cell is built as one
+as some editors save one.  It reads the grammar in one pass over the
+numbered lines, and refuses a line out of it, naming the line: a ``# lgsim``
+line that is not the first; a config line after a summary line, with no
+``=``, or repeating a key; a ``#`` line after the header; a JSONL meta that
+repeats a key; and a CSV table whose last line has no line break, as a
+table cut short has none.  It refuses a table whose columns differ from
+its command's schema.  A CSV row with no empty cell is built as one
 ``dict(zip(header, cells))``; only a row with an empty cell (an exact
 adroitness row's Monte Carlo cells) maps its cells one at a time, the empty
 ones to None.  ``records_from_rows`` checks a sweep's parsed columns as
@@ -441,22 +451,28 @@ def _column_error(path, command: str, names: list[str]) -> ValueError:
     return ValueError(f"{path}: {command} table has {problem}; expected {','.join(expected)}")
 
 
-def _json_error(path, text: str, k: int, problem: str) -> ValueError:
-    """``problem`` at the ``k``-th (from 0) nonblank line of ``text``, as one line."""
-    line = [i for i, ln in enumerate(text.splitlines(), 1) if ln.strip()][k]
-    return ValueError(f"{path}: line {line}: {problem}")
-
-
-def _json_line(path, text: str, k: int, line: str):
-    """The JSON value of ``line``, the ``k``-th nonblank line of ``text``."""
+def _json_line(path, n: int, line: str, decode=json.loads):
+    """The JSON value of ``line``, the table's line ``n``."""
     try:
-        return json.loads(line)
+        return decode(line)
     except json.JSONDecodeError as exc:
-        raise _json_error(path, text, k, f"not JSON at column {exc.colno} ({exc.msg})") from None
+        raise ValueError(f"{path}: line {n}: not JSON at column {exc.colno} ({exc.msg})") from None
+    except ValueError as exc:  # such as a key the meta repeats
+        raise ValueError(f"{path}: line {n}: {exc}") from None
 
 
-# (value, end) of the JSON value that starts a string: the scan ``json.loads``
-# runs, without its whitespace matches and Python frames
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``, refused if it repeats a key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"meta repeats the key {key!r}")
+    return obj
+
+
+# the meta line, refusing a repeated key at any depth; a row, by the (value,
+# end) scan json.loads runs, without its whitespace matches and Python frames
+_meta_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -466,76 +482,94 @@ def read_table(path) -> tuple[dict, list[dict]]:
     ``meta`` holds ``command``, ``config`` (dict) and ``summary`` (list).
     Row values come back as floats/ints/strings for JSONL and as strings for
     CSV (empty cells become None in both).  Numeric strings parse exactly
-    because tables are written with %.17g.  A CSV header, or the keys of a
-    JSONL row, that differ from the command's schema raise a one-line
-    ``ValueError`` naming a column; a JSONL meta or row that is not JSON, or
-    is of the wrong JSON type, raises one naming its line.  Every such error
-    starts with ``path``, as does the one for a file that is not UTF-8.  A
-    leading byte order mark is skipped.
+    because tables are written with %.17g.  The lines are read in one pass,
+    by the module docstring's grammar.  Columns that differ from the
+    command's schema raise a one-line ``ValueError`` naming a column, and a
+    line out of the grammar, or a JSONL line that is not JSON of the right
+    type, one naming the line.  Every such error starts with ``path``, as
+    does the one for a file that is not UTF-8.  A leading BOM is skipped.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = enumerate(text.splitlines(), 1)
+    first, ln = next(((n, ln) for n, ln in lines if ln.strip()), (0, ""))
+    if not first:
         raise ValueError(f"{path}: empty table")
     meta = {"command": None, "config": {}, "summary": []}
     rows: list[dict] = []
-    if lines[0].lstrip().startswith("{"):
-        first = _json_line(path, text, 0, lines[0])
-        if "meta" not in first:
+    if ln.lstrip().startswith("{"):
+        given = _json_line(path, first, ln, _meta_decode)
+        if "meta" not in given:
             raise ValueError(f"{path}: the first line is not the meta object")
-        given, kinds = first["meta"], {"command": str, "config": dict, "summary": list}
+        given, kinds = given["meta"], {"command": str, "config": dict, "summary": list}
         if not isinstance(given, dict) or any(
             not isinstance(given.get(key, kind()), kind) for key, kind in kinds.items()
         ):
             problem = "meta is not an object with a string command, object config, list summary"
-            raise _json_error(path, text, 0, problem)
+            raise ValueError(f"{path}: line {first}: {problem}")
         meta.update(given)
         keys = _schema(path, meta["command"]).keys()
-        for i, ln in enumerate(lines[1:], 1):
-            # a line that is not one whole JSON value, such as one padded with
-            # whitespace, is left to json.loads, which reads it or names its fault
+        for n, ln in lines:
+            # a line that is not one whole JSON value, such as a padded one,
+            # is left to json.loads, which reads it or names its fault
             try:
                 obj, end = _raw_decode(ln)
             except json.JSONDecodeError:
                 end = -1
             if end != len(ln):
-                obj = _json_line(path, text, i, ln)
+                if not ln.strip():
+                    continue
+                obj = _json_line(path, n, ln)
             if not isinstance(obj, dict):
-                raise _json_error(path, text, i, "a row is not a JSON object")
+                raise ValueError(f"{path}: line {n}: a row is not a JSON object")
             if obj.keys() != keys:
                 raise _column_error(path, meta["command"], list(obj))
             if "" in obj.values():
                 obj = {k: (None if v == "" else v) for k, v in obj.items()}
             rows.append(obj)
         return meta, rows
-    header: list[str] | None = None
-    for ln in lines:
-        if ln[0] == "#":
-            body = ln[1:].strip()
-            if body.startswith("lgsim "):
-                meta["command"] = body[len("lgsim ") :]
-            elif body.startswith("config "):
-                key, _, val = body[len("config ") :].partition("=")
-                meta["config"][key] = val
-            else:
-                meta["summary"].append(body)
-        elif header is None:
-            header = ln.split(",")
-            if header != list(_schema(path, meta["command"])):
-                raise _column_error(path, meta["command"], header)
+    for n, ln in chain([(first, ln)], lines):  # the comment lines, up to the header
+        if not ln.strip():
+            continue
+        if ln[0] != "#":
+            break
+        body = ln[1:].strip()
+        if body.startswith("lgsim "):
+            if n != first:
+                raise ValueError(f"{path}: line {n}: a '# lgsim' line that is not the first")
+            meta["command"] = body[len("lgsim ") :]
+        elif body.startswith("config "):
+            key, eq, val = body[len("config ") :].partition("=")
+            if meta["summary"]:
+                raise ValueError(f"{path}: line {n}: a config line after a summary line")
+            if not eq:
+                raise ValueError(f"{path}: line {n}: a config line with no '='")
+            if key in meta["config"]:
+                raise ValueError(f"{path}: line {n}: config key {key!r} given twice")
+            meta["config"][key] = val
         else:
-            cells = ln.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{path}: row has {len(cells)} cells, header has {len(header)}")
-            if "" in cells:
-                rows.append({k: (None if c == "" else c) for k, c in zip(header, cells)})
-            else:
-                rows.append(dict(zip(header, cells)))
-    if header is None:
+            meta["summary"].append(body)
+    else:
         raise ValueError(f"{path}: no header line found")
+    header = ln.split(",")
+    if header != list(_schema(path, meta["command"])):
+        raise _column_error(path, meta["command"], header)
+    for n, ln in lines:
+        cells = ln.split(",")
+        if len(cells) != len(header) or ln[0] == "#":  # a blank line is one cell: no row
+            if ln[0:1] == "#":
+                raise ValueError(f"{path}: line {n}: a comment line after the header")
+            if ln.strip():
+                problem = f"row has {len(cells)} cells, header has {len(header)}"
+                raise ValueError(f"{path}: line {n}: {problem}")
+        elif "" in cells:
+            rows.append({k: (None if c == "" else c) for k, c in zip(header, cells)})
+        else:
+            rows.append(dict(zip(header, cells)))
+    if not text.endswith(("\n", "\r")):
+        raise ValueError(f"{path}: line {n}: no line break at its end, so the table is cut short")
     return meta, rows
 
 

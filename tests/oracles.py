@@ -13,12 +13,17 @@ were before they skipped the exact zeros of the dynamics family: they walk
 both branches of the box and multiply whole rows of each gap.  The kernels
 must give their bits, zeros' signs included where a table shows them.
 
-``read_csv_table`` is ``read_table``'s CSV branch as it was when every row
-was built by one comprehension that mapped each empty cell to None; the
+``read_csv_table`` and ``read_jsonl_table`` read a table by the grammar the
+``tables`` docstring states, in two steps where the reader takes one pass:
+they split the numbered nonblank lines into the lines before the header or
+meta and those after it, and check each part whole.  The CSV oracle builds
+every row by one comprehension that maps each empty cell to None; the
 reader must return its meta and rows, key order included, and raise its
-first error.
+first error.  The JSONL oracle decodes each line by ``json.loads``; the
+reader must return what it returns, and refuse what it refuses.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -244,34 +249,83 @@ def dense_battery_eps(thetas, gap, gap2):
     return out
 
 
+def _numbered(path) -> tuple[str, list[tuple[int, str]]]:
+    """A table's text, and its nonblank lines, each with its number in the file."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered:
+        raise ValueError(f"{path}: empty table")
+    return text, numbered
+
+
+# the order of a CSV table's comment lines, by the word after the "#"
+_RANKS = {"lgsim": 0, "config": 1, "summary": 2}
+
+
 def read_csv_table(path) -> tuple[dict, list[dict]]:
     """(meta, rows) of a CSV table, one comprehension per row."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty table")
+    text, numbered = _numbered(path)
+    at = next((k for k, (_, ln) in enumerate(numbered) if not ln.startswith("#")), None)
     meta = {"command": None, "config": {}, "summary": []}
-    rows: list[dict] = []
-    header: list[str] | None = None
-    for ln in lines:
-        if ln.startswith("#"):
-            body = ln[1:].strip()
-            if body.startswith("lgsim "):
-                meta["command"] = body[len("lgsim ") :]
-            elif body.startswith("config "):
-                key, _, val = body[len("config ") :].partition("=")
-                meta["config"][key] = val
-            else:
-                meta["summary"].append(body)
-        elif header is None:
-            header = ln.split(",")
-            if header != list(_schema(path, meta["command"])):
-                raise _column_error(path, meta["command"], header)
+    rank = 0
+    for k, (i, ln) in enumerate(numbered[:at]):
+        word, space, rest = ln[1:].strip().partition(" ")
+        kind = word if space and word in ("lgsim", "config") else "summary"
+        key, eq, value = rest.partition("=")
+        problems = {
+            "a '# lgsim' line that is not the first": kind == "lgsim" and k > 0,
+            "a config line after a summary line": _RANKS[kind] < rank,
+            "a config line with no '='": kind == "config" and not eq,
+            f"config key {key!r} given twice": kind == "config" and key in meta["config"],
+        }
+        problem = next((problem for problem, found in problems.items() if found), None)
+        if problem:
+            raise ValueError(f"{path}: line {i}: {problem}")
+        rank = _RANKS[kind]
+        if kind == "lgsim":
+            meta["command"] = rest
+        elif kind == "config":
+            meta["config"][key] = value
         else:
-            cells = ln.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{path}: row has {len(cells)} cells, header has {len(header)}")
-            rows.append({k: (None if c == "" else c) for k, c in zip(header, cells)})
-    if header is None:
+            meta["summary"].append(ln[1:].strip())
+    if at is None:
         raise ValueError(f"{path}: no header line found")
+    header = numbered[at][1].split(",")
+    if header != list(_schema(path, meta["command"])):
+        raise _column_error(path, meta["command"], header)
+    rows: list[dict] = []
+    for i, ln in numbered[at + 1 :]:
+        if ln.startswith("#"):
+            raise ValueError(f"{path}: line {i}: a comment line after the header")
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            problem = f"row has {len(cells)} cells, header has {len(header)}"
+            raise ValueError(f"{path}: line {i}: {problem}")
+        rows.append({k: (None if c == "" else c) for k, c in zip(header, cells)})
+    if text[-1] not in "\r\n":
+        problem = "no line break at its end, so the table is cut short"
+        raise ValueError(f"{path}: line {len(text.splitlines())}: {problem}")
     return meta, rows
+
+
+def _no_repeats(pairs: list) -> dict:
+    keys = [k for k, _ in pairs]
+    if len(set(keys)) != len(keys):
+        raise ValueError("a repeated key")
+    return dict(pairs)
+
+
+def read_jsonl_table(path) -> tuple[dict, list[dict]]:
+    """(meta, rows) of a JSONL table, each line by ``json.loads``."""
+    _, ((_, first), *numbered) = _numbered(path)
+    first = json.loads(first, object_pairs_hook=_no_repeats)
+    given = first.get("meta") if type(first) is dict else None
+    kinds = {"command": str, "config": dict, "summary": list}
+    if type(given) is not dict or any(type(given.get(k, t())) is not t for k, t in kinds.items()):
+        raise ValueError(f"{path}: no meta object of a string command, object config, list summary")
+    meta = {"command": None, "config": {}, "summary": [], **given}
+    keys = set(_schema(path, meta["command"]))
+    rows = [json.loads(ln) for _, ln in numbered]
+    if any(type(row) is not dict or set(row) != keys for row in rows):
+        raise ValueError(f"{path}: a row that is not an object of the schema's keys")
+    return meta, [{k: (None if v == "" else v) for k, v in row.items()} for row in rows]

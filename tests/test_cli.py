@@ -1510,6 +1510,50 @@ def test_read_table_rejects_garbage(tmp_path):
         assert str(exc.value) == f"{p}: {where}"
 
 
+CLASSIC_HEAD = "# lgsim classic\n# config omega=1\n# a summary\n"
+CLASSIC_ROWS = ",".join(tables.SCHEMAS["classic"]) + "\n1,2,3,4,no_violation\n"
+META = '{"meta": {"command": "classic", "config": {"n": "1"}, "summary": []}}'
+
+
+LATE = "a comment line after the header"
+NOT_FIRST = "a '# lgsim' line that is not the first"
+CUT = "no line break at its end, so the table is cut short"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # a command line after the rows would name another command's schema
+        (CLASSIC_HEAD + CLASSIC_ROWS + "# lgsim sweep\n", f"line 6: {LATE}"),
+        (CLASSIC_HEAD + CLASSIC_ROWS + "\n# a summary\n", f"line 7: {LATE}"),
+        ("\n# config omega=1\n# lgsim classic\n" + CLASSIC_ROWS, f"line 3: {NOT_FIRST}"),
+        ("# lgsim classic\n# lgsim sweep\n" + CLASSIC_ROWS, f"line 2: {NOT_FIRST}"),
+        ("# lgsim classic\n# config omega\n" + CLASSIC_ROWS, "line 2: a config line with no '='"),
+        (
+            "# lgsim classic\n# config omega=1\n\n# config omega=2\n" + CLASSIC_ROWS,
+            "line 4: config key 'omega' given twice",
+        ),
+        (
+            CLASSIC_HEAD + "# config out=\n" + CLASSIC_ROWS,
+            "line 4: a config line after a summary line",
+        ),
+        (CLASSIC_HEAD + CLASSIC_ROWS[:-9], f"line 5: {CUT}"),
+        (CLASSIC_HEAD + CLASSIC_ROWS + "  ", f"line 6: {CUT}"),
+        (
+            META.replace('"classic"', '"classic", "command": "fig2"') + "\n",
+            "line 1: meta repeats the key 'command'",
+        ),
+        ("\n" + META.replace('"1"', '"1", "n": "2"') + "\n", "line 2: meta repeats the key 'n'"),
+    ],
+)
+def test_read_table_refuses_a_line_out_of_the_grammar(tmp_path, text, where):
+    p = tmp_path / "table"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError) as exc:
+        read_table(p)
+    assert str(exc.value) == f"{p}: {where}"
+
+
 def test_jsonl_rows_padded_with_whitespace_read_back_as_unpadded(tmp_path, capsys):
     table = tmp_path / "grid.jsonl"
     assert run(capsys, *SWEEP_ARGS, "--format", "jsonl", "--out", str(table))[0] == 0

@@ -1,19 +1,22 @@
 """The CSV column formatter: ``tables._g17`` writes what ``"%.17g" % v`` writes;
-and the CSV reader: ``read_table`` reads what the one-comprehension oracle reads."""
+and the reader: ``read_table`` reads what the grammar oracles read, from
+generated CSV text and from real tables with one line moved, repeated,
+dropped or cut."""
 
 import math
+import random
 import struct
 import sys
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgsim import tables
-from oracles import read_csv_table
+from lgsim.cli import main
+from oracles import read_csv_table, read_jsonl_table
 
 
 def cells(values):
@@ -117,44 +120,61 @@ def test_any_finite_values_are_written_as_percent_writes_them(values):
     assert cells(values) == percent(values)
 
 
-# cells, none of them a comma or a line break; a FULL cell is never empty
-FULL = st.sampled_from(["0", "-0", "1.5", "3.1415926535897931", "1e-300", "a", " x ", "é"])
-CELLS = st.one_of(FULL, st.just(""))
-COMMENTS = st.sampled_from(
-    ["# config theta=0:1:2", "# config out=", "#config k=1=2", "# a summary", "#", "# lgsim sweep"]
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    """The one directory a test's tables are written to, example by example."""
+    return tmp_path_factory.mktemp("tables")
+
+
+# cells, none of them a comma or a line break; the last one is empty
+CELLS = ["0", "-0", "1.5", "3.1415926535897931", "1e-300", "a", " x ", "é", ""]
+# comment lines, each config line with its own key; "#  lgsim" and "#configure"
+# are summary lines
+CONFIGS = st.sampled_from(
+    ["# config theta=0:1:2", "# config out=", "#config k=1=2", "#  config n=1,2 "]
 )
+SUMMARIES = st.sampled_from(["# a summary", "#", "#  lgsim", "#configure", "# gamma=0.5"])
+# a comment line that some places refuse: a second command, a repeated or a
+# bare config key, a summary line among rows
+STRAYS = st.sampled_from(["# lgsim sweep", "# config theta=1", "# config omega", "# a summary"])
 BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
 
 
-def row_of(width):
-    """A row of ``width`` cells, either none of them empty or any of them."""
-    return st.one_of(
-        st.lists(FULL, min_size=width, max_size=width),
-        st.lists(CELLS, min_size=width, max_size=width),
-    ).map(",".join)
+def row_of(seed: int, width: int) -> str:
+    """The row that ``seed`` picks: ``width`` cells, or one fewer or more in 2
+    rows of 20; either none of them empty or any of them."""
+    rng = random.Random(seed)
+    width += rng.choice([0] * 18 + [-1, 1])
+    return ",".join(rng.choices(CELLS[: rng.choice([-1, None])], k=width))
 
 
 @st.composite
 def csv_tables(draw):
-    """A CSV table's text: comment, blank and whitespace-only lines before and
-    after the header, rows with and without empty cells, now and then a row one
-    cell short or long or a header the schema refuses, and LF or CRLF ends."""
+    """A CSV table's text by the grammar: the command line, config and summary
+    lines, the header, rows with and without empty cells, blank and
+    whitespace-only lines anywhere, and LF or CRLF ends.  Now and then it
+    breaks a rule: a row one cell short or long, a header the schema refuses,
+    a comment line out of its place, or no line break at the end.  A row, and
+    the ends of all lines, are one draw each."""
     command = draw(st.sampled_from(sorted(tables.SCHEMAS)))
     header = list(tables.SCHEMAS[command])
     if draw(st.integers(0, 9)) == 0:
         header = header[::-1]
-    width = len(header)
-    rows = st.sampled_from([width] * 18 + [width - 1, width + 1]).flatmap(row_of)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), max_size=30))
     lines = [
-        *draw(st.lists(BLANKS, max_size=2)),
         f"# lgsim {command}",
-        *draw(st.lists(st.one_of(COMMENTS, BLANKS), max_size=4)),
+        *draw(st.lists(CONFIGS, max_size=3, unique=True)),
+        *draw(st.lists(SUMMARIES, max_size=2)),
         ",".join(header),
-        *draw(st.lists(st.one_of(rows, rows, rows, COMMENTS, BLANKS), max_size=30)),
+        *(row_of(seed, len(header)) for seed in seeds),
     ]
-    ends = st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines))
-    text = "".join(map(str.__add__, lines, draw(ends)))
-    return text.rstrip("\r\n") if draw(st.booleans()) else text
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(STRAYS))
+    for blank in draw(st.lists(BLANKS, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    crlf = draw(st.integers(0, 2 ** len(lines) - 1))
+    text = "".join(ln + ("\r\n" if crlf >> k & 1 else "\n") for k, ln in enumerate(lines))
+    return text.rstrip("\r\n") if draw(st.integers(0, 9)) == 0 else text
 
 
 def parsed(read, path):
@@ -167,17 +187,94 @@ def parsed(read, path):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(csv_tables())
+@given(text=csv_tables())
 @example(
-    "# lgsim adroitness\r\n# config shots=0\n\n"
+    text="# lgsim adroitness\r\n# config shots=0\n\n"
     "experiment,theta,gamma,tau,omega,epsilon,epsilon_mc,epsilon_mc_se\r\n"
     "a,0,0,3.1415926535897931,1,0,0.5,0.01\n \t\n"
     "total,0,0,3.1415926535897931,1,0,,\n# a summary line\n"
     ",0,0,3.1415926535897931,1,0,0.5,\r\n"
     "b,0,0,3.1415926535897931,1,0,0.5\n"
 )
-def test_read_table_reads_csv_as_the_one_comprehension_oracle_does(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "table.csv"
-        path.write_bytes(text.encode("utf-8"))
-        assert parsed(tables.read_table, path) == parsed(read_csv_table, path)
+def test_read_table_reads_csv_as_the_one_comprehension_oracle_does(table_dir, text):
+    path = table_dir / "generated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert parsed(tables.read_table, path) == parsed(read_csv_table, path)
+
+
+# small real tables of every command; both adroitness tables, so that one has
+# empty Monte Carlo cells
+REAL = {
+    "fig2": ("fig2", "--theta", "0:3:3"),
+    "fig3": ("fig3", "--theta", "0:3:2", "--gamma", "0:0.1:2"),
+    "adroitness": ("adroitness", "--theta", "0:3:2", "--gamma", "0:0.1:2"),
+    "adroitness_shots": ("adroitness", "--theta", "0:3:2", "--gamma", "0:0.1:2", "--shots", "100"),
+    "classic": ("classic",),
+    "sweep": ("sweep", "--theta", "0:3:3", "--gamma", "0:0.1:2", "--n", "0,1"),
+}
+ORACLES = {"csv": read_csv_table, "jsonl": read_jsonl_table}
+
+
+@pytest.fixture(scope="module")
+def real_tables(tmp_path_factory):
+    """Each REAL table in each format, as its lines with their line breaks."""
+    out = tmp_path_factory.mktemp("real")
+    tables_ = {}
+    for name, argv in REAL.items():
+        for fmt in ORACLES:
+            path = out / f"{name}.{fmt}"
+            assert main([*argv, "--format", fmt, "--out", str(path)]) == 0
+            tables_[name, fmt] = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return tables_
+
+
+def test_real_tables_and_their_bom_and_crlf_copies_read_as_the_oracles_read_them(
+    real_tables, table_dir
+):
+    for (name, fmt), lines in real_tables.items():
+        path = table_dir / f"real.{fmt}"
+        text = "".join(lines).encode("utf-8")
+        path.write_bytes(text)
+        want = parsed(ORACLES[fmt], path)
+        assert want[0]["command"] == REAL[name][0] and want[2], (name, fmt)
+        for copy in (text, b"\xef\xbb\xbf" + text, text.replace(b"\n", b"\r\n")):
+            path.write_bytes(copy)
+            assert parsed(tables.read_table, path) == want, (name, fmt)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    table=st.sampled_from([(name, fmt) for name in REAL for fmt in ORACLES]),
+    how=st.sampled_from(["move", "duplicate", "drop", "cut"]),
+    data=st.data(),
+)
+def test_a_mutated_table_is_refused_or_read_as_the_grammar_oracle_reads_it(
+    real_tables, table_dir, table, how, data
+):
+    # a mutant may well be a table of the grammar, such as one with a summary
+    # line dropped, so it is held to the oracle, not to the table it came from
+    lines = list(real_tables[table])
+    if how == "cut":  # inside a line, which loses its line break at least
+        k = data.draw(st.integers(0, len(lines) - 1))
+        lines[k:] = [lines[k][: data.draw(st.integers(1, len(lines[k]) - 1))]]
+    else:  # a comment line or the header of a CSV table, a JSONL table's meta
+        head = next(k for k, ln in enumerate(lines) if ln[0] != "#")
+        k = data.draw(st.integers(0, head))
+        line = lines[k] if how == "duplicate" else lines.pop(k)
+        if how != "drop":
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+    fmt = table[1]
+    path = table_dir / f"mutant.{fmt}"
+    path.write_text("".join(lines), encoding="utf-8")
+    got, want = parsed(tables.read_table, path), parsed(ORACLES[fmt], path)
+    if got[0] is ValueError:
+        assert got[1].startswith(f"{path}: ") and "\n" not in got[1]
+        # the JSONL oracle refuses it too, but words its errors otherwise
+        assert got == want if fmt == "csv" else isinstance(want[0], type)
+        return
+    assert got == want
+    meta, _, rows = got
+    schema = list(tables.SCHEMAS[meta["command"]])
+    if fmt == "csv":  # the header the schema of meta's command checked
+        assert next(ln for ln in lines if ln[0] != "#") == ",".join(schema) + "\n"
+    assert all(sorted(k for k, _ in row) == sorted(schema) for row in rows)
