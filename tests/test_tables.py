@@ -219,13 +219,13 @@ ORACLES = {"csv": read_csv_table, "jsonl": read_jsonl_table}
 def real_tables(tmp_path_factory):
     """Each REAL table in each format, as its lines with their line breaks."""
     out = tmp_path_factory.mktemp("real")
-    tables_ = {}
+    written = {}
     for name, argv in REAL.items():
         for fmt in ORACLES:
             path = out / f"{name}.{fmt}"
             assert main([*argv, "--format", fmt, "--out", str(path)]) == 0
-            tables_[name, fmt] = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    return tables_
+            written[name, fmt] = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return written
 
 
 def test_real_tables_and_their_bom_and_crlf_copies_read_as_the_oracles_read_them(
