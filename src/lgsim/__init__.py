@@ -26,7 +26,7 @@ so the ``lgsim`` program can choose its BLAS thread count before numpy loads
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 # the modules whose __all__ the package exports, in dependency order
 _HOMES = ("qubit", "dynamics", "protocol", "sampling", "sweeps")

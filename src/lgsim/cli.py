@@ -1,11 +1,13 @@
 """Command-line front end: arguments, configuration, work budget and command bodies.
 
 ``_COMMANDS`` holds each command's body (its docstring is the help), its own
-defaults, the keys its table echoes and its work estimate.  Flags override a
-``--config`` file of ``key=value`` lines, which overrides the defaults.  A
-body does the work that its input can make fail, then returns its blocks
-(fixed cells, and varying columns as arrays), each made only as ``tables``
-writes it, and summary lines; ``tables`` owns the format.
+defaults, its keys and its work estimate.  Its keys are all a command takes:
+its flags, the keys its ``--config`` file of ``key=value`` lines may hold and
+its table's echo.  Any other key is refused; inside, it keeps its default.
+Flags override the file, which overrides the defaults.  A body does the work
+that its input can make fail, then returns its blocks (fixed cells, and
+varying columns as arrays), each made only as ``tables`` writes it, and
+summary lines; ``tables`` owns the format.
 Run as the program (``python -m lgsim.cli``, or the console script through
 ``lgsim.__main__``), the module pins BLAS to one thread before numpy loads
 (see ``_blas``); imported, it leaves the environment alone.
@@ -175,7 +177,7 @@ def _seconds(nanoseconds: int) -> str:
     return f"{tenths // 10}.{tenths % 10} s"
 
 
-def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
+def _read_config_file(path: str, command: str) -> dict[str, tuple[str, str]]:
     try:
         lines = Path(path).read_text(encoding="utf-8-sig").splitlines()  # skips a BOM
     except (OSError, UnicodeDecodeError) as exc:
@@ -189,8 +191,9 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
         key, val = key.strip(), val.strip()
         if not sep or not key:
             raise ConfigError(f"config line {ln}: expected key=value, got {s!r}")
-        if key not in _KEYS:
-            raise ConfigError(f"config line {ln}: unknown key {key!r}")
+        if key not in _COMMANDS[command].keys:
+            problem = "unknown key" if key not in _KEYS else f"{command} does not read the key"
+            raise ConfigError(f"config line {ln}: {problem} {key!r}")
         if key in out:
             raise ConfigError(f"config line {ln}: duplicate key {key!r}")
         out[key] = (val, f"config line {ln} ({key})")
@@ -202,8 +205,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
     defaults = {k: default for k, (default, _) in _KEYS.items()} | spec.defaults
     merged = {k: (v, f"default {k}") for k, v in defaults.items()}
     if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
-    for key in _KEYS:
+        merged.update(_read_config_file(args.config, command))
+    for key in spec.keys:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = (str(flag), f"--{key}")
@@ -274,9 +277,7 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
         terms = ", ".join(f"{unit} {_seconds(cost)}" for unit, cost in charge.items() if cost)
         total, budget = _seconds(sum(charge.values())), _BUDGET_NS // 10**9
         raise ConfigError(f"{where}: {total} of work ({terms}) exceeds the {budget} s budget")
-    # classic writes one row and reads neither grid
-    grids = (theta_grid, gamma_grid)
-    thetas, gammas = (np.empty(0),) * 2 if command == "classic" else map(_linspace, grids)
+    thetas, gammas = map(_linspace, (theta_grid, gamma_grid))
 
     echo = tuple([(k, merged[k][0]) for k in spec.keys] + notes)
     return SweepConfig(
@@ -397,7 +398,7 @@ def _cmd_sweep(cfg: SweepConfig):
 class _Command(NamedTuple):
     body: Callable  # SweepConfig -> (blocks, summary lines); its docstring is the help
     defaults: dict[str, str]  # the command's own, over _KEYS'
-    keys: tuple[str, ...]  # the resolved keys it consumes, echoed in its table
+    keys: tuple[str, ...]  # all it takes: its flags, its config file's keys, its echo
     # box points per pass its summary adds, per n (see _work); None: no box loop
     summary_points: int | None
 
@@ -431,13 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
         "probe back-action.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    for key, (_, text) in _KEYS.items():
-        common.add_argument(f"--{key}", help=text)
-    common.add_argument("--config", help="key=value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, command in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=command.body.__doc__)
+        flags = sub.add_parser(name, help=command.body.__doc__)
+        for key in command.keys:
+            flags.add_argument(f"--{key}", help=_KEYS[key][1])
+        flags.add_argument("--config", help="key=value file of these keys; flags override it")
     return parser
 
 

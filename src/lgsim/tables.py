@@ -6,9 +6,9 @@ grammar of a table, in lines, each ending in its line break:
 
 - CSV: ``# lgsim COMMAND``; one ``# config key=value`` per resolved key,
   each key once; the summary lines, which are any other ``#`` lines; the
-  header; then one line per row.
-- JSONL: one ``{"meta": ...}`` object holding the same, no key repeated at
-  any depth; then one object per row.
+  header; then one line per row, none of them equal to the header.
+- JSONL: one ``{"meta": ...}`` object holding the same; then one object per
+  row; no object repeats a key at any depth.
 
 Blank lines may stand anywhere.
 
@@ -35,14 +35,14 @@ beside its target and renamed over it only once the whole table is written.
 as some editors save one.  It reads the grammar in one pass over the
 numbered lines, and refuses a line out of it, naming the line: a ``# lgsim``
 line that is not the first; a config line after a summary line, with no
-``=``, or repeating a key; a ``#`` line after the header; a JSONL meta that
-repeats a key; and a CSV table whose last line has no line break, as a
-table cut short has none.  It refuses a table whose columns differ from
-its command's schema.  A CSV row with no empty cell is built as one
-``dict(zip(header, cells))``; only a row with an empty cell (an exact
-adroitness row's Monte Carlo cells) maps its cells one at a time, the empty
-ones to None.  ``records_from_rows`` checks a sweep's parsed columns as
-``sweep_records`` checks what it writes.
+``=``, or repeating a key; a ``#`` line after the header; a second header
+line; a JSONL meta or row that repeats a key; and a CSV table whose last
+line has no line break, as a table cut short has none.  It refuses a table
+whose columns differ from its command's schema.  A CSV row with no empty
+cell is built as one ``dict(zip(header, cells))``; only a row with an empty
+cell (an exact adroitness row's Monte Carlo cells) maps its cells one at a
+time, the empty ones to None.  ``records_from_rows`` checks a sweep's
+parsed columns as ``sweep_records`` checks what it writes.
 """
 
 from __future__ import annotations
@@ -451,28 +451,30 @@ def _column_error(path, command: str, names: list[str]) -> ValueError:
     return ValueError(f"{path}: {command} table has {problem}; expected {','.join(expected)}")
 
 
-def _json_line(path, n: int, line: str, decode=json.loads):
+def _json_line(path, n: int, line: str, decode):
     """The JSON value of ``line``, the table's line ``n``."""
     try:
         return decode(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {n}: not JSON at column {exc.colno} ({exc.msg})") from None
-    except ValueError as exc:  # such as a key the meta repeats
+    except ValueError as exc:  # such as a repeated key
         raise ValueError(f"{path}: line {n}: {exc}") from None
 
 
-def _unique_keys(pairs: list) -> dict:
+def _unique_keys(what: str, pairs: list) -> dict:
     """The JSON object of ``pairs``, refused if it repeats a key."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-        raise ValueError(f"meta repeats the key {key!r}")
+        raise ValueError(f"{what} repeats the key {key!r}")
     return obj
 
 
-# the meta line, refusing a repeated key at any depth; a row, by the (value,
-# end) scan json.loads runs, without its whitespace matches and Python frames
-_meta_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+# the meta line, and a row that may repeat a key, each refusing a repeated key
+# at any depth; any other row, by the (value, end) scan json.loads runs,
+# without its whitespace matches and Python frames
+_meta_decode = json.JSONDecoder(object_pairs_hook=functools.partial(_unique_keys, "meta")).decode
+_row_decode = json.JSONDecoder(object_pairs_hook=functools.partial(_unique_keys, "a row")).decode
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -513,15 +515,17 @@ def read_table(path) -> tuple[dict, list[dict]]:
         keys = _schema(path, meta["command"]).keys()
         for n, ln in lines:
             # a line that is not one whole JSON value, such as a padded one,
-            # is left to json.loads, which reads it or names its fault
+            # or that may repeat a key, is left to _row_decode, which reads it
+            # or names its fault: each key needs a colon, so a row of the
+            # schema's keys with no other colon holds each of them once
             try:
                 obj, end = _raw_decode(ln)
             except json.JSONDecodeError:
                 end = -1
-            if end != len(ln):
+            if end != len(ln) or ln.count(":") != len(keys):
                 if not ln.strip():
                     continue
-                obj = _json_line(path, n, ln)
+                obj = _json_line(path, n, ln, _row_decode)
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: line {n}: a row is not a JSON object")
             if obj.keys() != keys:
@@ -553,14 +557,16 @@ def read_table(path) -> tuple[dict, list[dict]]:
             meta["summary"].append(body)
     else:
         raise ValueError(f"{path}: no header line found")
-    header = ln.split(",")
+    head, header = ln, ln.split(",")
     if header != list(_schema(path, meta["command"])):
         raise _column_error(path, meta["command"], header)
     for n, ln in lines:
-        cells = ln.split(",")
-        if len(cells) != len(header) or ln[0] == "#":  # a blank line is one cell: no row
+        cells = ln.split(",")  # a blank line is one cell: no row
+        if len(cells) != len(header) or ln[0] == "#" or ln == head:
             if ln[0:1] == "#":
                 raise ValueError(f"{path}: line {n}: a comment line after the header")
+            if ln == head:
+                raise ValueError(f"{path}: line {n}: a second header line")
             if ln.strip():
                 problem = f"row has {len(cells)} cells, header has {len(header)}"
                 raise ValueError(f"{path}: line {n}: {problem}")

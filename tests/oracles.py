@@ -19,8 +19,9 @@ they split the numbered nonblank lines into the lines before the header or
 meta and those after it, and check each part whole.  The CSV oracle builds
 every row by one comprehension that maps each empty cell to None; the
 reader must return its meta and rows, key order included, and raise its
-first error.  The JSONL oracle decodes each line by ``json.loads``; the
-reader must return what it returns, and refuse what it refuses.
+first error.  The JSONL oracle decodes each line by ``json.loads``, with
+a hook that refuses a repeated key; the reader must return what it
+returns, and refuse what it refuses.
 """
 
 import json
@@ -297,6 +298,8 @@ def read_csv_table(path) -> tuple[dict, list[dict]]:
     for i, ln in numbered[at + 1 :]:
         if ln.startswith("#"):
             raise ValueError(f"{path}: line {i}: a comment line after the header")
+        if ln == numbered[at][1]:
+            raise ValueError(f"{path}: line {i}: a second header line")
         cells = ln.split(",")
         if len(cells) != len(header):
             problem = f"row has {len(cells)} cells, header has {len(header)}"
@@ -325,7 +328,7 @@ def read_jsonl_table(path) -> tuple[dict, list[dict]]:
         raise ValueError(f"{path}: no meta object of a string command, object config, list summary")
     meta = {"command": None, "config": {}, "summary": [], **given}
     keys = set(_schema(path, meta["command"]))
-    rows = [json.loads(ln) for _, ln in numbered]
+    rows = [json.loads(ln, object_pairs_hook=_no_repeats) for _, ln in numbered]
     if any(type(row) is not dict or set(row) != keys for row in rows):
         raise ValueError(f"{path}: a row that is not an object of the schema's keys")
     return meta, [{k: (None if v == "" else v) for k, v in row.items()} for row in rows]

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -179,6 +180,54 @@ def test_a_config_file_that_is_not_utf8_is_refused_naming_the_flag_and_file(tmp_
     assert err.startswith(f"lgsim: error: --config: cannot read {cfgfile}: 'utf-8' codec")
 
 
+# a value of each key that runs on every command that reads the key
+KEY_VALUES = {
+    "theta": "0:1:3",
+    "gamma": "0:0.1:2",
+    "n": "2",
+    "omega": "2",
+    "m": "2",
+    "criterion": "strict",
+    "shots": "5",
+    "seed": "3",
+    "format": "jsonl",
+    "out": "t.csv",
+    "workers": "1",
+}
+
+
+@pytest.mark.parametrize("key", list(cli._KEYS))
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_command_takes_exactly_its_keys(capsys, tmp_path, command, key):
+    keys = cli._COMMANDS[command].keys
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert set(re.findall(r"--(\w+)", capsys.readouterr().out)) == {*keys, "config", "help"}
+    flag, value = f"--{key}", KEY_VALUES[key]
+    cfgfile, out = tmp_path / "run.cfg", tmp_path / "t.csv"
+    cfgfile.write_text(f"{key}={value}\n")
+    if key in keys:  # as a flag or a config line, the value reaches the table's echo
+        echoed = {key: value}
+        if (command, key) == ("fig2", "gamma"):
+            echoed = {key: "0:0:1", "note": f"gamma={value} ignored: fig2 fixes gamma=0"}
+        for argv in ([flag, value], ["--config", str(cfgfile)]):
+            cfg = cli.resolve_config(command, cli.build_parser().parse_args([command, *argv]))
+            assert echoed.items() <= dict(cfg.echo).items()
+        return
+    with pytest.raises(SystemExit) as info:
+        main([command, flag, value, "--out", str(out)])
+    got, err = capsys.readouterr()
+    assert (info.value.code, got) == (2, "") and f"unrecognized arguments: {flag} {value}" in err
+    err = expect_error(capsys, command, "--config", str(cfgfile), "--out", str(out))
+    assert err == f"lgsim: error: config line 1: {command} does not read the key {key!r}"
+    assert not out.exists()
+
+
+# a command that reads each flag that sweep does not read
+NOT_SWEEPS = {"--shots": "adroitness", "--seed": "adroitness", "--criterion": "fig2"}
+
+
 @pytest.mark.parametrize(
     ("flag", "value", "fragment"),
     [
@@ -201,7 +250,8 @@ def test_a_config_file_that_is_not_utf8_is_refused_naming_the_flag_and_file(tmp_
     ],
 )
 def test_flag_validation(capsys, flag, value, fragment):
-    argv = ("sweep", flag) if value is None else ("sweep", flag, value)
+    command = NOT_SWEEPS.get(flag, "sweep")  # a command that reads the flag
+    argv = (command, flag) if value is None else (command, flag, value)
     err = expect_error(capsys, *argv)
     assert fragment in err
     assert f"{flag.split('=')[0]}:" in err  # errors name the flag that caused them
@@ -459,9 +509,13 @@ def parser():
 
 
 def budget_refuses(command, thetas, gammas, ns, shots):
-    argv = [command, "--n", ",".join(map(str, ns)), "--shots", str(shots)]
+    sizes = {"n": ",".join(map(str, ns)), "shots": str(shots)}
     for key, steps in (("theta", thetas), ("gamma", gammas)):
-        argv += [f"--{key}", f"0:{int(steps > 1)}:{steps}"]
+        sizes[key] = f"0:{int(steps > 1)}:{steps}"
+    argv = [command]  # the sizes that the command reads, which the oracle reads
+    for key in cli._COMMANDS[command].keys:
+        if key in sizes:
+            argv += [f"--{key}", sizes[key]]
     try:
         cli.resolve_config(command, parser().parse_args(argv))
     except cli.ConfigError as exc:
@@ -592,13 +646,26 @@ def test_the_box_work_count_bounds_the_kernel_passes(monkeypatch, capsys, argv):
         assert 0 < sum(steps) <= counted
 
 
-def test_classic_builds_neither_grid(monkeypatch, capsys):
-    # classic writes one row whatever its (checked, unused) grids say
-    monkeypatch.setattr(cli, "_linspace", None)
+def test_classic_builds_neither_grid(monkeypatch, capsys, tmp_path):
+    # classic writes one row and takes no grid: its work is nothing, and a
+    # grid or shots flag or config line is refused before anything is built
     monkeypatch.setattr(cli, "_BUDGET_NS", 0)
-    code, _, err = run(capsys, "classic", "--theta", "0:1:50", "--shots", "9")
+    code, out, err = run(capsys, "classic")
     assert (code, err) == (0, "")
-    err = expect_error(capsys, "classic", "--gamma=-1:0:3")
+    assert out.splitlines()[-2] == "c12,c23,c13_prime,lg_quantity,verdict"
+    monkeypatch.setattr(cli, "_linspace", None)
+    cfgfile = tmp_path / "run.cfg"
+    for flag in ("--theta=0:1:50", "--shots=9", "--gamma=-1:0:3"):
+        with pytest.raises(SystemExit) as info:
+            main(["classic", flag])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "") and f"unrecognized arguments: {flag}" in err
+        key, value = flag[2:].split("=")
+        cfgfile.write_text(f"{key}={value}\n")
+        err = expect_error(capsys, "classic", "--config", str(cfgfile))
+        assert err == f"lgsim: error: config line 1: classic does not read the key {key!r}"
+    # a command that reads gamma checks it before it builds a grid
+    err = expect_error(capsys, "sweep", "--gamma=-1:0:3")
     assert err == "lgsim: error: --gamma: gamma must be nonnegative, got -1.0"
 
 
@@ -1513,6 +1580,7 @@ def test_read_table_rejects_garbage(tmp_path):
 CLASSIC_HEAD = "# lgsim classic\n# config omega=1\n# a summary\n"
 CLASSIC_ROWS = ",".join(tables.SCHEMAS["classic"]) + "\n1,2,3,4,no_violation\n"
 META = '{"meta": {"command": "classic", "config": {"n": "1"}, "summary": []}}'
+ROW = json.dumps(dict(zip(tables.SCHEMAS["classic"], (1.0, 2.0, 3.0, 4.0, "no_violation"))))
 
 
 LATE = "a comment line after the header"
@@ -1544,6 +1612,15 @@ CUT = "no line break at its end, so the table is cut short"
             "line 1: meta repeats the key 'command'",
         ),
         ("\n" + META.replace('"1"', '"1", "n": "2"') + "\n", "line 2: meta repeats the key 'n'"),
+        # a header line among the rows would read as a row of column names
+        (CLASSIC_HEAD + CLASSIC_ROWS + "\n" + CLASSIC_ROWS, "line 7: a second header line"),
+        # a repeated key would keep its last value, also in a row where a
+        # space stands before one key's colon
+        (f'{META}\n{ROW}\n{ROW[:-1]}, "c12": 5.0}}\n', "line 3: a row repeats the key 'c12'"),
+        (
+            META + "\n" + ROW.replace('"c23":', '"c23" :')[:-1] + ', "verdict": "x"}\n',
+            "line 2: a row repeats the key 'verdict'",
+        ),
     ],
 )
 def test_read_table_refuses_a_line_out_of_the_grammar(tmp_path, text, where):
