@@ -425,8 +425,17 @@ _COMMANDS = {
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose refusals raise ``ConfigError``, which
+    ``main`` writes as one line, where argparse prints its usage and exits;
+    ``add_subparsers`` makes the subparsers of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lgsim",
         description="Leggett-Garg protocol tables: violation curves, noise cutoffs, "
         "probe back-action.",
@@ -460,8 +469,9 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     """Run one command on ``argv`` (None: ``sys.argv[1:]``); it leaves the
     environment alone, and the program's entry points pin BLAS (see ``_blas``)."""
-    args = build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(_attach_dash_values(argv))
         cfg = resolve_config(args.command, args)
         blocks, summary = _COMMANDS[args.command].body(cfg)
         _emit(cfg, blocks, summary)

@@ -119,12 +119,15 @@ def test_fig2_forces_gamma_to_zero(capsys):
 
 
 def test_fig3_pins_both_cutoffs(capsys):
-    code, out, _ = run(
-        capsys, "fig3", "--theta", "2:3:3", "--gamma", "0:0.01:2", "--n", "1"
-    )
-    assert code == 0
-    assert "# gamma_cutoff[lenient]=0.0111937102" in out
-    assert "# gamma_cutoff[strict]=0.00934983008" in out
+    # the search runs in units of pi/tau, so it finds both at a fast drive too
+    for argv, lenient, strict in (
+        (("--theta", "2:3:3", "--gamma", "0:0.01:2", "--n", "1"), "0.0111937102", "0.00934983008"),
+        (("--omega", "120", "--theta", "0:3:3", "--gamma", "0:0:1"), "1.34324522", "1.12197961"),
+    ):
+        code, out, _ = run(capsys, "fig3", *argv)
+        assert code == 0
+        cutoffs = [ln for ln in out.splitlines() if ln.startswith("# gamma_cutoff")]
+        assert cutoffs == [f"# gamma_cutoff[lenient]={lenient}", f"# gamma_cutoff[strict]={strict}"]
 
 
 def test_fig3_wants_exactly_one_n(capsys):
@@ -215,12 +218,43 @@ def test_a_command_takes_exactly_its_keys(capsys, tmp_path, command, key):
             cfg = cli.resolve_config(command, cli.build_parser().parse_args([command, *argv]))
             assert echoed.items() <= dict(cfg.echo).items()
         return
-    with pytest.raises(SystemExit) as info:
-        main([command, flag, value, "--out", str(out)])
-    got, err = capsys.readouterr()
-    assert (info.value.code, got) == (2, "") and f"unrecognized arguments: {flag} {value}" in err
+    err = expect_error(capsys, command, flag, value, "--out", str(out))
+    assert err == f"lgsim: error: unrecognized arguments: {flag} {value}"
     err = expect_error(capsys, command, "--config", str(cfgfile), "--out", str(out))
     assert err == f"lgsim: error: config line 1: {command} does not read the key {key!r}"
+    assert not out.exists()
+
+
+def argparse_refusals(command):
+    """Each way argparse refuses a command line, given for ``command``: its
+    argv and the start of argparse's message."""
+    keys = cli._COMMANDS[command].keys
+    first, unread = keys[0], next(k for k in cli._KEYS if k not in keys)
+    return {
+        "no command": (  # the command's first flag, without the command
+            (f"--{first}={KEY_VALUES[first]}",),
+            "the following arguments are required: command",
+        ),
+        "unknown command": (
+            (command.upper(),),
+            f"argument command: invalid choice: {command.upper()!r} (choose from ",
+        ),
+        "unread flag": (
+            (command, f"--{unread}", KEY_VALUES[unread]),
+            f"unrecognized arguments: --{unread} {KEY_VALUES[unread]}",
+        ),
+        "no value": ((command, f"--{first}"), f"argument --{first}: expected one argument"),
+    }
+
+
+@pytest.mark.parametrize("case", ["no command", "unknown command", "unread flag", "no value"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_an_argparse_refusal_is_one_line(capsys, tmp_path, command, case):
+    # main writes it as it writes every refusal, without argparse's usage
+    # lines, and returns 2; a table is not written
+    argv, message = argparse_refusals(command)[case]
+    out = tmp_path / "t.csv"
+    assert expect_error(capsys, *argv, f"--out={out}").startswith(f"lgsim: error: {message}")
     assert not out.exists()
 
 
@@ -286,9 +320,8 @@ def test_values_that_start_with_a_dash_reach_their_flag(capsys):
     assert err == "lgsim: error: --gamma: gamma must be nonnegative, got -0.5"
     err = expect_error(capsys, "sweep", "--omega", "-1")
     assert err == "lgsim: error: --omega: omega must be positive, got -1"
-    with pytest.raises(SystemExit):  # a "--" token is never taken for a value
-        main(["sweep", "--theta", "--n", "1"])
-    assert "--theta: expected one argument" in capsys.readouterr().err
+    err = expect_error(capsys, "sweep", "--theta", "--n", "1")  # "--n" is never a value
+    assert err == "lgsim: error: argument --theta: expected one argument"
 
 
 @pytest.mark.parametrize("command", ["sweep", "fig3", "adroitness"])
@@ -656,10 +689,8 @@ def test_classic_builds_neither_grid(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(cli, "_linspace", None)
     cfgfile = tmp_path / "run.cfg"
     for flag in ("--theta=0:1:50", "--shots=9", "--gamma=-1:0:3"):
-        with pytest.raises(SystemExit) as info:
-            main(["classic", flag])
-        out, err = capsys.readouterr()
-        assert (info.value.code, out) == (2, "") and f"unrecognized arguments: {flag}" in err
+        err = expect_error(capsys, "classic", flag)
+        assert err == f"lgsim: error: unrecognized arguments: {flag}"
         key, value = flag[2:].split("=")
         cfgfile.write_text(f"{key}={value}\n")
         err = expect_error(capsys, "classic", "--config", str(cfgfile))
@@ -861,6 +892,9 @@ def test_a_sweep_renders_one_chunk_at_a_time(tmp_path):
     one = peak(1)
     lines = len(out.read_text().partition("theta,gamma,")[2])
     assert peak(5) - one < lines
+    # the five chunks reached the target whole, and nothing was left beside it
+    assert len(read_table(out)[1]) == 5 * sweeps._CHUNK_ROWS
+    assert list(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize(
