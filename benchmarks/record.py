@@ -25,7 +25,8 @@ change.  For each checkout the script records:
   - ``exactblocks``, ``adroitness --theta 0:3.14:20000 --gamma 0:0.01:5``
     (five exact blocks of 100,000 rows);
 
-- the Tier-1 suite's wall time and its pytest summary line.
+- the Tier-1 suite's wall time and its pytest summary line, over
+  ``TIER1_RUNS`` runs a side, so the file holds the median of three.
 
 The two checkouts run alternately, ``PAIRS`` pairs of each workload and
 command and ``TIER1_RUNS`` of the suite, and each side runs first in every
@@ -49,7 +50,7 @@ from pathlib import Path
 
 PAIRS = 10  # the fewest pairs that can show a gain in nine of ten
 SECONDS = 20.0  # perfbench's --seconds, as BENCHMARK.json's run_seconds
-TIER1_RUNS = 1
+TIER1_RUNS = 3
 WORKLOADS = ("figures", "grid", "montecarlo", "battery")
 END_TO_END = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb", "readback_s")
 COMMANDS = {

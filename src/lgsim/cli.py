@@ -302,10 +302,13 @@ def _cmd_fig2(cfg: SweepConfig):
     blocks = _sweep(cfg)
     summary = []
     for n in cfg.ns:
-        w = violation_window(n, 0.0, cfg.tau, cfg.omega, criterion=cfg.criterion)
-        at = "none"
-        if w is not None:
-            at = f"theta/pi={w.lo / math.pi:.9f} width/pi={w.width / math.pi:.9f}"
+        try:
+            w = violation_window(n, 0.0, cfg.tau, cfg.omega, criterion=cfg.criterion)
+            at = "none"
+            if w is not None:
+                at = f"theta/pi={w.lo / math.pi:.9f} width/pi={w.width / math.pi:.9f}"
+        except ValueError as exc:
+            at = f"undefined: {exc}"
         summary.append(f"onset[n={n}] {at} (criterion={cfg.criterion})")
     return blocks, summary
 

@@ -163,6 +163,21 @@ def _check_positive(value: float, name: str) -> float:
     return value
 
 
+def _check_n(n) -> int:
+    """``n`` as the box's int: a nonnegative integer value, such as 2 or 2.0."""
+    if n != int(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    return int(n)
+
+
+def _theta_grid(thetas) -> np.ndarray:
+    """``thetas`` as a one-dimensional contiguous float64 array."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim != 1:
+        raise ValueError(f"theta grid must be one dimensional, got shape {thetas.shape}")
+    return np.ascontiguousarray(thetas)
+
+
 def violation_verdict(lg: float, eps_total: float) -> Verdict:
     """Classify a Leggett-Garg value against both readings of the bound."""
     if not math.isfinite(lg):
@@ -244,9 +259,7 @@ def build_protocol_schedule(
     its Leggett-Garg quantity is ``(1 + cos(theta))^2 >= 0`` under ideal
     dynamics, so no violation is possible there.
     """
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = _check_n(n)
     tau = _check_positive(tau, "tau")
     theta = float(theta)
     if not math.isfinite(theta):
@@ -452,9 +465,7 @@ def _battery_axes(thetas, tau: float, dynamics: LindbladSpec):
     the (B, 3) measurement axes of ``adroitness_experiments``, row ``b`` of
     ``tilted`` being ``sigma_theta(thetas[b])``'s axis.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1:
-        raise ValueError(f"theta grid must be one dimensional, got shape {thetas.shape}")
+    thetas = _theta_grid(thetas)
     tau = _check_positive(tau, "tau")
     times = (tau, 2.0 * tau, 3.0 * tau)
     if not math.isfinite(times[2]):

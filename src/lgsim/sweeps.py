@@ -13,6 +13,10 @@ the requested grids (n outermost, then gamma, then theta).  The battery
 reads theta, gamma and tau but never n, so its kernel runs once per
 distinct gamma and chunk, which every n block of that gamma shares; the
 protocol kernel and the checks run per block.
+
+Inputs are checked at the entry points, ``lg_curve``, ``sweep_blocks``,
+``violation_window`` and ``gamma_cutoff``, by ``protocol``'s theta grid and n
+rules, before ``_gaps`` builds any gap: ``tau``, ``2 tau`` or ``(2n + 3) tau``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import HamiltonianSpec, LindbladSpec, lindblad_propagator
-from .protocol import _CHUNK_ROWS, Verdict, _check_positive, violation_verdict
+from .protocol import _CHUNK_ROWS, _check_n, _check_positive, _theta_grid
+from .protocol import Verdict, violation_verdict
 
 __all__ = [
     "CurveArrays",
@@ -233,25 +238,16 @@ def _check_criterion(criterion: str) -> str:
     return criterion
 
 
-def _spec_and_gap(gamma, tau, omega):
+def _gaps(gamma, tau, omega, *steps) -> list[np.ndarray]:
+    """The transfer matrices of the gaps ``step * tau`` at one gamma, in order."""
     spec = LindbladSpec(HamiltonianSpec(omega), gamma)
     tau = _check_positive(tau, "tau")
-    return spec, tau, lindblad_propagator(spec, tau).ptm
-
-
-def _battery_gap(spec, tau) -> np.ndarray:
-    """The transfer matrix of the ``2 tau`` gap that the battery's probe skips."""
-    return lindblad_propagator(spec, 2.0 * tau).ptm
+    return [lindblad_propagator(spec, step * tau).ptm for step in steps]
 
 
 def _battery_total(thetas, gap, gap2) -> np.ndarray:
     """The battery's ``eps_total`` at each theta; it does not depend on n."""
     return _kernels.battery_eps(thetas, gap, gap2).sum(axis=1)
-
-
-def _box_gap(spec, tau, n) -> np.ndarray:
-    """The transfer matrix of the ``(2n + 3) tau`` gap that spans the box."""
-    return lindblad_propagator(spec, (2 * int(n) + 3) * tau).ptm
 
 
 def _curve(thetas, n, gap, gap13, eps_total=None) -> CurveArrays:
@@ -268,9 +264,9 @@ def _curve(thetas, n, gap, gap13, eps_total=None) -> CurveArrays:
 
 def lg_curve(thetas, n: int, gamma: float, tau: float, omega: float = 1.0) -> CurveArrays:
     """Correlators, lg, and battery total for every theta in one kernel pass."""
-    spec, tau, gap = _spec_and_gap(gamma, tau, omega)
-    eps_total = _battery_total(thetas, gap, _battery_gap(spec, tau))
-    return _curve(thetas, n, gap, _box_gap(spec, tau, n), eps_total)
+    thetas, n = _theta_grid(thetas), _check_n(n)
+    gap, gap2, gap13 = _gaps(gamma, tau, omega, 1, 2, 2 * n + 3)
+    return _curve(thetas, n, gap, gap13, _battery_total(thetas, gap, gap2))
 
 
 def sweep_blocks(
@@ -289,29 +285,25 @@ def sweep_blocks(
     is computed.  Each chunk's battery runs with the first block that reads it
     and is held only while a later block will read it.
     """
-    thetas = np.array(thetas, dtype=float)
+    thetas = _theta_grid(np.array(thetas, dtype=float))
     gammas = [float(g) for g in gammas]
     ns = _coordinates(thetas, np.array(gammas), ns)
     # an empty grid is one empty chunk, so each (n, gamma) still has its block
     chunks = [thetas[i : i + _CHUNK_ROWS] for i in range(0, len(thetas), _CHUNK_ROWS)] or [thetas]
     # one battery per distinct gamma, told apart by bits: -0.0 and 0.0 get two
-    batteries = {}
-    for g in gammas:
-        if g.hex() not in batteries:
-            spec, tau_g, gap = _spec_and_gap(g, tau, omega)
-            batteries[g.hex()] = spec, tau_g, gap, _battery_gap(spec, tau_g)
+    distinct = {g.hex(): g for g in gammas}
+    batteries = {h: _gaps(g, tau, omega, 1, 2) for h, g in distinct.items()}
     tasks = []
     for n in ns:
         for g in gammas:
-            spec, tau_g, gap, gap2 = batteries[g.hex()]
-            gap13 = _box_gap(spec, tau_g, n)
-            tasks += [(n, g, c, gap, gap13, gap2) for c in range(len(chunks))]
+            gaps = *batteries[g.hex()], *_gaps(g, tau, omega, 2 * n + 3)
+            tasks += [(n, g, c, *gaps) for c in range(len(chunks))]
     # each (gamma bits, chunk)'s eps_total, computed by the first block that
     # reads it and dropped by the last
     reads = Counter((g.hex(), c) for _, g, c, *_ in tasks)
     totals = {}
 
-    def block(n, g, c, gap, gap13, gap2) -> SweepBlock:
+    def block(n, g, c, gap, gap2, gap13) -> SweepBlock:
         key = g.hex(), c
         if key not in totals:
             totals[key] = _battery_total(chunks[c], gap, gap2)
@@ -344,8 +336,8 @@ def _margin_curve(thetas, n, gamma, tau, omega, criterion) -> np.ndarray:
     if criterion == "strict":
         cur = lg_curve(thetas, n, gamma, tau, omega)
         return cur.lg + cur.eps_total
-    spec, tau, gap = _spec_and_gap(gamma, tau, omega)
-    return _curve(thetas, n, gap, _box_gap(spec, tau, n)).lg
+    gap, gap13 = _gaps(gamma, tau, omega, 1, 2 * n + 3)
+    return _curve(thetas, n, gap, gap13).lg
 
 
 def _bisect(lo: float, hi: float, width: float, below) -> tuple[float, tuple[float, float]]:
@@ -376,7 +368,7 @@ def violation_window(
     steps in all.  Returns None when no grid point violates.  The lenient
     criterion tests ``lg < 0``, the strict one ``lg < -eps_total``.
     """
-    criterion = _check_criterion(criterion)
+    criterion, n = _check_criterion(criterion), _check_n(n)
     grid = np.linspace(0.0, math.pi, _WINDOW_THETAS)
     margin = _margin_curve(grid, n, gamma, tau, omega, criterion)
     neg = margin < 0.0
@@ -413,7 +405,7 @@ def gamma_cutoff(n: int, tau: float, omega: float = 1.0, criterion: str = "lenie
     ``_CUTOFF_TOL * r`` or at a bracket one float wide.  Raises ``ValueError``
     if there is no violation at gamma=0 or if the window is still open at ``r``.
     """
-    criterion = _check_criterion(criterion)
+    criterion, n = _check_criterion(criterion), _check_n(n)
     rate = math.pi / _check_positive(tau, "tau")
     grid = np.linspace(0.0, math.pi, _CUTOFF_THETAS)
 

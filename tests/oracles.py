@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from lgsim._kernels import _grid, _ptm_arg
 from lgsim.dynamics import HamiltonianSpec, _check_duration
 from lgsim.protocol import _BATTERY_LAYOUT
 from lgsim.qubit import (
@@ -193,12 +192,7 @@ def _dense_anti_z(m, v, st, ct):
 
 def dense_protocol_lg(thetas, n, gap, gap13):
     """Boxed-protocol correlators over a theta grid: (c12, c23, c13_prime)."""
-    thetas = _grid(thetas)
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
-    gap = _ptm_arg(gap, "gap")
-    gap13 = _ptm_arg(gap13, "gap13")
+    thetas = np.asarray(thetas)
     st = np.sin(thetas)
     ct = np.cos(thetas)
     # xy[0] is the state after Q1's channel, xy[1] is {Q1, rho}/2
@@ -225,9 +219,7 @@ def dense_protocol_lg(thetas, n, gap, gap13):
 
 def dense_battery_eps(thetas, gap, gap2):
     """Per-experiment adroitness of the four-member battery, shape (B, 4)."""
-    thetas = _grid(thetas)
-    gap = _ptm_arg(gap, "gap")
-    gap2 = _ptm_arg(gap2, "gap2")
+    thetas = np.asarray(thetas)
     pair = ((0, 1), (np.sin(thetas), np.cos(thetas)))  # (x, z) of sz and sigma_theta
     xz = (0, 1, 3)
     x0, x1, x3 = 0.5 * gap[xz, 0]

@@ -106,6 +106,20 @@ def test_fig2_reports_the_onset(capsys):
     assert "# onset[n=1] theta/pi=0.682973047 width/pi=0.317026563 (criterion=lenient)" in out
 
 
+def test_fig2_writes_an_onset_it_cannot_bracket_as_undefined(capsys):
+    # at this m the n=1 window reaches theta=0; every row still computes
+    code, out, _ = run(capsys, "fig2", "--theta", "0:1:3", "--m", "100000000000000000")
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("# onset")] == [
+        "# onset[n=1] undefined: violation extends to theta=0; no onset to bracket "
+        "(criterion=lenient)",
+        "# onset[n=2] none (criterion=lenient)",
+        "# onset[n=5] none (criterion=lenient)",
+        "# onset[n=10] none (criterion=lenient)",
+    ]
+    assert len(out.splitlines()) == 15 + 3 * 4  # comments and header, then theta x n rows
+
+
 def test_fig2_forces_gamma_to_zero(capsys):
     code, out, _ = run(
         capsys, "fig2", "--theta", "0:1:3", "--n", "1", "--gamma", "0:0.01:2"

@@ -391,15 +391,3 @@ def test_an_empty_grid_gives_empty_columns(n):
     _, gap, gap2, gap13 = propagators(0.003, math.pi, n)
     assert [c.shape for c in _kernels.protocol_lg([], n, gap, gap13)] == [(0,)] * 3
     assert _kernels.battery_eps([], gap, gap2).shape == (0, 4)
-
-
-def test_dispatcher_validation():
-    _, gap, _, gap13 = propagators(0.0, math.pi, 1)
-    with pytest.raises(ValueError, match="one dimensional"):
-        _kernels.protocol_lg(np.ones((2, 2)), 1, gap, gap13)
-    with pytest.raises(ValueError, match="nonnegative integer"):
-        _kernels.protocol_lg(GRID, -1, gap, gap13)
-    with pytest.raises(ValueError, match="4x4 transfer matrix"):
-        _kernels.protocol_lg(GRID, 1, gap[:3, :3], gap13)
-    with pytest.raises(ValueError, match="4x4 transfer matrix"):
-        _kernels.battery_eps(GRID, gap, np.eye(3))

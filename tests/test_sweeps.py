@@ -51,6 +51,39 @@ def test_curve_argument_validation():
         lg_curve(np.ones((2, 2)), 1, 0.0, math.pi)
 
 
+# each entry point, called at gamma 0 with a theta grid, an n and a tau
+ENTRY_POINTS = {
+    "lg_curve": lambda thetas, n, tau: lg_curve(thetas, n, 0.0, tau),
+    "sweep_blocks": lambda thetas, n, tau: sweep_blocks(thetas, [0.0], [n], tau),
+    "violation_window": lambda thetas, n, tau: violation_window(n, 0.0, tau),
+    "gamma_cutoff": lambda thetas, n, tau: gamma_cutoff(n, tau),
+}
+BAD_INPUTS = [
+    pytest.param(entry, thetas, n, message, id=f"{entry}-{bad}")
+    for bad, thetas, n, message in [
+        ("2d-grid", np.ones((2, 2)), 1, "theta grid must be one dimensional, got shape (2, 2)"),
+        ("n=-1", [0.5], -1, "n must be a nonnegative integer, got -1"),
+        ("n=1.5", [0.5], 1.5, "n must be a nonnegative integer, got 1.5"),
+    ]
+    for entry in ENTRY_POINTS
+    if np.ndim(thetas) == 1 or entry in ("lg_curve", "sweep_blocks")  # the two that take a grid
+]
+
+
+@pytest.mark.parametrize("tau", [math.pi, 0.0], ids=["tau=pi", "tau=0"])
+@pytest.mark.parametrize("entry, thetas, n, message", BAD_INPUTS)
+def test_entry_points_refuse_a_bad_grid_or_n_before_any_propagator(
+    monkeypatch, entry, thetas, n, message, tau
+):
+    # the rules are protocol's, checked before any gap is built, so a bad
+    # tau is named after them
+    built = []
+    monkeypatch.setattr(sweeps, "lindblad_propagator", lambda *a: built.append(a))
+    with pytest.raises(ValueError) as exc:
+        ENTRY_POINTS[entry](thetas, n, tau)
+    assert (str(exc.value), built) == (message, [])
+
+
 def test_sweep_row_order_and_columns():
     thetas = np.array([0.2, 1.4])
     table = sweep_records(thetas, gammas=[0.0, 0.005], ns=[0, 1], tau=math.pi, omega=1.0)
