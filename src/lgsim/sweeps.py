@@ -238,9 +238,8 @@ def _check_criterion(criterion: str) -> str:
     return criterion
 
 
-def _gaps(gamma, tau, omega, *steps) -> list[np.ndarray]:
-    """The transfer matrices of the gaps ``step * tau`` at one gamma, in order."""
-    spec = LindbladSpec(HamiltonianSpec(omega), gamma)
+def _gaps(spec, tau, *steps) -> list[np.ndarray]:
+    """The transfer matrices of the gaps ``step * tau`` under ``spec``, in order."""
     tau = _check_positive(tau, "tau")
     return [lindblad_propagator(spec, step * tau).ptm for step in steps]
 
@@ -265,7 +264,7 @@ def _curve(thetas, n, gap, gap13, eps_total=None) -> CurveArrays:
 def lg_curve(thetas, n: int, gamma: float, tau: float, omega: float = 1.0) -> CurveArrays:
     """Correlators, lg, and battery total for every theta in one kernel pass."""
     thetas, n = _theta_grid(thetas), _check_n(n)
-    gap, gap2, gap13 = _gaps(gamma, tau, omega, 1, 2, 2 * n + 3)
+    gap, gap2, gap13 = _gaps(LindbladSpec(HamiltonianSpec(omega), gamma), tau, 1, 2, 2 * n + 3)
     return _curve(thetas, n, gap, gap13, _battery_total(thetas, gap, gap2))
 
 
@@ -290,13 +289,14 @@ def sweep_blocks(
     ns = _coordinates(thetas, np.array(gammas), ns)
     # an empty grid is one empty chunk, so each (n, gamma) still has its block
     chunks = [thetas[i : i + _CHUNK_ROWS] for i in range(0, len(thetas), _CHUNK_ROWS)] or [thetas]
-    # one battery per distinct gamma, told apart by bits: -0.0 and 0.0 get two
-    distinct = {g.hex(): g for g in gammas}
-    batteries = {h: _gaps(g, tau, omega, 1, 2) for h, g in distinct.items()}
+    # one spec and battery per distinct gamma, told apart by bits (-0.0 and 0.0
+    # get two), so the propagator cache keys hold one spec a gamma, not one an n
+    specs = {g.hex(): LindbladSpec(HamiltonianSpec(omega), g) for g in gammas}
+    batteries = {h: _gaps(spec, tau, 1, 2) for h, spec in specs.items()}
     tasks = []
     for n in ns:
         for g in gammas:
-            gaps = *batteries[g.hex()], *_gaps(g, tau, omega, 2 * n + 3)
+            gaps = *batteries[g.hex()], *_gaps(specs[g.hex()], tau, 2 * n + 3)
             tasks += [(n, g, c, *gaps) for c in range(len(chunks))]
     # each (gamma bits, chunk)'s eps_total, computed by the first block that
     # reads it and dropped by the last
@@ -336,7 +336,7 @@ def _margin_curve(thetas, n, gamma, tau, omega, criterion) -> np.ndarray:
     if criterion == "strict":
         cur = lg_curve(thetas, n, gamma, tau, omega)
         return cur.lg + cur.eps_total
-    gap, gap13 = _gaps(gamma, tau, omega, 1, 2 * n + 3)
+    gap, gap13 = _gaps(LindbladSpec(HamiltonianSpec(omega), gamma), tau, 1, 2 * n + 3)
     return _curve(thetas, n, gap, gap13).lg
 
 

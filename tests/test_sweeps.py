@@ -47,8 +47,6 @@ def test_curve_matches_exact_engine():
 def test_curve_argument_validation():
     with pytest.raises(ValueError, match="tau must be positive"):
         lg_curve(np.array([0.5]), 1, 0.0, 0.0)
-    with pytest.raises(ValueError, match="one dimensional"):
-        lg_curve(np.ones((2, 2)), 1, 0.0, math.pi)
 
 
 # each entry point, called at gamma 0 with a theta grid, an n and a tau
