@@ -137,8 +137,8 @@ class SweepConfig:
     """Fully resolved and validated configuration for one command run (grids as arrays)."""
 
     command: str
-    thetas: np.ndarray
-    gammas: np.ndarray
+    thetas: np.ndarray | None  # None for a command that takes no theta
+    gammas: np.ndarray | None  # or no gamma grid
     ns: tuple[int, ...]
     omega: float
     m: int
@@ -277,7 +277,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> SweepConfig:
         terms = ", ".join(f"{unit} {_seconds(cost)}" for unit, cost in charge.items() if cost)
         total, budget = _seconds(sum(charge.values())), _BUDGET_NS // 10**9
         raise ConfigError(f"{where}: {total} of work ({terms}) exceeds the {budget} s budget")
-    thetas, gammas = map(_linspace, (theta_grid, gamma_grid))
+    thetas = _linspace(theta_grid) if "theta" in spec.keys else None  # classic takes no grid
+    gammas = _linspace(gamma_grid) if "gamma" in spec.keys else None
 
     echo = tuple([(k, merged[k][0]) for k in spec.keys] + notes)
     return SweepConfig(

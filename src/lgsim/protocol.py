@@ -49,6 +49,7 @@ calls of the grid.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -165,16 +166,20 @@ def _check_positive(value: float, name: str) -> float:
 
 def _check_n(n) -> int:
     """``n`` as the box's int: a nonnegative integer value, such as 2 or 2.0."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
-    return int(n)
+    with contextlib.suppress(TypeError, ValueError, OverflowError):  # such as None, nan, inf
+        if n == int(n) and n >= 0:
+            return int(n)
+    raise ValueError(f"n must be a nonnegative integer, got {n}")
 
 
 def _theta_grid(thetas) -> np.ndarray:
-    """``thetas`` as a one-dimensional contiguous float64 array."""
+    """``thetas`` as a one-dimensional contiguous float64 array of finite values."""
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 1:
         raise ValueError(f"theta grid must be one dimensional, got shape {thetas.shape}")
+    ok = np.isfinite(thetas)
+    if not ok.all():
+        raise ValueError(f"theta must be finite, got {float(thetas[np.argmin(ok)])}")
     return np.ascontiguousarray(thetas)
 
 
@@ -261,10 +266,7 @@ def build_protocol_schedule(
     """
     n = _check_n(n)
     tau = _check_positive(tau, "tau")
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-
+    (theta,) = _theta_grid([theta]).tolist()
     qt = sigma_theta(theta)
     qz = pauli("z")
     events = [MeasurementEvent(tau, qt, "Q1")]
@@ -292,7 +294,8 @@ def adroitness_experiments(
         d: sz,          sigma_theta, sigma_theta
     """
     tau = _check_positive(tau, "tau")
-    pair = (pauli("z"), sigma_theta(float(theta)))
+    (theta,) = _theta_grid([theta]).tolist()
+    pair = (pauli("z"), sigma_theta(theta))
     rho0 = DensityOperator.maximally_mixed()
     out = []
     for layout in _BATTERY_LAYOUT:
@@ -463,21 +466,14 @@ def _battery_axes(thetas, tau: float, dynamics: LindbladSpec):
 
     ``times`` are the events' ``tau, 2*tau, 3*tau``; ``z`` and ``tilted`` are
     the (B, 3) measurement axes of ``adroitness_experiments``, row ``b`` of
-    ``tilted`` being ``sigma_theta(thetas[b])``'s axis.
+    ``tilted`` being ``sigma_theta(thetas[b])``'s axis.  After the grid, one
+    theta's schedules check tau, the event times and the dynamics.
     """
     thetas = _theta_grid(thetas)
-    tau = _check_positive(tau, "tau")
-    times = (tau, 2.0 * tau, 3.0 * tau)
-    if not math.isfinite(times[2]):
-        raise ValueError(f"event time must be nonnegative and finite, got {times[2]}")
-    if not isinstance(dynamics, LindbladSpec):
-        raise ValueError("dynamics must be a LindbladSpec")
+    times = tuple(ev.time for ev in adroitness_experiments(0.0, tau, dynamics)[0].events)
     tilted = np.zeros((thetas.shape[0], 3))
-    for b, theta in enumerate(thetas.tolist()):
-        if not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta}")
-        tilted[b, 0] = math.sin(theta)
-        tilted[b, 2] = math.cos(theta)
+    values = thetas.tolist()  # math's sin and cos, as sigma_theta takes them, not numpy's
+    tilted[:, 0], tilted[:, 2] = list(map(math.sin, values)), list(map(math.cos, values))
     return thetas, times, (np.broadcast_to(pauli("z").bloch_axis, tilted.shape), tilted)
 
 

@@ -6,17 +6,18 @@ evaluates a grid one block of kernel arrays and verdicts per (n, gamma,
 theta chunk of at most ``_CHUNK_ROWS``), each block computed only when its
 reader asks for it and checked as whole arrays, never one object per grid
 point; ``sweep_records`` collects those blocks into a columnar
-``SweepTable``.  Parsing a table back (``tables.records_from_rows``) runs
-the same column checks, and ``SweepRecord`` is a plain row that checked
-columns expand into, in both directions.  Row order is a pure function of
-the requested grids (n outermost, then gamma, then theta).  The battery
-reads theta, gamma and tau but never n, so its kernel runs once per
+``SweepTable``.  A table read back (``tables.records_from_rows``) has its
+columns checked by ``_table_records``, and ``SweepRecord`` is a plain row
+that checked columns expand into, in both directions.  Row order is a pure
+function of the requested grids (n outermost, then gamma, then theta).  The
+battery reads theta, gamma and tau but never n, so its kernel runs once per
 distinct gamma and chunk, which every n block of that gamma shares; the
 protocol kernel and the checks run per block.
 
-Inputs are checked at the entry points, ``lg_curve``, ``sweep_blocks``,
-``violation_window`` and ``gamma_cutoff``, by ``protocol``'s theta grid and n
-rules, before ``_gaps`` builds any gap: ``tau``, ``2 tau`` or ``(2n + 3) tau``.
+The entry points, ``lg_curve``, ``sweep_blocks``, ``violation_window`` and
+``gamma_cutoff``, check theta by ``protocol._theta_grid``, then n by
+``protocol._check_n``, omega and gamma by ``LindbladSpec`` and tau in
+``_gaps``, before it builds any gap: ``tau``, ``2 tau`` or ``(2n + 3) tau``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, repeat, starmap
@@ -152,37 +152,40 @@ def _expand(thetas, gammas, ns, cols, verdicts) -> list[SweepRecord]:
 
 
 def _n(value) -> int:
-    """``value`` as an n: a nonnegative int, or its decimal text."""
-    try:
-        n = int(value, 10) if isinstance(value, str) else operator.index(value)
-    except (TypeError, ValueError):
-        n = -1
-    if n < 0:
+    """A table's n cell as an int: a JSON integer that is not a bool, or the
+    ``%d`` text the writer writes for one (ASCII digits, with no sign,
+    padding, underscore or leading zero)."""
+    n = value if type(value) is int else -1
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):  # not decimal text, or past int's digit limit
+            n = int(value, 10)
+    if n < 0 or isinstance(value, str) and "%d" % n != value:
         raise ValueError(f"n must be a nonnegative integer, got {value}")
     return n
 
 
-def _coordinates(thetas: np.ndarray, gammas: np.ndarray, ns) -> list[int]:
-    """Check a grid, or a table's first three columns; return ``ns`` as ints.
+def _table_records(thetas, gammas, ns, numbers, verdicts) -> list[SweepRecord]:
+    """A parsed sweep table's columns, checked, as ``SweepRecord`` rows.
 
-    theta must be finite, gamma nonnegative and finite, and n a nonnegative
-    int or its decimal text; the first bad value of a column raises.  Each
-    distinct (type, value) of ``ns`` is parsed once, in order of first
-    appearance, so the first bad n still raises first.
+    The float columns come as lists (``numbers`` is c12 to eps_total), and
+    the n and verdict cells as read.  The first bad value raises: theta's by
+    ``_theta_grid``, then gamma's, then the n cells' by ``_n``, each distinct
+    (type, value) parsed once, then the curve's and verdicts' by ``_verdicts``.
     """
-    for name, values, ok, rule in (
-        ("theta", thetas, np.isfinite(thetas), "finite"),
-        ("gamma", gammas, (gammas >= 0.0) & np.isfinite(gammas), "nonnegative and finite"),
-    ):
-        if not ok.all():
-            raise ValueError(f"{name} must be {rule}, got {float(values[np.argmin(ok)])}")
-    ns = list(ns)
+    _theta_grid(thetas)
+    gamma = np.array(gammas)
+    ok = (gamma >= 0.0) & np.isfinite(gamma)
+    if not ok.all():
+        raise ValueError(f"gamma must be nonnegative and finite, got {float(gamma[np.argmin(ok)])}")
     keys = list(zip(map(type, ns), ns))  # 1 and 1.0 are equal, but only one is an n
     try:
         parsed = {key: _n(key[1]) for key in dict.fromkeys(keys)}
+        ns = list(map(parsed.__getitem__, keys))
     except TypeError:  # an unhashable value, which _n refuses in row order
-        return list(map(_n, ns))
-    return list(map(parsed.__getitem__, keys))
+        ns = list(map(_n, ns))
+    cur = CurveArrays(*(np.array(col, dtype=float) for col in numbers))
+    verdicts = _verdicts(cur, np.fromiter(verdicts, dtype=object, count=len(thetas)))
+    return _expand(thetas, gammas, ns, numbers, verdicts.tolist())
 
 
 def _verdicts(cur: CurveArrays, verdict: np.ndarray | None = None) -> np.ndarray:
@@ -285,8 +288,8 @@ def sweep_blocks(
     and is held only while a later block will read it.
     """
     thetas = _theta_grid(np.array(thetas, dtype=float))
+    ns = list(map(_check_n, ns))
     gammas = [float(g) for g in gammas]
-    ns = _coordinates(thetas, np.array(gammas), ns)
     # an empty grid is one empty chunk, so each (n, gamma) still has its block
     chunks = [thetas[i : i + _CHUNK_ROWS] for i in range(0, len(thetas), _CHUNK_ROWS)] or [thetas]
     # one spec and battery per distinct gamma, told apart by bits (-0.0 and 0.0

@@ -41,8 +41,8 @@ line has no line break, as a table cut short has none.  It refuses a table
 whose columns differ from its command's schema.  A CSV row with no empty
 cell is built as one ``dict(zip(header, cells))``; only a row with an empty
 cell (an exact adroitness row's Monte Carlo cells) maps its cells one at a
-time, the empty ones to None.  ``records_from_rows`` checks a sweep's
-parsed columns as ``sweep_records`` checks what it writes.
+time, the empty ones to None.  ``records_from_rows`` parses a sweep's
+float cells, and ``sweeps._table_records`` checks every column.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ from typing import Iterator, get_type_hints
 import numpy as np
 
 from .protocol import _CHUNK_ROWS, Verdict
-from .sweeps import CurveArrays, SweepRecord, _coordinates, _expand
-from .sweeps import _gc_paused, _verdicts
+from .sweeps import SweepRecord, _gc_paused, _table_records
 
 __all__ = ["SCHEMAS", "read_table", "records_from_rows"]
 
@@ -584,8 +583,8 @@ def records_from_rows(rows: list[dict]) -> list[SweepRecord]:
     """Rebuild sweep records from parsed rows (exact round trip).
 
     ``float`` reads ``%.17g`` text back bit for bit.  The cells, taken as
-    one column each, then pass the checks ``sweep_records`` runs on write,
-    and the verdicts must match; the first bad row raises a one-line
+    one column each, are then checked by ``sweeps._table_records``, and
+    the verdicts must match; the first bad row raises a one-line
     ``ValueError``.
     """
     # one column per field, by one transpose of the rows
@@ -598,9 +597,4 @@ def records_from_rows(rows: list[dict]) -> list[SweepRecord]:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{name}: {exc}") from None
     theta, gamma, *numbers = floats.values()
-    ns = _coordinates(np.array(theta), np.array(gamma), cells["n"])
-    verdicts = _verdicts(
-        CurveArrays(*(np.array(col, dtype=float) for col in numbers)),
-        np.fromiter(cells["verdict"], dtype=object, count=len(rows)),
-    )
-    return _expand(theta, gamma, ns, numbers, verdicts.tolist())
+    return _table_records(theta, gamma, cells["n"], numbers, cells["verdict"])

@@ -697,10 +697,10 @@ def test_classic_builds_neither_grid(monkeypatch, capsys, tmp_path):
     # classic writes one row and takes no grid: its work is nothing, and a
     # grid or shots flag or config line is refused before anything is built
     monkeypatch.setattr(cli, "_BUDGET_NS", 0)
+    monkeypatch.setattr(cli, "_linspace", None)
     code, out, err = run(capsys, "classic")
     assert (code, err) == (0, "")
     assert out.splitlines()[-2] == "c12,c23,c13_prime,lg_quantity,verdict"
-    monkeypatch.setattr(cli, "_linspace", None)
     cfgfile = tmp_path / "run.cfg"
     for flag in ("--theta=0:1:50", "--shots=9", "--gamma=-1:0:3"):
         err = expect_error(capsys, "classic", flag)
@@ -1733,7 +1733,10 @@ def test_an_n_is_parsed_once_per_type_and_value(tmp_path, capsys):
     late = 20  # rows 14 to 27 are the n = 1 blocks
     assert rows[14]["n"] == rows[late]["n"] == 1
     assert records_from_rows([]) == []
-    for value in (1.0, [1], "x"):  # 1.0 equals the 1 before it, but is no n
+    # 1.0 and True equal the 1 before them, but are no n; an n cell is read
+    # only as the writer writes it, so no sign, padding, underscore, leading
+    # zero or non-ASCII digit
+    for value in (1.0, [1], "x", True, " 1", "+1", "01", "\u0661", "1_0"):
         bad = [dict(row) for row in rows]
         bad[late]["n"] = value
         with pytest.raises(ValueError) as exc:

@@ -178,6 +178,8 @@ def test_schedule_validation():
         build_protocol_schedule(0.5, 1, 0.0, IDEAL)
     with pytest.raises(ValueError, match="theta must be finite, got nan"):
         build_protocol_schedule(math.nan, 1, math.pi, IDEAL)
+    with pytest.raises(ValueError, match="theta must be finite, got inf"):
+        adroitness_experiments(math.inf, math.pi, IDEAL)
 
 
 def test_index_of_requires_unique_tag():
@@ -354,8 +356,8 @@ def test_adroitness_report_fields():
 def test_grid_validation():
     with pytest.raises(ValueError, match="one dimensional"):
         adroitness_grid(np.ones((2, 2)), math.pi, NOISY)
-    with pytest.raises(ValueError, match="theta must be finite"):
-        adroitness_grid([0.5, math.nan], math.pi, NOISY)
+    with pytest.raises(ValueError, match="theta must be finite, got nan"):
+        adroitness_grid([0.5, math.nan], 0.0, NOISY)  # the grid is named before tau
     with pytest.raises(ValueError, match="tau must be positive"):
         adroitness_grid([0.5], 0.0, NOISY)
     with pytest.raises(ValueError, match="event time must be nonnegative and finite, got inf"):

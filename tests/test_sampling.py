@@ -485,8 +485,8 @@ def test_battery_sampler_argument_validation():
     for bad in (-1, 2**64, 0.5):
         with pytest.raises(ValueError, match="seed must be"):
             sample_battery([0.5], math.pi, NOISY, 10, [[[1, bad]] * 4])
-    with pytest.raises(ValueError, match="theta must be finite"):
-        sample_battery([math.inf], math.pi, NOISY, 10, seeds)
+    with pytest.raises(ValueError, match="theta must be finite, got inf"):
+        sample_battery([math.inf], 0.0, NOISY, 10, seeds)  # the grid is named before tau
     with pytest.raises(ValueError, match="tau must be positive"):
         sample_battery([0.5], 0.0, NOISY, 10, seeds)
     # the largest seed beside a small one, exact: np.asarray would make both floats

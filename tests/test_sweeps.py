@@ -60,11 +60,17 @@ BAD_INPUTS = [
     pytest.param(entry, thetas, n, message, id=f"{entry}-{bad}")
     for bad, thetas, n, message in [
         ("2d-grid", np.ones((2, 2)), 1, "theta grid must be one dimensional, got shape (2, 2)"),
+        ("nan-theta", [0.5, math.nan], 1, "theta must be finite, got nan"),
+        ("inf-theta", [0.5, -math.inf, math.inf], 1, "theta must be finite, got -inf"),
         ("n=-1", [0.5], -1, "n must be a nonnegative integer, got -1"),
         ("n=1.5", [0.5], 1.5, "n must be a nonnegative integer, got 1.5"),
+        ("n=None", [0.5], None, "n must be a nonnegative integer, got None"),
+        ("n=inf", [0.5], math.inf, "n must be a nonnegative integer, got inf"),
+        ("n=nan", [0.5], math.nan, "n must be a nonnegative integer, got nan"),
+        ("n='2'", [0.5], "2", "n must be a nonnegative integer, got 2"),
     ]
     for entry in ENTRY_POINTS
-    if np.ndim(thetas) == 1 or entry in ("lg_curve", "sweep_blocks")  # the two that take a grid
+    if bad.startswith("n=") or entry in ("lg_curve", "sweep_blocks")  # the two that take a grid
 ]
 
 
@@ -80,6 +86,29 @@ def test_entry_points_refuse_a_bad_grid_or_n_before_any_propagator(
     with pytest.raises(ValueError) as exc:
         ENTRY_POINTS[entry](thetas, n, tau)
     assert (str(exc.value), built) == (message, [])
+
+
+def test_sweep_blocks_checks_its_inputs_in_lg_curves_order():
+    # theta, n, omega, gamma, then tau: each call fixes the fault named before
+    args = [[math.nan], -1.0, 0.0, -1.0, 0.0]  # thetas, n, omega, gamma, tau
+    for fix, message in enumerate(
+        [
+            "theta must be finite, got nan",
+            "n must be a nonnegative integer, got -1.0",
+            "omega must be positive and finite, got 0.0",
+            "gamma must be nonnegative and finite, got -1.0",
+            "tau must be positive and finite, got 0.0",
+        ]
+    ):
+        thetas, n, omega, gamma, tau = args
+        for call in (
+            lambda: lg_curve(thetas, n, gamma, tau, omega),
+            lambda: sweep_blocks(thetas, [gamma], [n], tau, omega),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+        args[fix] = [[0.5], 1, 1.0, 0.0, math.pi][fix]
 
 
 def test_sweep_row_order_and_columns():
