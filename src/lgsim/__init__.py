@@ -21,7 +21,7 @@ its ``__all__``; ``__all__`` here is their sorted union.  Importing the
 package loads nothing else: a name is looked up on first use (PEP 562) by
 importing those modules in dependency order up to the first that lists it,
 so the ``lgsim`` program can choose its BLAS thread count before numpy loads
-(see ``_blas``).  Listing ``__all__`` or ``dir()`` imports all five.
+(see ``__main__``).  Listing ``__all__`` or ``dir()`` imports all five.
 """
 
 import importlib

@@ -8,21 +8,20 @@ Flags override the file, which overrides the defaults.  A body does the work
 that its input can make fail, then returns its blocks (fixed cells, and
 varying columns as arrays), each made only as ``tables`` writes it, and
 summary lines; ``tables`` owns the format.
-Run as the program (``python -m lgsim.cli``, or the console script through
-``lgsim.__main__``), the module pins BLAS to one thread before numpy loads
-(see ``_blas``); imported, it leaves the environment alone.
+Run as ``python -m lgsim.cli``, the module hands off to the program,
+``lgsim.__main__.main``, before numpy loads; imported, it leaves the
+environment alone.
 """
 
 from __future__ import annotations
 
-from ._blas import pin_blas_threads  # imports no numpy
+if __name__ == "__main__":  # the program pins BLAS before numpy loads
+    from .__main__ import main as _program
 
-if __name__ == "__main__":  # python -m lgsim.cli: pin BLAS before numpy loads
-    pin_blas_threads()
+    raise SystemExit(_program())
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -431,8 +430,12 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` whose refusals raise ``ConfigError``, which
-    ``main`` writes as one line, where argparse prints its usage and exits;
-    ``add_subparsers`` makes the subparsers of this class too."""
+    ``main`` writes as one line, where argparse prints its usage and exits,
+    and which reads a flag only by its full name; ``add_subparsers`` makes
+    the subparsers of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ConfigError(message)
@@ -471,8 +474,9 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command on ``argv`` (None: ``sys.argv[1:]``); it leaves the
-    environment alone, and the program's entry points pin BLAS (see ``_blas``)."""
+    """Run one command on ``argv`` (None: ``sys.argv[1:]``).  It leaves the
+    environment and stdout's file descriptor alone: the program (see
+    ``__main__``) pins BLAS and ends a run whose reader leaves early."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_attach_dash_values(argv))
@@ -482,11 +486,4 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"lgsim: error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # stdout's reader left early: its flush at exit goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

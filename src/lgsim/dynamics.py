@@ -23,7 +23,7 @@ the first gamma > 0 propagator is built, so importing the package, every
 gamma = 0 command and parsing a table back never load it.  Each ``expm``
 call wakes the worker pool of the OpenBLAS that scipy bundles, so the
 ``lgsim`` program starts that BLAS, and numpy's, on one thread (see
-``_blas``).  The dx/dt row above is cross-checked in the tests against a
+``__main__``).  The dx/dt row above is cross-checked in the tests against a
 fine-step integration of the 2x2 master equation itself, so a transcription
 mistake here cannot survive the suite.
 """

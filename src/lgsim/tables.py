@@ -36,13 +36,13 @@ as some editors save one.  It reads the grammar in one pass over the
 numbered lines, and refuses a line out of it, naming the line: a ``# lgsim``
 line that is not the first; a config line after a summary line, with no
 ``=``, or repeating a key; a ``#`` line after the header; a second header
-line; a JSONL meta or row that repeats a key; and a CSV table whose last
-line has no line break, as a table cut short has none.  It refuses a table
-whose columns differ from its command's schema.  A CSV row with no empty
-cell is built as one ``dict(zip(header, cells))``; only a row with an empty
-cell (an exact adroitness row's Monte Carlo cells) maps its cells one at a
-time, the empty ones to None.  ``records_from_rows`` parses a sweep's
-float cells, and ``sweeps._table_records`` checks every column.
+line; a JSONL meta or row that repeats a key; and, before any of these, a
+table whose last line has no line break, as a table cut short has none.  It
+refuses a table whose columns differ from its command's schema.  A CSV row
+with no empty cell is built as one ``dict(zip(header, cells))``; only a row
+with an empty cell (an exact adroitness row's Monte Carlo cells) maps its
+cells one at a time, the empty ones to None.  ``records_from_rows`` parses a
+sweep's float cells, and ``sweeps._table_records`` checks every column.
 """
 
 from __future__ import annotations
@@ -498,6 +498,9 @@ def read_table(path) -> tuple[dict, list[dict]]:
     first, ln = next(((n, ln) for n, ln in lines if ln.strip()), (0, ""))
     if not first:
         raise ValueError(f"{path}: empty table")
+    if not text.endswith(("\n", "\r")):
+        problem = "no line break at its end, so the table is cut short"
+        raise ValueError(f"{path}: line {len(text.splitlines())}: {problem}")
     meta = {"command": None, "config": {}, "summary": []}
     rows: list[dict] = []
     if ln.lstrip().startswith("{"):
@@ -573,8 +576,6 @@ def read_table(path) -> tuple[dict, list[dict]]:
             rows.append({k: (None if c == "" else c) for k, c in zip(header, cells)})
         else:
             rows.append(dict(zip(header, cells)))
-    if not text.endswith(("\n", "\r")):
-        raise ValueError(f"{path}: line {n}: no line break at its end, so the table is cut short")
     return meta, rows
 
 

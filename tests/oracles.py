@@ -15,8 +15,9 @@ must give their bits, zeros' signs included where a table shows them.
 
 ``read_csv_table`` and ``read_jsonl_table`` read a table by the grammar the
 ``tables`` docstring states, in two steps where the reader takes one pass:
-they split the numbered nonblank lines into the lines before the header or
-meta and those after it, and check each part whole.  The CSV oracle builds
+once the text is known to end in its line break, they split the numbered
+nonblank lines into the lines before the header or meta and those after
+it, and check each part whole.  The CSV oracle builds
 every row by one comprehension that maps each empty cell to None; the
 reader must return its meta and rows, key order included, and raise its
 first error.  The JSONL oracle decodes each line by ``json.loads``, with
@@ -242,13 +243,17 @@ def dense_battery_eps(thetas, gap, gap2):
     return out
 
 
-def _numbered(path) -> tuple[str, list[tuple[int, str]]]:
-    """A table's text, and its nonblank lines, each with its number in the file."""
+def _numbered(path) -> list[tuple[int, str]]:
+    """A table's nonblank lines, each with its number in the file, once the
+    text is known to end in a line break, in either format."""
     text = Path(path).read_text(encoding="utf-8-sig")
     numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not numbered:
         raise ValueError(f"{path}: empty table")
-    return text, numbered
+    if text[-1] not in "\r\n":
+        problem = "no line break at its end, so the table is cut short"
+        raise ValueError(f"{path}: line {len(text.splitlines())}: {problem}")
+    return numbered
 
 
 # the order of a CSV table's comment lines, by the word after the "#"
@@ -257,7 +262,7 @@ _RANKS = {"lgsim": 0, "config": 1, "summary": 2}
 
 def read_csv_table(path) -> tuple[dict, list[dict]]:
     """(meta, rows) of a CSV table, one comprehension per row."""
-    text, numbered = _numbered(path)
+    numbered = _numbered(path)
     at = next((k for k, (_, ln) in enumerate(numbered) if not ln.startswith("#")), None)
     meta = {"command": None, "config": {}, "summary": []}
     rank = 0
@@ -297,9 +302,6 @@ def read_csv_table(path) -> tuple[dict, list[dict]]:
             problem = f"row has {len(cells)} cells, header has {len(header)}"
             raise ValueError(f"{path}: line {i}: {problem}")
         rows.append({k: (None if c == "" else c) for k, c in zip(header, cells)})
-    if text[-1] not in "\r\n":
-        problem = "no line break at its end, so the table is cut short"
-        raise ValueError(f"{path}: line {len(text.splitlines())}: {problem}")
     return meta, rows
 
 
@@ -312,7 +314,7 @@ def _no_repeats(pairs: list) -> dict:
 
 def read_jsonl_table(path) -> tuple[dict, list[dict]]:
     """(meta, rows) of a JSONL table, each line by ``json.loads``."""
-    _, ((_, first), *numbered) = _numbered(path)
+    (_, first), *numbered = _numbered(path)
     first = json.loads(first, object_pairs_hook=_no_repeats)
     given = first.get("meta") if type(first) is dict else None
     kinds = {"command": str, "config": dict, "summary": list}

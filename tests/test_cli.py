@@ -272,6 +272,28 @@ def test_an_argparse_refusal_is_one_line(capsys, tmp_path, command, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--the", "0:1:2", "--gam", "0:0:1"),
+        ("sweep", "--the", "-1:1:3"),
+        ("sweep", "--the=0:1:2"),
+        ("classic", "--conf", "{config}"),
+    ],
+    ids=["two-prefixes", "dash-value", "joined-value", "config-prefix"],
+)
+def test_a_flag_is_read_only_by_its_full_name(capsys, tmp_path, argv):
+    # argparse would read a prefix as the flag it begins; here it is one of
+    # the unrecognized arguments, with its value, and no table is written
+    config = tmp_path / "run.cfg"
+    config.write_text("omega=2\n")
+    argv = [arg.format(config=config) for arg in argv]
+    out = tmp_path / "t.csv"
+    err = expect_error(capsys, *argv, f"--out={out}")
+    assert err == f"lgsim: error: unrecognized arguments: {' '.join(argv[1:])}"
+    assert not out.exists()
+
+
 # a command that reads each flag that sweep does not read
 NOT_SWEEPS = {"--shots": "adroitness", "--seed": "adroitness", "--criterion": "fig2"}
 
@@ -1655,6 +1677,8 @@ CUT = "no line break at its end, so the table is cut short"
         ),
         (CLASSIC_HEAD + CLASSIC_ROWS[:-9], f"line 5: {CUT}"),
         (CLASSIC_HEAD + CLASSIC_ROWS + "  ", f"line 6: {CUT}"),
+        # a JSONL row without its line break is as cut short as a CSV one
+        (f"{META}\n\n{ROW}", f"line 3: {CUT}"),
         (
             META.replace('"classic"', '"classic", "command": "fig2"') + "\n",
             "line 1: meta repeats the key 'command'",
@@ -1978,17 +2002,51 @@ def test_every_program_entry_keeps_a_thread_count_the_user_set(programs, entry, 
     assert got["env"] == {k: "2" if k == var else None for k in BLAS_THREAD_VARS}
 
 
-def test_a_reader_that_leaves_early_ends_the_program_quietly():
+# each entry as an interpreter's arguments, before the command's own
+LAUNCHERS = dict(
+    zip(
+        ENTRIES,
+        (
+            ("-m", "lgsim.cli"),
+            ("-m", "lgsim"),
+            ("-c", "import sys; from lgsim.__main__ import main; sys.exit(main())"),
+        ),
+    )
+)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_reader_that_leaves_early_ends_the_program_quietly(entry):
     # as `lgsim sweep ... | head -1` does: the table is far larger than a pipe
     # holds, so a write meets the closed pipe; nothing reaches stderr
     src = str(Path(lgsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, "-m", "lgsim.cli", "sweep", "--theta", "0:3:20000"]
+    argv = [sys.executable, *LAUNCHERS[entry], "sweep", "--theta", "0:3:20000"]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"# lgsim sweep\n"
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stderr.read() == b""
+
+
+def test_a_broken_pipe_reaches_the_caller_of_main(monkeypatch):
+    # main only runs a command; the program ends a run whose reader left
+    # early, so a caller in process gets the error and keeps its fd 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    pipe = open(write_end, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", pipe)
+    fd1 = os.fstat(1)
+    try:
+        with pytest.raises(BrokenPipeError):
+            main(["sweep", "--theta", "0:3:20000"])
+        assert stat.S_ISFIFO(os.fstat(write_end).st_mode)  # not swapped for devnull
+        assert os.path.samestat(os.fstat(1), fd1)
+    finally:
+        try:
+            pipe.close()  # closes the pipe, though its flush meets the closed end too
+        except BrokenPipeError:
+            pass
 
 
 @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
