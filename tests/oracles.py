@@ -16,13 +16,13 @@ must give their bits, zeros' signs included where a table shows them.
 ``read_csv_table`` and ``read_jsonl_table`` read a table by the grammar the
 ``tables`` docstring states, in two steps where the reader takes one pass:
 once the text is known to end in its line break, they split the numbered
-nonblank lines into the lines before the header or meta and those after
-it, and check each part whole.  The CSV oracle builds
-every row by one comprehension that maps each empty cell to None; the
-reader must return its meta and rows, key order included, and raise its
-first error.  The JSONL oracle decodes each line by ``json.loads``, with
-a hook that refuses a repeated key; the reader must return what it
-returns, and refuse what it refuses.
+nonblank lines into the lines before the header or meta and those after it,
+and check each part whole.  The CSV oracle builds every row by one
+comprehension that maps each empty cell to None; the reader must return its
+meta and rows, key order included, and raise its first error.  The JSONL
+oracle decodes each line by ``json.loads``, with a hook that refuses a
+repeated key; the reader must return what it returns, and refuse what it
+refuses.
 """
 
 import json

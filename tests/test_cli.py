@@ -2002,26 +2002,21 @@ def test_every_program_entry_keeps_a_thread_count_the_user_set(programs, entry, 
     assert got["env"] == {k: "2" if k == var else None for k in BLAS_THREAD_VARS}
 
 
-# each entry as an interpreter's arguments, before the command's own
-LAUNCHERS = dict(
-    zip(
-        ENTRIES,
-        (
-            ("-m", "lgsim.cli"),
-            ("-m", "lgsim"),
-            ("-c", "import sys; from lgsim.__main__ import main; sys.exit(main())"),
-        ),
-    )
+@pytest.mark.parametrize(
+    "launcher",  # each entry as an interpreter's arguments, before the command's
+    [
+        ("-m", "lgsim.cli"),
+        ("-m", "lgsim"),
+        ("-c", "import sys; from lgsim.__main__ import main; sys.exit(main())"),
+    ],
+    ids=ENTRIES,
 )
-
-
-@pytest.mark.parametrize("entry", ENTRIES)
-def test_a_reader_that_leaves_early_ends_the_program_quietly(entry):
+def test_a_reader_that_leaves_early_ends_the_program_quietly(launcher):
     # as `lgsim sweep ... | head -1` does: the table is far larger than a pipe
     # holds, so a write meets the closed pipe; nothing reaches stderr
     src = str(Path(lgsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, *LAUNCHERS[entry], "sweep", "--theta", "0:3:20000"]
+    argv = [sys.executable, *launcher, "sweep", "--theta", "0:3:20000"]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"# lgsim sweep\n"
         proc.stdout.close()
